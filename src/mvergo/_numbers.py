@@ -1,4 +1,5 @@
-"""Shared numeric helpers: the -infinity sentinel and rational/decimal parsing.
+"""Shared numeric helpers: the -infinity sentinel, rational/decimal parsing
+and the float tolerance policy.
 
 Exact rational arithmetic (fractions.Fraction) is the default number type
 throughout the package; floats appear only where a caller opts in (large
@@ -8,6 +9,8 @@ sweeps, cosine evaluation).
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
 
 
 class NegInfinity:
@@ -90,3 +93,10 @@ def as_float(x) -> float:
     if x is NEG_INF:
         return float("-inf")
     return float(x)
+
+
+def float_tolerance(values) -> float:
+    """Absolute tolerance for float comparisons among sums of these values:
+    1e-9 times the largest magnitude, and never below 1e-9."""
+    scale = np.abs(np.asarray(values, dtype=np.float64))
+    return 1e-9 * max(1.0, float(scale.max(initial=0.0)))

@@ -4,8 +4,10 @@ Lower bounds come from exact periodic orbits; upper bounds from an outer
 grid approximation: cells are linked whenever a branch image of one closed
 cell meets another, so every true orbit is shadowed by a grid path and the
 grid's maximum cycle mean (plus a Lipschitz margin) dominates the true
-average.  The sweep and barycentre-hull drivers reuse one orbit table and
-one grid per system across parameter values.
+average.  That cycle mean comes from Howard's policy iteration, checked by
+a potential that bounds every grid cycle mean.  The sweep and
+barycentre-hull drivers reuse one orbit table and one grid per system across
+parameter values.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from .circle import (
 from .geometry import convex_hull
 from .mea import max_mean_cycle_value_float
 from .system import FiniteMVSystem
+
+GRID_MIN = 8
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +183,8 @@ def outer_grid_system(system: PiecewiseAffineMVSystem, grid_n: int) -> GridModel
     """Cell a links to cell b iff some branch image of (cell a intersected
     with the branch domain) meets cell b; wrapping images are split mod 1."""
     g = int(grid_n)
-    if g < 8:
-        raise ValueError("grid_n must be at least 8")
+    if g < GRID_MIN:
+        raise ValueError(f"grid_n must be at least {GRID_MIN}")
     edges: set[tuple[int, int]] = set()
     for br in system.branches:
         for a in _cells_meeting(br.lo, br.hi, g):
@@ -205,14 +209,19 @@ def outer_grid_system(system: PiecewiseAffineMVSystem, grid_n: int) -> GridModel
                     edges.add((a, 0))
     fs = FiniteMVSystem.make(g, edges)
     centers = (np.arange(g) + 0.5) / g
-    tails = np.array([t for t, _h in fs.edges], dtype=np.int64)
-    return GridModel(fs, g, centers, tails)
+    return GridModel(fs, g, centers, fs.edge_array[:, 0])
 
 
 def beta_upper(system: PiecewiseAffineMVSystem, f, grid_n: int,
                model: GridModel | None = None) -> float:
     """Certified upper bound: grid maximum cycle mean of f at cell centers,
-    plus the margin L/grid_n * lambda/(lambda - 1)."""
+    plus the margin L/grid_n * lambda/(lambda - 1).
+
+    The cycle mean is solved by Howard policy iteration
+    (``max_mean_cycle_value_float``), which returns the upper bound on every
+    grid cycle mean given by its potential check (it raises instead when
+    that bound exceeds the policy's value by more than ``float_tolerance``
+    of the weights); the bound holds up to float rounding, as Karp's did."""
     lipschitz = getattr(f, "lipschitz", None)
     if lipschitz is None:
         raise ValueError("beta_upper needs a function with a Lipschitz constant")

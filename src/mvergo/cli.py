@@ -14,8 +14,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from ._numbers import format_number, parse_number
-from .bounds import barycentre_hull, theta_sweep
-from .circle import PiecewiseAffineMVSystem, doubling_map, pq_correspondence, three_branch_doubling
+from .bounds import GRID_MIN, barycentre_hull, theta_sweep
+from .circle import (
+    ORBIT_PERIOD_LIMIT,
+    PiecewiseAffineMVSystem,
+    doubling_map,
+    pq_correspondence,
+    three_branch_doubling,
+)
 from .io import InputFormatError, load_system, measure_row
 from .mea import NoCycleError, NoPathError, mea_report
 from .measures import extreme_invariant_measures
@@ -200,6 +206,12 @@ def cmd_sweep(args) -> int:
     systems = [doubling_map(), three_branch_doubling()]
     if args.builtin:
         systems = [builtin_circle(args.builtin)]
+    if args.theta_grid < 1:
+        raise CliError("--theta-grid must be at least 1", EXIT_INPUT)
+    if not 1 <= args.max_period <= ORBIT_PERIOD_LIMIT:
+        raise CliError(f"--max-period must be between 1 and {ORBIT_PERIOD_LIMIT}", EXIT_INPUT)
+    if args.grid < GRID_MIN:
+        raise CliError(f"--grid must be at least {GRID_MIN}", EXIT_INPUT)
     k_grid = args.theta_grid
     thetas = [Fraction(k, k_grid) for k in range(k_grid // 2 + 1)]
     family, _, theta_arg = (args.f or "cos").partition(":")

@@ -1,24 +1,28 @@
 """Maximum ergodic averages on finite systems.
 
-The maximum average equals the best mean weight over directed cycles; it is
-computed with Karp's maximum mean cycle algorithm (exact over rationals, a
-vectorized float path for large grids), together with finite-horizon path
-maxima, a prefix-sum rotation witness, and a brute-force oracle.
+The maximum average equals the best mean weight over directed cycles.  It is
+computed exactly over rationals with Karp's maximum mean cycle algorithm,
+and for float weights on large grids with Howard's policy iteration, whose
+value is checked by a potential that bounds every cycle mean.  Alongside
+come finite-horizon path maxima, a prefix-sum rotation witness, and a
+brute-force oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from ._numbers import NEG_INF
+from ._numbers import NEG_INF, float_tolerance
 from .measures import Cycle, VertexMeasure, cycle_measure
-from .system import FiniteMVSystem, lift_function, simple_cycles
+from .system import FiniteMVSystem, eventual_domain, lift_function, simple_cycles
 
 BRUTE_FORCE_STATE_LIMIT = 12
+HOWARD_ITERATION_LIMIT = 1000
 
 
 class NoCycleError(Exception):
@@ -27,6 +31,11 @@ class NoCycleError(Exception):
 
 class NoPathError(Exception):
     """Raised when no path of the requested length exists."""
+
+
+class PolicyIterationError(RuntimeError):
+    """Raised when Howard policy iteration reaches its iteration limit or its
+    value fails the potential check."""
 
 
 def _is_float_weights(weights) -> bool:
@@ -90,33 +99,130 @@ def max_mean_cycle_value(system: FiniteMVSystem, weights: Sequence):
     return best
 
 
+def _first_argmax(values: np.ndarray, starts: np.ndarray, tails: np.ndarray):
+    """Per state, the first out-edge attaining the state's largest value,
+    and that value; edges are sorted by tail and ``starts`` marks each tail's
+    first edge."""
+    best = np.maximum.reduceat(values, starts)
+    ids = np.where(values == best[tails], np.arange(len(values)), len(values))
+    return np.minimum.reduceat(ids, starts), best
+
+
+def _evaluate_policy(succ: list[int], cost: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Cycle value eta and bias v of a policy, one walk of its functional
+    graph: eta is the mean of the policy cycle a state runs into, v is 0 at
+    the smallest state of each policy cycle and v(x) = cost(x) - eta(x) +
+    v(succ(x)) everywhere else."""
+    n = len(succ)
+    eta = [0.0] * n
+    v = [0.0] * n
+    walk_of = [-1] * n
+    for s in range(n):
+        if walk_of[s] >= 0:
+            continue
+        path = []
+        x = s
+        while walk_of[x] < 0:
+            walk_of[x] = s
+            path.append(x)
+            x = succ[x]
+        if walk_of[x] == s:  # the walk closed a new policy cycle at x
+            i = path.index(x)
+            cycle = path[i:]
+            del path[i:]
+            mean = math.fsum(cost[y] for y in cycle) / len(cycle)
+            j = cycle.index(min(cycle))
+            cycle = cycle[j:] + cycle[:j]
+            eta[cycle[0]] = mean
+            for y in reversed(cycle[1:]):
+                eta[y] = mean
+                v[y] = cost[y] - mean + v[succ[y]]
+        for y in reversed(path):
+            eta[y] = eta[succ[y]]
+            v[y] = cost[y] - eta[y] + v[succ[y]]
+    return np.array(eta), np.array(v)
+
+
+def _cycle_mean_bound(tails, heads, w, eta: np.ndarray, v: np.ndarray) -> float:
+    """An upper bound on every cycle mean, from any labels eta and potential
+    v: if eta never increases along an edge, a cycle keeps one eta and
+    w - v(tail) + v(head) sums to its weight around it, so the largest such
+    term over edges whose ends share an eta bounds its mean.  +inf when eta
+    increases along some edge."""
+    eta_tail, eta_head = eta[tails], eta[heads]
+    if (eta_head > eta_tail).any():
+        return math.inf
+    return float(np.where(eta_head == eta_tail, w - v[tails] + v[heads], -np.inf).max())
+
+
 def max_mean_cycle_value_float(system: FiniteMVSystem, weights: np.ndarray) -> float:
-    """Vectorized Karp for float weights on large systems."""
-    n = system.n_states
-    edges = np.asarray(system.edges, dtype=np.int64)
-    if edges.size == 0:
+    """Maximum cycle mean for float weights on large systems, by Howard's
+    policy iteration (Cochet-Terrasson, Cohen, Gaubert, McGettrick and
+    Quadrat, 1998), in O(m) per iteration and O(m) memory.
+
+    States on no bi-infinite orbit (``eventual_domain``) are dropped first:
+    every cycle lies in what is left, and every state left has an out-edge.  A policy picks one out-edge per state; it starts
+    from each state's heaviest edge.  Each iteration evaluates the policy
+    (cycle value eta, bias v) and improves it: first towards any larger eta
+    of the head, so that at the end eta never increases along an edge;
+    otherwise, among edges whose head has the tail's eta, towards a larger
+    w - eta + v(head), switching only on a gain above
+    ``float_tolerance(weights)``.  The best policy cycle's mean (math.fsum
+    of its weights over its length) is a lower bound on the maximum.
+
+    A check that does not trust the iteration then bounds every cycle mean
+    from above by max(w - v(tail) + v(head)) over the edges whose ends share
+    an eta (``_cycle_mean_bound``).  That bound must not exceed the policy's
+    value plus the tolerance.  The bound is returned when it exceeds the
+    value by more than its own rounding error (the iteration stopped within
+    the tolerance of the maximum), the value otherwise, so the result
+    dominates every cycle mean up to float rounding, as Karp's did.
+    Raises PolicyIterationError when the check fails or the iteration limit
+    is reached, NoCycleError on acyclic systems.
+    """
+    w_all = np.asarray(weights, dtype=np.float64)
+    if w_all.shape != (len(system.edges),):
+        raise ValueError("weight vector length must equal the edge count")
+    live = sorted(eventual_domain(system))
+    if not live:
         raise NoCycleError("the system has no directed cycle")
-    order = np.lexsort((edges[:, 0], edges[:, 1]))
-    tails = edges[order, 0]
-    heads = edges[order, 1]
-    w = np.asarray(weights, dtype=np.float64)[order]
-    head_vals, head_starts = np.unique(heads, return_index=True)
-    rows = np.full((n + 1, n), -np.inf)
-    rows[0, :] = 0.0
-    for j in range(1, n + 1):
-        cand = rows[j - 1, tails] + w
-        seg = np.maximum.reduceat(cand, head_starts)
-        rows[j, head_vals] = seg
-    last = rows[n]
-    finite = last > -np.inf
-    if not finite.any():
-        raise NoCycleError("the system has no directed cycle")
-    with np.errstate(invalid="ignore"):
-        spans = (n - np.arange(n)).astype(np.float64)
-        ratios = (last[None, finite] - rows[:n, finite]) / spans[:, None]
-    ratios[np.isnan(ratios)] = np.inf  # -inf minus -inf: no walk of that length
-    ratios[rows[:n, finite] == -np.inf] = np.inf
-    return float(np.min(ratios, axis=0).max())
+    relabel = np.full(system.n_states, -1, dtype=np.int64)
+    relabel[live] = np.arange(len(live))
+    tails, heads = relabel[system.edge_array[:, 0]], relabel[system.edge_array[:, 1]]
+    keep = (tails >= 0) & (heads >= 0)
+    tails, heads, w = tails[keep], heads[keep], w_all[keep]
+    starts = np.flatnonzero(np.r_[True, tails[1:] != tails[:-1]])
+    tol = float_tolerance(w_all)
+
+    policy, _ = _first_argmax(w, starts, tails)
+    for _ in range(HOWARD_ITERATION_LIMIT):
+        eta, v = _evaluate_policy(heads[policy].tolist(), w[policy].tolist())
+        eta_head = eta[heads]
+        choice, best = _first_argmax(eta_head, starts, tails)
+        switch = best > eta
+        if not switch.any():
+            gain = np.where(eta_head == eta[tails], w - eta[tails] + v[heads], -np.inf)
+            choice, best = _first_argmax(gain, starts, tails)
+            switch = best > v + tol
+            if not switch.any():
+                break
+        policy = np.where(switch, choice, policy)
+    else:
+        raise PolicyIterationError(
+            f"Howard policy iteration did not converge in {HOWARD_ITERATION_LIMIT} iterations"
+        )
+
+    value = float(eta.max())
+    bound = _cycle_mean_bound(tails, heads, w, eta, v)
+    if bound > value + tol:
+        raise PolicyIterationError(
+            f"potential check failed: cycle means are bounded only by {bound!r}, "
+            f"above the value {value!r} plus the tolerance {tol!r}"
+        )
+    # each term of the bound carries a rounding error of a few ulps of |w| and
+    # |v|; a bound above the value by less than that is the value itself
+    rounding = 8 * np.finfo(np.float64).eps * (np.abs(w).max() + np.abs(v).max())
+    return bound if bound > value + rounding else value
 
 
 def tight_edges(system: FiniteMVSystem, weights: Sequence, alpha, eps=0) -> list[int]:
@@ -217,7 +323,7 @@ def max_mean_cycle(system: FiniteMVSystem, weights: Sequence, eps=0) -> tuple:
     """
     alpha = max_mean_cycle_value(system, weights)
     if eps == 0 and _is_float_weights(weights):
-        eps = 1e-9 * max(1.0, max(abs(float(w)) for w in weights))
+        eps = float_tolerance(weights)
     ids = tight_edges(system, weights, alpha, eps)
     succ: list[list[int]] = [[] for _ in range(system.n_states)]
     for k in ids:
@@ -318,7 +424,7 @@ def maximizing_measures(system: FiniteMVSystem, f: Sequence) -> list[VertexMeasu
     alpha = max_mean_cycle_value(system, weights)
     eps = 0
     if _is_float_weights(weights):
-        eps = 1e-9 * max(1.0, max(abs(float(w)) for w in weights))
+        eps = float_tolerance(weights)
     ids = tight_edges(system, weights, alpha, eps)
     tight_sys = FiniteMVSystem.make(system.n_states, (system.edges[k] for k in ids))
     seen: dict[tuple, VertexMeasure] = {}

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._numbers import NEG_INF
+from ._numbers import NEG_INF, float_tolerance
 from .mea import max_mean_cycle
 from .system import FiniteMVSystem, lift_function
 
@@ -133,7 +133,7 @@ def subaction_for_state_function(system: FiniteMVSystem, f: Sequence) -> Subacti
     beta, _cycle = max_mean_cycle(system, f_edge)
     tol = 0
     if any(isinstance(w, float) for w in f_edge):
-        tol = 1e-9 * max(1.0, max(abs(float(w)) for w in f_edge))
+        tol = float_tolerance(f_edge)
     phi = compute_phi(system, f_edge, beta, tol=tol)
     v = compute_v(phi, f_edge, beta)
     return verify_mane(system, f_edge, v, beta, tol=tol, phi=phi)

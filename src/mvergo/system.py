@@ -7,9 +7,12 @@ Successor sets may be empty and states may have many successors.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -46,6 +49,13 @@ class FiniteMVSystem:
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {e: i for i, e in enumerate(self.edges)}
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The canonical edges as a read-only (m, 2) int64 array."""
+        arr = np.array(self.edges, dtype=np.int64).reshape(len(self.edges), 2)
+        arr.flags.writeable = False
+        return arr
 
     @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
@@ -105,20 +115,32 @@ def iterate_image(system: FiniteMVSystem, states: Iterable[int], n: int) -> froz
 def eventual_domain(system: FiniteMVSystem) -> frozenset[int]:
     """States lying on some bi-infinite orbit.
 
-    Computed by repeatedly deleting states whose successor set or predecessor
-    set (within the surviving states) is empty, until stable.  Empty iff the
-    graph has no directed cycle.
+    The states left after repeatedly deleting every state whose successor
+    set or predecessor set (within the surviving states) is empty.  Empty
+    iff the graph has no directed cycle.  Queue based: each state is deleted
+    at most once and each edge is visited once from either end, so the cost
+    is linear in states plus edges.
     """
-    alive = set(range(system.n_states))
+    n = system.n_states
     succ, pred = system.successors, system.predecessors
-    changed = True
-    while changed:
-        changed = False
-        for x in sorted(alive):
-            if not any(y in alive for y in succ[x]) or not any(y in alive for y in pred[x]):
-                alive.remove(x)
-                changed = True
-    return frozenset(alive)
+    out_deg = [len(s) for s in succ]
+    in_deg = [len(p) for p in pred]
+    dead = [False] * n
+    queue = deque(x for x in range(n) if not out_deg[x] or not in_deg[x])
+    while queue:
+        x = queue.popleft()
+        if dead[x]:
+            continue
+        dead[x] = True
+        for y in pred[x]:
+            out_deg[y] -= 1
+            if not out_deg[y]:
+                queue.append(y)
+        for y in succ[x]:
+            in_deg[y] -= 1
+            if not in_deg[y]:
+                queue.append(y)
+    return frozenset(x for x in range(n) if not dead[x])
 
 
 def orbit_space_nonempty(system: FiniteMVSystem) -> bool:

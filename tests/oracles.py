@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's algorithmic paths: cycles come from a
 plain DFS, invariance from the subset characterization, extreme measures from
-active-set vertex enumeration of the inequality polytope, and the potential
-from explicit backward-walk enumeration.
+active-set vertex enumeration of the inequality polytope, the potential
+from explicit backward-walk enumeration, and float cycle means from Karp's
+walk table.
 """
 
 from __future__ import annotations
@@ -11,6 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
+from mvergo.mea import NoCycleError
 from mvergo.system import FiniteMVSystem
 
 
@@ -225,3 +229,33 @@ def phi_backward_oracle(system: FiniteMVSystem, f_edge, beta, max_len=None):
     for start in range(n):
         forward(start, max_len, Fraction(0))
     return results
+
+
+def karp_max_mean_cycle_value_float(system: FiniteMVSystem, weights) -> float:
+    """Maximum cycle mean by Karp's theorem on a vectorized (n+1) x n table of
+    best walk weights: O(n m) time and O(n^2) memory."""
+    n = system.n_states
+    edges = np.asarray(system.edges, dtype=np.int64)
+    if edges.size == 0:
+        raise NoCycleError("the system has no directed cycle")
+    order = np.lexsort((edges[:, 0], edges[:, 1]))
+    tails = edges[order, 0]
+    heads = edges[order, 1]
+    w = np.asarray(weights, dtype=np.float64)[order]
+    head_vals, head_starts = np.unique(heads, return_index=True)
+    rows = np.full((n + 1, n), -np.inf)
+    rows[0, :] = 0.0
+    for j in range(1, n + 1):
+        cand = rows[j - 1, tails] + w
+        seg = np.maximum.reduceat(cand, head_starts)
+        rows[j, head_vals] = seg
+    last = rows[n]
+    finite = last > -np.inf
+    if not finite.any():
+        raise NoCycleError("the system has no directed cycle")
+    with np.errstate(invalid="ignore"):
+        spans = (n - np.arange(n)).astype(np.float64)
+        ratios = (last[None, finite] - rows[:n, finite]) / spans[:, None]
+    ratios[np.isnan(ratios)] = np.inf  # -inf minus -inf: no walk of that length
+    ratios[rows[:n, finite] == -np.inf] = np.inf
+    return float(np.min(ratios, axis=0).max())

@@ -192,6 +192,21 @@ def test_cmd_sweep_single_theta(tmp_path):
     assert {r[0] for r in rows[1:]} == {"1/4"}
 
 
+def test_cmd_sweep_grid_too_small_exit_code(tmp_path, capsys):
+    assert main(["sweep", "--grid", "4", "--out", str(tmp_path / "o")]) == 3
+    assert "--grid must be at least 8" in capsys.readouterr().err
+
+
+def test_cmd_sweep_theta_grid_zero_exit_code(tmp_path, capsys):
+    assert main(["sweep", "--theta-grid", "0", "--out", str(tmp_path / "o")]) == 3
+    assert "--theta-grid must be at least 1" in capsys.readouterr().err
+
+
+def test_cmd_sweep_max_period_over_limit_exit_code(tmp_path, capsys):
+    assert main(["sweep", "--max-period", "30", "--out", str(tmp_path / "o")]) == 3
+    assert "--max-period must be between 1 and 24" in capsys.readouterr().err
+
+
 def test_cmd_verify_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["verify", "--seed", "7", "--count", "25", "--out", str(out1)]) == 0

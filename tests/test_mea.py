@@ -3,12 +3,17 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import mvergo.mea as mea_mod
 from mvergo._numbers import NEG_INF
+from mvergo.bounds import make_family, outer_grid_system
+from mvergo.circle import doubling_map, pq_correspondence, three_branch_doubling
 from mvergo.mea import (
     NoCycleError,
     NoPathError,
+    PolicyIterationError,
     alpha_state,
     brute_force_alpha,
     delta_finite_horizon,
@@ -23,7 +28,7 @@ from mvergo.mea import (
 from mvergo.measures import Cycle, is_invariant
 from mvergo.system import FiniteMVSystem, graph_system, lift_function
 from mvergo.verify import make_instances
-from oracles import dfs_simple_cycles, z4_system
+from oracles import dfs_simple_cycles, karp_max_mean_cycle_value_float, z4_system
 
 F = Fraction
 
@@ -260,6 +265,76 @@ def test_float_karp_agrees_with_exact():
         )
         assert abs(float(value) - value_float) < 1e-9
     del rng
+
+
+@pytest.mark.parametrize("grid", [64, 256, 1024])
+def test_float_howard_agrees_with_karp_on_outer_grids(grid):
+    for system in (doubling_map(), three_branch_doubling(), pq_correspondence(2, 3)):
+        model = outer_grid_system(system, grid)
+        for family in ("cos", "negdist"):
+            for k in range(9):
+                f = make_family(family, Fraction(k, 16), system.metric)
+                w = f.values(model.centers)[model.tails]
+                howard = max_mean_cycle_value_float(model.system, w)
+                karp = karp_max_mean_cycle_value_float(model.system, w)
+                assert abs(howard - karp) <= 1e-12, (system.name, family, k)
+
+
+def test_float_howard_agrees_with_karp_with_sinks():
+    rng = random.Random(28)
+    checked = 0
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        sinks = set(rng.sample(range(n), rng.randint(1, max(1, n // 3))))
+        edges = {(t, rng.randrange(n)) for t in range(n) if t not in sinks
+                 for _ in range(rng.randint(0, 3))}
+        if not edges:
+            continue
+        s = FiniteMVSystem.make(n, edges)
+        assert any(not succ for succ in s.successors)
+        w = np.array([rng.uniform(-5, 5) for _ in s.edges])
+        try:
+            karp = karp_max_mean_cycle_value_float(s, w)
+        except NoCycleError:
+            with pytest.raises(NoCycleError):
+                max_mean_cycle_value_float(s, w)
+            continue
+        assert abs(max_mean_cycle_value_float(s, w) - karp) <= 1e-12
+        checked += 1
+    assert checked > 100
+
+
+def test_float_howard_result_dominates_a_near_optimal_policy():
+    # the greedy policy keeps the loop 0 -> 0 (mean 1); the cycle 0 -> 1 -> 0
+    # has mean 1.0004, a gain below the tolerance 1e-3 set by the weight 1e6
+    # on the edge 2 -> 0, so the iteration stops there; the result must still
+    # bound the true maximum
+    s = FiniteMVSystem.make(3, [(0, 0), (0, 1), (1, 0), (2, 0)])
+    w = np.array([1.0, 0.5, 1.5008, 1e6])
+    assert 1.0004 <= max_mean_cycle_value_float(s, w) <= 1.0 + 1e-3
+
+
+def test_float_howard_acyclic_raises():
+    chain = FiniteMVSystem.make(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    with pytest.raises(NoCycleError):
+        max_mean_cycle_value_float(chain, np.zeros(4))
+
+
+def test_float_howard_iteration_limit(monkeypatch):
+    monkeypatch.setattr(mea_mod, "HOWARD_ITERATION_LIMIT", 0)
+    with pytest.raises(PolicyIterationError, match="did not converge in 0 iterations"):
+        max_mean_cycle_value_float(z4_system(), np.ones(8))
+
+
+def test_cycle_mean_bound_rejects_a_wrong_potential():
+    # loops 0 -> 0 (weight 1) and 1 -> 1 (weight 2), joined both ways (weight 0)
+    s = FiniteMVSystem.make(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    tails, heads = s.edge_array[:, 0], s.edge_array[:, 1]
+    w = np.array([1.0, 0.0, 0.0, 2.0])
+    bound = mea_mod._cycle_mean_bound
+    assert bound(tails, heads, w, np.array([2.0, 2.0]), np.array([-2.0, 0.0])) == 2.0
+    assert bound(tails, heads, w, np.array([1.0, 1.0]), np.zeros(2)) == 2.0
+    assert bound(tails, heads, w, np.array([1.0, 2.0]), np.zeros(2)) == float("inf")
 
 
 def test_mea_report_fields():

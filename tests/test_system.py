@@ -90,6 +90,20 @@ def test_eventual_domain_symmetry_and_nonempty():
         assert bool(dom) == bool(simple_cycles(s))
 
 
+def test_eventual_domain_long_reversed_paths_and_ring():
+    # a ring 0 -> 1 -> 2 -> 0, a path n-1 -> ... -> 3 -> 0 running into it
+    # against the state order, and a path 2 -> n -> ... -> 2n-4 out of it
+    n = 2000
+    ring = [(0, 1), (1, 2), (2, 0)]
+    into = [(x + 1, x) for x in range(3, n - 1)] + [(3, 0)]
+    out_of = [(2, n)] + [(x, x + 1) for x in range(n, 2 * n - 4)]
+    s = FiniteMVSystem.make(2 * n - 3, ring + into + out_of)
+    dom = eventual_domain(s)
+    assert dom == frozenset({0, 1, 2})
+    assert dom == eventual_domain(inverse(s))
+    assert orbit_space_nonempty(s)
+
+
 def test_orbit_space_nonempty_examples():
     assert orbit_space_nonempty(FiniteMVSystem.make(1, [(0, 0)]))
     assert not orbit_space_nonempty(FiniteMVSystem.make(3, [(0, 1), (1, 2)]))
