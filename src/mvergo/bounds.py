@@ -13,6 +13,7 @@ parameter values.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -22,8 +23,8 @@ import numpy as np
 from .circle import (
     PeriodicOrbit,
     PiecewiseAffineMVSystem,
-    _canonical_rotation,
-    _solve_itinerary,
+    _integer_branches,
+    _word_orbits,
     barycentre,
     enumerate_periodic_orbits,
     is_sturmian,
@@ -105,46 +106,55 @@ class ConstFunction:
 class OrbitTable:
     """Flattened orbit data for vectorized averaging over one system.
 
-    Points are stored as floats (rounded from the exact rationals); branch
-    words are kept compactly so the exact witness orbit can be rebuilt on
+    Points are stored as floats (rounded from the exact rationals); the
+    canonical branch words share one letter buffer, sliced like the points by
+    ``starts`` and ``periods``, so the exact witness orbit can be rebuilt on
     demand without holding every orbit as rational tuples in memory.
     """
 
     system: PiecewiseAffineMVSystem
-    words: tuple[bytes, ...]
+    letters: bytes           # all canonical branch words, concatenated
     points: np.ndarray       # all orbit points, concatenated
     starts: np.ndarray       # reduceat offsets, one per orbit
     periods: np.ndarray
 
+    @property
+    def words(self) -> list[bytes]:
+        """The branch word of every row (sliced from ``letters`` on access)."""
+        return [self.letters[s:s + k] for s, k in zip(self.starts.tolist(), self.periods.tolist())]
+
     def orbit(self, index: int) -> PeriodicOrbit:
-        """Rebuild the exact orbit behind one table row."""
-        word = tuple(self.words[index])
+        """Rebuild the exact orbit behind one table row: solve its stored
+        word and keep the candidate whose points round to the row's."""
         start = int(self.starts[index])
-        stored = self.points[start:start + int(self.periods[index])]
-        for pts in _solve_itinerary(self.system, word):
-            canon_pts, canon_itin = _canonical_rotation(pts, word)
-            if all(float(p) == q for p, q in zip(canon_pts, stored)):
-                return PeriodicOrbit(canon_itin, canon_pts)
+        end = start + int(self.periods[index])
+        word = tuple(self.letters[start:end])
+        stored = self.points[start:end]
+        unit, rows = _integer_branches(self.system)
+        den, orbits = _word_orbits(word, rows, unit)
+        for xs in orbits:
+            if all(x / den == q for x, q in zip(xs, stored)):
+                return PeriodicOrbit(word, tuple(Fraction(x, den) for x in xs))
         raise RuntimeError("orbit reconstruction failed; table out of sync")
 
 
 def orbit_table(system: PiecewiseAffineMVSystem, max_period: int) -> OrbitTable:
-    words: list[bytes] = []
+    letters = bytearray()
     periods: list[int] = []
-    flat: list[float] = []
+    flat = array("d")
 
     def consume(word, numerators, denom):
-        words.append(bytes(word))
+        letters.extend(word)
         periods.append(len(word))
-        flat.extend(x / denom for x in numerators)
+        flat.extend([x / denom for x in numerators])
 
     visit_periodic_orbits(system, max_period, consume)
-    if not words:
+    if not periods:
         raise ValueError("the system has no periodic orbits up to that period")
-    pts = np.array(flat)
+    pts = np.frombuffer(flat, dtype=np.float64)
     period_arr = np.array(periods)
     starts = np.concatenate(([0], np.cumsum(period_arr)[:-1]))
-    return OrbitTable(system, tuple(words), pts, starts, period_arr)
+    return OrbitTable(system, bytes(letters), pts, starts, period_arr)
 
 
 def beta_lower(system: PiecewiseAffineMVSystem, f, max_period: int,

@@ -2,9 +2,10 @@
 
 Branches are exact affine maps with rational slope and offset on rational
 closed subdomains of [0, 1]; wrapping branches act modulo 1.  Periodic orbits
-are enumerated exactly by solving the composed affine fixed-point equation
-per itinerary, and the expansion property is certified by exact case
-analysis on branch pairs.
+are enumerated exactly: each necklace branch word is solved for its fixed
+points in integer arithmetic, over one denominator per word, branching over
+the integer lifts of wrapping branches.  The expansion property is certified
+by exact case analysis on branch pairs.
 """
 
 from __future__ import annotations
@@ -254,22 +255,25 @@ def orbit_is_valid(system: PiecewiseAffineMVSystem, orbit: PeriodicOrbit) -> boo
 def for_each_necklace(length: int, alphabet: int, fn) -> None:
     """Visit every necklace (lexicographically least rotation, periodic words
     included) of the given length: FKM generation, lexicographic order.  The
-    callback receives a reusable list; copy it if kept."""
+    callback receives a reusable list holding the word in entries
+    1..length; copy it if kept.
+
+    Iterative, so no recursive closure outlives the call in a reference
+    cycle (holding ``fn`` and whatever it references until the cycle
+    collector runs)."""
     a = [0] * (length + 1)
-    body = a  # fn sees a[1:length+1]
-
-    def gen(t: int, p: int):
-        if t > length:
-            if length % p == 0:
-                fn(body)
+    fn(a)  # the constant word 0...0
+    while True:
+        i = length  # the last letter that can still grow
+        while i and a[i] == alphabet - 1:
+            i -= 1
+        if not i:
             return
-        a[t] = a[t - p]
-        gen(t + 1, p)
-        for j in range(a[t - p] + 1, alphabet):
-            a[t] = j
-            gen(t + 1, t)
-
-    gen(1, 1)
+        a[i] += 1
+        for j in range(i + 1, length + 1):
+            a[j] = a[j - i]
+        if length % i == 0:
+            fn(a)
 
 
 def necklaces(length: int, alphabet: int) -> list[tuple[int, ...]]:
@@ -278,125 +282,103 @@ def necklaces(length: int, alphabet: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _interval_intersect(lo1, hi1, lo2, hi2):
-    lo, hi = max(lo1, lo2), min(hi1, hi2)
-    return (lo, hi) if lo <= hi else None
+def _integer_branches(system: PiecewiseAffineMVSystem):
+    """(unit, rows): the lcm ``unit`` of the offset denominators, and per
+    branch (a, b, e, lo_n, lo_d, hi_n, hi_d, wraps) with slope a/b (b > 0),
+    offset e/unit and domain [lo_n/lo_d, hi_n/hi_d]."""
+    unit = math.lcm(*(br.offset.denominator for br in system.branches))
+    rows = [
+        (br.slope.numerator, br.slope.denominator, int(br.offset * unit),
+         br.lo.numerator, br.lo.denominator, br.hi.numerator, br.hi.denominator, br.wraps)
+        for br in system.branches
+    ]
+    return unit, rows
 
 
-def _preimage_window(a: Fraction, b: Fraction, lo: Fraction, hi: Fraction):
-    """Solve lo <= a*x + b <= hi for x (a != 0)."""
-    x1 = (lo - b) / a
-    x2 = (hi - b) / a
-    return (x1, x2) if x1 <= x2 else (x2, x1)
+def _ceil_div(x: int, y: int) -> int:
+    return -(-x // y)
 
 
-def _solve_itinerary(system: PiecewiseAffineMVSystem, itinerary: tuple[int, ...]) -> list[tuple[Fraction, ...]]:
-    """Exact fixed points of the composed branch map along one itinerary.
+def _clip(p: int, low: int, high: int, n_lo: int, n_hi: int) -> tuple[int, int]:
+    """Integers N in [n_lo, n_hi] with low <= p*N <= high (p != 0)."""
+    if p > 0:
+        return max(n_lo, _ceil_div(low, p)), min(n_hi, high // p)
+    return max(n_lo, _ceil_div(high, p)), min(n_hi, low // p)
 
-    Depth-first search over the integer lifts of wrapping branches, pruning
-    with the feasibility interval of the starting point; every candidate is
-    confirmed by exact forward iteration.
+
+def _word_orbits(word, rows, unit: int) -> tuple[int, list[list[int]]]:
+    """Every periodic point sequence that follows one branch word, exactly.
+
+    Returns (den, orbits): each orbit lists the numerators over ``den`` of its
+    points in word order, orbits ascending by first point.  With slopes a/b
+    over the word, A = prod a and B = prod b, every point is N/den with
+    den = unit*|B - A|, the same for every rotation of the word.  The walk
+    carries x_i = (P N + C d)/(den B_i), d = |B - A|, in integers; a wrapping
+    letter clips N to its domain and branches over the integer lift m of its
+    image, other letters have the single child m = 0.  At the end
+    (B - A) N = C d gives N, and each candidate is confirmed by exact integer
+    forward iteration.
     """
-    k = len(itinerary)
-    first = system.branches[itinerary[0]]
-    one = Fraction(1)
-    candidates: list[Fraction] = []
-
-    if not any(system.branches[i].wraps for i in set(itinerary)):
-        # no integer lifts: one affine composition, a single fixed point
-        a, b = one, Fraction(0)
-        for step in range(k):
-            br = system.branches[itinerary[step]]
-            a, b = br.slope * a, br.slope * b + br.offset
-        candidates.append(b / (1 - a))
-    else:
-        _lift_search(system, itinerary, candidates)
+    k = len(word)
+    a_all = math.prod([rows[c][0] for c in word])
+    b_all = math.prod([rows[c][1] for c in word])
+    d = abs(b_all - a_all)  # nonzero: every slope exceeds 1 in absolute value
+    sign = 1 if b_all > a_all else -1
+    den = unit * d
+    found = []
+    stack = [(0, 1, 1, 0, 0, den)]  # position, P, B_i, C, feasible N range
+    while stack:
+        i, p, bi, acc, n_lo, n_hi = stack.pop()
+        for i in range(i, k):
+            a, b, e, ln, ld, hn, hd, wraps = rows[word[i]]
+            if wraps:
+                break
+            bi *= b
+            acc = a * acc + e * bi
+            p *= a
+        else:
+            n = sign * acc
+            if n_lo <= n <= n_hi:
+                found.append(n)
+            continue
+        # wrapping letter: x_i * scale = p N + q must lie in the domain and below 1
+        scale, q = den * bi, acc * d
+        n_lo, n_hi = _clip(p, _ceil_div(ln * scale - ld * q, ld),
+                           min((hn * scale - hd * q) // hd, scale - q - 1), n_lo, n_hi)
+        if n_lo > n_hi:
+            continue
+        bi *= b
+        p *= a
+        scale = den * bi
+        base = a * acc + e * bi  # C before the lift: x_{i+1} * scale = p N + base d - m scale
+        ends = ((p * n_lo + base * d) // scale, (p * n_hi + base * d) // scale)
+        for m in range(min(ends), max(ends) + 1):
+            low = m * scale - base * d
+            m_lo, m_hi = _clip(p, low, low + scale - 1, n_lo, n_hi)
+            if m_lo <= m_hi:
+                stack.append((i + 1, p, bi, base - m * unit * bi, m_lo, m_hi))
 
     orbits = []
-    for x0 in sorted(set(candidates)):
-        pts = [x0]
-        ok = True
-        for step in range(k):
-            b = system.branches[itinerary[step]]
-            x = pts[-1]
-            if not b.contains(x) or (b.wraps and not (0 <= x < 1)):
-                ok = False
+    for n in sorted(found):
+        xs = []
+        x = n
+        for c in word:
+            a, b, e, ln, ld, hn, hd, wraps = rows[c]
+            if x * ld < ln * den or x * hd > hn * den or (wraps and x == den):
                 break
-            pts.append(b.apply(x))
-        if ok and pts[-1] == x0:
-            orbits.append(tuple(pts[:k]))
-    return orbits
-
-
-def _lift_search(system: PiecewiseAffineMVSystem, itinerary: tuple[int, ...], candidates: list[Fraction]) -> None:
-    """DFS over integer lifts of wrapping branches, pruning with the
-    feasibility interval of the starting point."""
-    k = len(itinerary)
-    first = system.branches[itinerary[0]]
-    one = Fraction(1)
-
-    def descend(step: int, a: Fraction, b: Fraction, lo: Fraction, hi: Fraction):
-        # invariant: x_step = a*x0 + b for feasible x0 in [lo, hi]
-        branch = system.branches[itinerary[step % k]] if step < k else None
-        if step == k:
-            if a == 1:
-                return
-            x0 = b / (1 - a)
-            if lo <= x0 <= hi:
-                candidates.append(x0)
-            return
-        window = _preimage_window(a, b, branch.lo, branch.hi)
-        clipped = _interval_intersect(lo, hi, *window)
-        if clipped is None:
-            return
-        lo, hi = clipped
-        a2 = branch.slope * a
-        b2 = branch.slope * b + branch.offset
-        if not branch.wraps:
-            descend(step + 1, a2, b2, lo, hi)
-            return
-        img_lo, img_hi = sorted((a2 * lo + b2, a2 * hi + b2))
-        for m in range(math.floor(img_lo), math.floor(img_hi) + 1):
-            window = _preimage_window(a2, b2 - m, Fraction(0), one)
-            clipped = _interval_intersect(lo, hi, *window)
-            if clipped is not None:
-                descend(step + 1, a2, b2 - m, *clipped)
-
-    descend(0, one, Fraction(0), first.lo, first.hi)
-
-
-def _primitive_period(points: tuple) -> int:
-    k = len(points)
-    for d in range(1, k):
-        if k % d == 0 and all(points[i] == points[(i + d) % k] for i in range(k)):
-            return d
-    return k
-
-
-def _canonical_rotation(points, itinerary) -> tuple[tuple, tuple]:
-    k = len(points)
-    best = None
-    for r in range(k):
-        cand = (tuple(points[r:]) + tuple(points[:r]),
-                tuple(itinerary[r:]) + tuple(itinerary[:r]))
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
-def _integer_path_params(system: PiecewiseAffineMVSystem):
-    """(slopes, scaled offsets, common offset denominator) when every branch
-    is non-wrapping with an integer slope; None otherwise."""
-    slopes = []
-    denom = 1
-    for b in system.branches:
-        if b.wraps or b.slope.denominator != 1:
-            return None
-        slopes.append(int(b.slope))
-        d = b.offset.denominator
-        denom = denom * d // math.gcd(denom, d)
-    offsets = [int(b.offset * denom) for b in system.branches]
-    return slopes, offsets, denom
+            xs.append(x)
+            x *= a
+            if b != 1:
+                x, r = divmod(x, b)
+                if r:
+                    break
+            x += e * d
+            if wraps:
+                x %= den
+        else:
+            if x == n:
+                orbits.append(xs)
+    return den, orbits
 
 
 def visit_periodic_orbits(system: PiecewiseAffineMVSystem, max_period: int, consume) -> None:
@@ -407,84 +389,40 @@ def visit_periodic_orbits(system: PiecewiseAffineMVSystem, max_period: int, cons
     denominator.  One call per distinct point sequence (branch relabellings at
     domain boundaries are deduplicated); orbits arrive grouped by period.
 
-    Non-wrapping systems with integer slopes run entirely in machine/bignum
-    integer arithmetic; everything else goes through the rational lift search.
+    Every system takes the same path: FKM necklace words in order, each
+    solved by ``_word_orbits`` in integer arithmetic (wrapping branches and
+    rational slopes included), its orbits in ascending order; non-primitive
+    point sequences are dropped, the rest reduced to lowest terms, rotated
+    to the least (points, word) and deduplicated per period.
     """
     if not (1 <= max_period <= ORBIT_PERIOD_LIMIT):
         raise ValueError(f"max_period must be between 1 and {ORBIT_PERIOD_LIMIT}")
-    n_branches = len(system.branches)
-    params = _integer_path_params(system)
-
-    if params is None:
-        for k in range(1, max_period + 1):
-            seen: set = set()
-            for word in necklaces(k, n_branches):
-                for pts in _solve_itinerary(system, word):
-                    if _primitive_period(pts) != k:
-                        continue
-                    canon_pts, canon_itin = _canonical_rotation(pts, word)
-                    if canon_pts in seen:
-                        continue
-                    seen.add(canon_pts)
-                    denom = 1
-                    for p in canon_pts:
-                        denom = denom * p.denominator // math.gcd(denom, p.denominator)
-                    consume(canon_itin, tuple(int(p * denom) for p in canon_pts), denom)
-        return
-
-    slopes, offsets, v_denom = params
-    domains = [
-        (b.lo.numerator, b.lo.denominator, b.hi.numerator, b.hi.denominator)
-        for b in system.branches
-    ]
+    unit, rows = _integer_branches(system)
     for k in range(1, max_period + 1):
         seen: set = set()
+        divisors = [d for d in range(1, k) if k % d == 0]
 
-        def handle(buf, k=k, seen=seen):
+        def handle(buf, k=k, seen=seen, divisors=divisors):
             word = tuple(buf[1:k + 1])
-            a_lin, b_lin = 1, 0
-            for c in word:
-                s = slopes[c]
-                a_lin = s * a_lin
-                b_lin = s * b_lin + offsets[c]
-            d_raw = v_denom * (1 - a_lin)
-            if d_raw > 0:
-                denom, x = d_raw, b_lin
-            else:
-                denom, x = -d_raw, -b_lin
-            scale = denom // v_denom  # |1 - a_lin|, exact
-            xs = []
-            for c in word:
-                ln, ld, hn, hd = domains[c]
-                if x * ld < ln * denom or x * hd > hn * denom:
-                    return
-                xs.append(x)
-                x = slopes[c] * x + offsets[c] * scale
-            if x != xs[0]:
-                return
-            for d in range(1, k):
-                if k % d == 0 and xs[d:] + xs[:d] == xs:
-                    return  # not primitive
-            g = denom
-            for value in xs:
-                g = math.gcd(g, value)
-                if g == 1:
-                    break
-            if g > 1:
-                denom //= g
-                xs = [value // g for value in xs]
-            best = None
-            for r in range(k):
-                cand = (tuple(xs[r:]) + tuple(xs[:r]), word[r:] + word[:r])
-                if best is None or cand < best:
-                    best = cand
-            key = (denom, best[0])
-            if key in seen:
-                return
-            seen.add(key)
-            consume(best[1], best[0], denom)
+            den, orbits = _word_orbits(word, rows, unit)
+            for xs in orbits:
+                if any(xs[d:] + xs[:d] == xs for d in divisors):
+                    continue  # not primitive
+                g = math.gcd(den, *xs)
+                if g > 1:
+                    xs = [x // g for x in xs]
+                # canonical rotation: least (points, word), led by a least point
+                low = min(xs)
+                r = xs.index(low)
+                if xs.count(low) > 1:
+                    r = min((r for r in range(k) if xs[r] == low),
+                            key=lambda r: (xs[r:] + xs[:r], word[r:] + word[:r]))
+                key = (den // g, tuple(xs[r:] + xs[:r]))
+                if key not in seen:
+                    seen.add(key)
+                    consume(word[r:] + word[:r], key[1], key[0])
 
-        for_each_necklace(k, n_branches, handle)
+        for_each_necklace(k, len(system.branches), handle)
 
 
 def enumerate_periodic_orbits(system: PiecewiseAffineMVSystem, max_period: int) -> list[PeriodicOrbit]:

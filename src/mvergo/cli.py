@@ -46,6 +46,14 @@ class CliError(Exception):
 # Builtin systems and functions
 
 
+def _parse_arg(spec: str, arg: str, parse):
+    """``parse(arg)``, with a malformed argument reported as an input error."""
+    try:
+        return parse(arg)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise CliError(f"bad argument {arg!r} in {spec!r}", EXIT_INPUT) from exc
+
+
 def builtin_finite(spec: str) -> tuple[FiniteMVSystem, tuple | None]:
     """Finite builtin systems: z4, identity:N, selfloop:c."""
     name, _, arg = spec.partition(":")
@@ -54,10 +62,12 @@ def builtin_finite(spec: str) -> tuple[FiniteMVSystem, tuple | None]:
         edges = [(x, (x + 1) % n) for x in range(n)] + [(x, (x - 1) % n) for x in range(n)]
         return FiniteMVSystem.make(n, edges), None
     if name == "identity":
-        n = int(arg) if arg else 3
+        n = _parse_arg(spec, arg, int) if arg else 3
+        if n < 1:
+            raise CliError(f"identity:N needs N >= 1, got {n}", EXIT_INPUT)
         return FiniteMVSystem.make(n, [(x, x) for x in range(n)]), None
     if name == "selfloop":
-        c = parse_number(arg) if arg else Fraction(0)
+        c = _parse_arg(spec, arg, parse_number) if arg else Fraction(0)
         return FiniteMVSystem.make(1, [(0, 0)]), (c,)
     raise CliError(f"unknown finite builtin {spec!r}", EXIT_INPUT)
 
@@ -81,12 +91,12 @@ def resolve_state_function(spec: str | None, system: FiniteMVSystem, default_f) 
     if spec:
         name, _, arg = spec.partition(":")
         if name == "indicator":
-            i = int(arg)
+            i = _parse_arg(spec, arg, int)
             if not (0 <= i < system.n_states):
                 raise CliError(f"indicator state {i} out of range", EXIT_INPUT)
             return tuple(Fraction(1) if x == i else Fraction(0) for x in range(system.n_states))
         if name == "const":
-            c = parse_number(arg)
+            c = _parse_arg(spec, arg, parse_number)
             return tuple(c for _ in range(system.n_states))
         if name == "file":
             try:
@@ -218,7 +228,7 @@ def cmd_sweep(args) -> int:
     if family not in ("cos", "negdist"):
         raise CliError("sweep takes --f cos[:theta] or --f negdist[:theta]", EXIT_INPUT)
     if theta_arg:
-        thetas = [Fraction(parse_number(theta_arg))]
+        thetas = [_parse_arg(args.f, theta_arg, lambda t: Fraction(parse_number(t)))]
     per_system = theta_sweep(systems, family, thetas, args.max_period, args.grid)
     rows = []
     for system, sweep_rows in zip(systems, per_system):
@@ -245,6 +255,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_hull(args) -> int:
     system = builtin_circle(args.builtin) if args.builtin else pq_correspondence(2, 3)
+    if not 1 <= args.max_period <= ORBIT_PERIOD_LIMIT:
+        raise CliError(f"--max-period must be between 1 and {ORBIT_PERIOD_LIMIT}", EXIT_INPUT)
     points = barycentre_hull(system, args.max_period)
     rows = []
     for i, bp in enumerate(points):

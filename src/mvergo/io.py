@@ -47,6 +47,13 @@ def _parse_values(raw, expected_len: int, label: str) -> tuple:
     return tuple(out)
 
 
+def _json_int(value, label: str) -> int:
+    """A JSON integer; strings, floats and booleans are rejected, not coerced."""
+    if type(value) is not int:  # not isinstance: bool is an int subclass
+        raise InputFormatError(f"{label} must be a JSON integer, got {value!r}")
+    return value
+
+
 def loads_system(text: str) -> SystemDocument:
     try:
         doc = json.loads(text)
@@ -55,7 +62,7 @@ def loads_system(text: str) -> SystemDocument:
     if not isinstance(doc, dict):
         raise InputFormatError("the system document must be a JSON object")
     try:
-        n_states = int(doc["n_states"])
+        n_states = _json_int(doc["n_states"], "n_states")
         edge_list = doc["edges"]
     except KeyError as exc:
         raise InputFormatError(f"missing required field {exc.args[0]!r}") from exc
@@ -65,7 +72,7 @@ def loads_system(text: str) -> SystemDocument:
     for item in edge_list:
         if not (isinstance(item, list) and len(item) == 2):
             raise InputFormatError(f"bad edge entry {item!r}")
-        pairs.append((int(item[0]), int(item[1])))
+        pairs.append((_json_int(item[0], "edge endpoint"), _json_int(item[1], "edge endpoint")))
     try:
         system = FiniteMVSystem.make(n_states, pairs)
     except ValueError as exc:

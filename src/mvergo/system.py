@@ -181,51 +181,57 @@ def induced_subsystem(system: FiniteMVSystem, states: Iterable[int]) -> tuple[Fi
     return FiniteMVSystem.make(len(keep), sub_edges), relabel
 
 
+def _unblock(v: int, blocked: list[bool], blocked_by: dict[int, set[int]]) -> None:
+    """Unblock v and, transitively, every blocked vertex waiting on it."""
+    todo = [v]
+    while todo:
+        u = todo.pop()
+        blocked[u] = False
+        todo.extend(w for w in blocked_by.pop(u, ()) if blocked[w])
+
+
 def simple_cycles(system: FiniteMVSystem) -> list[tuple[int, ...]]:
     """All simple directed cycles, as state tuples starting at each cycle's
-    smallest state.  Johnson's algorithm; output sorted by (length, states).
+    smallest state.  Johnson's algorithm with an explicit stack, so long
+    paths cost no recursion depth; output sorted by (length, states).
     """
-    succ = {v: sorted(system.successors[v]) for v in range(system.n_states)}
+    n = system.n_states
+    live = eventual_domain(system)  # every cycle lies inside it
+    succ = [[w for w in heads if w in live] for heads in system.successors]  # sorted
     cycles: list[tuple[int, ...]] = []
 
     # Johnson: for each root s in increasing order, search the subgraph on
     # vertices >= s, so every cycle is found exactly once, rooted at its
     # minimum vertex.
-    for s in range(system.n_states):
-        sub = {v: [w for w in succ[v] if w >= s] for v in range(s, system.n_states)}
-        if not sub.get(s):
+    for s in sorted(live):
+        if succ[s][-1] < s:
             continue
-        blocked: dict[int, bool] = {v: False for v in sub}
-        blocked_map: dict[int, set[int]] = {v: set() for v in sub}
-        stack: list[int] = []
-
-        def unblock(v: int):
-            blocked[v] = False
-            for w in sorted(blocked_map[v]):
-                blocked_map[v].discard(w)
-                if blocked[w]:
-                    unblock(w)
-
-        def circuit(v: int) -> bool:
-            found = False
-            stack.append(v)
-            blocked[v] = True
-            for w in sub[v]:
+        blocked = [False] * n
+        blocked[s] = True
+        blocked_by: dict[int, set[int]] = {}
+        path, found, frames = [s], [False], [iter(succ[s])]
+        while frames:
+            for w in frames[-1]:
                 if w == s:
-                    cycles.append(tuple(stack))
-                    found = True
-                elif not blocked[w]:
-                    if circuit(w):
-                        found = True
-            if found:
-                unblock(v)
-            else:
-                for w in sub[v]:
-                    blocked_map[w].add(v)
-            stack.pop()
-            return found
-
-        circuit(s)
+                    cycles.append(tuple(path))
+                    found[-1] = True
+                elif w > s and not blocked[w]:
+                    blocked[w] = True
+                    path.append(w)
+                    found.append(False)
+                    frames.append(iter(succ[w]))
+                    break
+            else:  # every successor of the top vertex is done
+                frames.pop()
+                v = path.pop()
+                if found.pop():
+                    if found:
+                        found[-1] = True
+                    _unblock(v, blocked, blocked_by)
+                else:
+                    for w in succ[v]:
+                        if w >= s:
+                            blocked_by.setdefault(w, set()).add(v)
 
     cycles.sort(key=lambda c: (len(c), c))
     return cycles

@@ -3,17 +3,19 @@
 These deliberately avoid the package's algorithmic paths: cycles come from a
 plain DFS, invariance from the subset characterization, extreme measures from
 active-set vertex enumeration of the inequality polytope, the potential
-from explicit backward-walk enumeration, and float cycle means from Karp's
-walk table.
+from explicit backward-walk enumeration, float cycle means from Karp's walk
+table, and periodic orbits of circle systems from a rational lift search.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
+from mvergo.circle import PiecewiseAffineMVSystem
 from mvergo.mea import NoCycleError
 from mvergo.system import FiniteMVSystem
 
@@ -259,3 +261,105 @@ def karp_max_mean_cycle_value_float(system: FiniteMVSystem, weights) -> float:
     ratios[np.isnan(ratios)] = np.inf  # -inf minus -inf: no walk of that length
     ratios[rows[:n, finite] == -np.inf] = np.inf
     return float(np.min(ratios, axis=0).max())
+
+
+def _interval_intersect(lo1, hi1, lo2, hi2):
+    lo, hi = max(lo1, lo2), min(hi1, hi2)
+    return (lo, hi) if lo <= hi else None
+
+
+def _preimage_window(a: Fraction, b: Fraction, lo: Fraction, hi: Fraction):
+    """Solve lo <= a*x + b <= hi for x (a != 0)."""
+    x1 = (lo - b) / a
+    x2 = (hi - b) / a
+    return (x1, x2) if x1 <= x2 else (x2, x1)
+
+
+def _lift_search(system: PiecewiseAffineMVSystem, itinerary: tuple[int, ...],
+                 candidates: list[Fraction]) -> None:
+    """DFS over integer lifts of wrapping branches, pruning with the
+    feasibility interval of the starting point."""
+    k = len(itinerary)
+    first = system.branches[itinerary[0]]
+    one = Fraction(1)
+
+    def descend(step: int, a: Fraction, b: Fraction, lo: Fraction, hi: Fraction):
+        # invariant: x_step = a*x0 + b for feasible x0 in [lo, hi]
+        if step == k:
+            x0 = b / (1 - a)
+            if lo <= x0 <= hi:
+                candidates.append(x0)
+            return
+        branch = system.branches[itinerary[step]]
+        clipped = _interval_intersect(lo, hi, *_preimage_window(a, b, branch.lo, branch.hi))
+        if clipped is None:
+            return
+        lo, hi = clipped
+        a2 = branch.slope * a
+        b2 = branch.slope * b + branch.offset
+        if not branch.wraps:
+            descend(step + 1, a2, b2, lo, hi)
+            return
+        img_lo, img_hi = sorted((a2 * lo + b2, a2 * hi + b2))
+        for m in range(math.floor(img_lo), math.floor(img_hi) + 1):
+            clipped = _interval_intersect(lo, hi, *_preimage_window(a2, b2 - m, Fraction(0), one))
+            if clipped is not None:
+                descend(step + 1, a2, b2 - m, *clipped)
+
+    descend(0, one, Fraction(0), first.lo, first.hi)
+
+
+def _solve_itinerary(system: PiecewiseAffineMVSystem,
+                     itinerary: tuple[int, ...]) -> list[tuple[Fraction, ...]]:
+    """Exact fixed points of the composed branch map along one itinerary,
+    ascending, each confirmed by exact forward iteration."""
+    candidates: list[Fraction] = []
+    if any(system.branches[c].wraps for c in itinerary):
+        _lift_search(system, itinerary, candidates)
+    else:  # no integer lifts: one affine composition, a single fixed point
+        a, b = Fraction(1), Fraction(0)
+        for c in itinerary:
+            br = system.branches[c]
+            a, b = br.slope * a, br.slope * b + br.offset
+        candidates.append(b / (1 - a))
+    orbits = []
+    for x0 in sorted(set(candidates)):
+        pts = [x0]
+        for c in itinerary:
+            b = system.branches[c]
+            x = pts[-1]
+            if not b.contains(x) or (b.wraps and not (0 <= x < 1)):
+                break
+            pts.append(b.apply(x))
+        else:
+            if pts[-1] == x0:
+                orbits.append(tuple(pts[:-1]))
+    return orbits
+
+
+def fraction_periodic_orbits(system: PiecewiseAffineMVSystem, max_period: int, consume) -> None:
+    """Reference for ``circle.visit_periodic_orbits``: the same calls of
+    ``consume(word, numerators, denominator)`` in the same order, computed
+    with ``Fraction`` points.
+
+    Per period, per necklace word in lexicographic order (every word that
+    is its own least rotation), per fixed point of the word in ascending
+    order: drop non-primitive point sequences, rotate to the least
+    (points, word) and skip point sequences already seen.
+    """
+    for k in range(1, max_period + 1):
+        seen: set = set()
+        for word in product(range(len(system.branches)), repeat=k):
+            if any(word[r:] + word[:r] < word for r in range(1, k)):
+                continue
+            for pts in _solve_itinerary(system, word):
+                if any(pts[d:] + pts[:d] == pts for d in range(1, k) if k % d == 0):
+                    continue
+                canon_pts, canon_word = min(
+                    (pts[r:] + pts[:r], word[r:] + word[:r]) for r in range(k)
+                )
+                if canon_pts in seen:
+                    continue
+                seen.add(canon_pts)
+                denom = math.lcm(*(p.denominator for p in canon_pts))
+                consume(canon_word, tuple(int(p * denom) for p in canon_pts), denom)

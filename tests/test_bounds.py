@@ -148,14 +148,14 @@ def test_make_family_validation():
 
 
 def test_orbit_table_reconstruction():
-    tb = three_branch_doubling()
-    table = orbit_table(tb, 5)
-    for idx in range(0, len(table.words), 7):
-        orbit = table.orbit(idx)
-        assert orbit.period == table.periods[idx]
-        start = table.starts[idx]
-        for offset, p in enumerate(orbit.points):
-            assert float(p) == table.points[start + offset]
+    for system in (three_branch_doubling(), pq_correspondence(2, 3)):
+        table = orbit_table(system, 5)
+        for idx in range(0, len(table.words), 7):
+            orbit = table.orbit(idx)
+            assert orbit.period == table.periods[idx]
+            start = table.starts[idx]
+            for offset, p in enumerate(orbit.points):
+                assert float(p) == table.points[start + offset]
 
 
 def test_hull_doubling_extremal_orbits_in_semicircle():

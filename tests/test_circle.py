@@ -23,7 +23,9 @@ from mvergo.circle import (
     orbit_is_valid,
     pq_correspondence,
     three_branch_doubling,
+    visit_periodic_orbits,
 )
+from oracles import fraction_periodic_orbits
 
 F = Fraction
 
@@ -119,10 +121,49 @@ def test_every_doubling_orbit_is_a_three_branch_orbit():
 
 def test_pq12_matches_doubling_minus_endpoint():
     # the circle presentation identifies 1 with 0; everything else agrees,
-    # which cross-checks the wrap DFS path against the integer fast path
+    # which cross-checks words solved with integer lifts (wrapping branches)
+    # against the same words solved without them
     d_orbits = {o.points for o in enumerate_periodic_orbits(doubling_map(), 8)}
     c_orbits = {o.points for o in enumerate_periodic_orbits(pq_correspondence(1, 2), 8)}
     assert d_orbits - c_orbits == {(F(1),)}
+
+
+MIXED = PiecewiseAffineMVSystem(
+    branches=(  # slopes 5/2, -3 and 7/3; only the last branch wraps
+        Branch(F(5, 2), F(0), F(0), F(2, 5)),
+        Branch(F(-3), F(7, 4), F(1, 4), F(7, 12)),
+        Branch(F(7, 3), F(1, 5), F(1, 2), F(1), wraps=True),
+    ),
+    name="mixed",
+)
+NEGATIVE_WRAP = PiecewiseAffineMVSystem(
+    branches=(  # a wrapping branch of negative rational slope between two others
+        Branch(F(-2), F(1), F(0), F(1, 2)),
+        Branch(F(-5, 2), F(3, 2), F(1, 5), F(3, 5), wraps=True),
+        Branch(F(3), F(-2), F(2, 3), F(1)),
+    ),
+    name="negwrap",
+)
+
+
+@pytest.mark.parametrize("system, max_period", [
+    (doubling_map(), 10),
+    (three_branch_doubling(), 10),
+    (three_branch_doubling(), 12),
+    (pq_correspondence(2, 3), 8),
+    (pq_correspondence(2, 3), 10),
+    (pq_correspondence(3, 4), 6),
+    (pq_correspondence(1, 2), 8),
+    (MIXED, 8),
+    (NEGATIVE_WRAP, 7),
+], ids=lambda v: v.name if isinstance(v, PiecewiseAffineMVSystem) else str(v))
+def test_visit_periodic_orbits_matches_fraction_oracle(system, max_period):
+    # the whole consume sequence, order included, against the rational lift search
+    got, expected = [], []
+    visit_periodic_orbits(system, max_period, lambda *call: got.append(call))
+    fraction_periodic_orbits(system, max_period, lambda *call: expected.append(call))
+    assert got
+    assert got == expected
 
 
 def test_pq23_orbit_counts():

@@ -34,6 +34,23 @@ def test_loads_system_parse_errors():
         loads_system('{"n_states": 1, "edges": [], "f_state": ["1/0"]}')
 
 
+@pytest.mark.parametrize("field", [
+    '"n_states": 2.7, "edges": [[0, 1]]',
+    '"n_states": "2", "edges": [[0, 1]]',
+    '"n_states": "x", "edges": [[0, 1]]',
+    '"n_states": true, "edges": [[0, 0]]',
+    '"n_states": 2, "edges": [["a", 1]]',
+    '"n_states": 2, "edges": [[0, "1"]]',
+    '"n_states": 2, "edges": [[0.0, 1]]',
+    '"n_states": 2, "edges": [[0, 1.9]]',
+    '"n_states": 2, "edges": [[false, 1]]',
+], ids=["n-float", "n-digit-string", "n-string", "n-bool", "tail-string", "head-digit-string",
+        "tail-float", "head-float", "tail-bool"])
+def test_loads_system_rejects_non_integer_counts_and_endpoints(field):
+    with pytest.raises(InputFormatError, match="JSON integer"):
+        loads_system("{" + field + "}")
+
+
 def test_number_tokens():
     assert parse_number("3/4") == F(3, 4)
     assert parse_number("-2") == F(-2)
@@ -205,6 +222,23 @@ def test_cmd_sweep_theta_grid_zero_exit_code(tmp_path, capsys):
 def test_cmd_sweep_max_period_over_limit_exit_code(tmp_path, capsys):
     assert main(["sweep", "--max-period", "30", "--out", str(tmp_path / "o")]) == 3
     assert "--max-period must be between 1 and 24" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mea", "--builtin", "identity:0", "--f", "const:1"],
+    ["mea", "--builtin", "identity:-2", "--f", "const:1"],
+    ["mea", "--builtin", "identity:x", "--f", "const:1"],
+    ["mea", "--builtin", "selfloop:1/0"],
+    ["mea", "--builtin", "z4", "--f", "indicator:x"],
+    ["mea", "--builtin", "z4", "--f", "const:abc"],
+    ["sweep", "--f", "cos:abc", "--theta-grid", "2", "--max-period", "2", "--grid", "8"],
+    ["hull", "--max-period", "0"],
+    ["hull", "--max-period", "30"],
+], ids=" ".join)
+def test_cli_bad_arguments_exit_code(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_cmd_verify_deterministic(tmp_path):

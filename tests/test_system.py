@@ -102,6 +102,7 @@ def test_eventual_domain_long_reversed_paths_and_ring():
     assert dom == frozenset({0, 1, 2})
     assert dom == eventual_domain(inverse(s))
     assert orbit_space_nonempty(s)
+    assert bool(dom) == bool(simple_cycles(s))
 
 
 def test_orbit_space_nonempty_examples():
@@ -178,3 +179,9 @@ def test_simple_cycles_against_dfs_oracle():
         s = random_system(rng, max_states=7)
         assert simple_cycles(s) == dfs_simple_cycles(s)
     assert len(simple_cycles(z4_system())) == 6
+
+
+def test_simple_cycles_long_ring_without_recursion():
+    n = 1200
+    ring = FiniteMVSystem.make(n, [(x, (x + 1) % n) for x in range(n)])
+    assert simple_cycles(ring) == [tuple(range(n))]
