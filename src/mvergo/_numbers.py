@@ -60,10 +60,6 @@ class NegInfinity:
 NEG_INF = NegInfinity()
 
 
-def is_neg_inf(x) -> bool:
-    return x is NEG_INF
-
-
 def parse_number(text: str):
     """Parse a number token: "p/q" and integer strings are exact Fractions,
     anything with a decimal point or exponent is read as a binary float."""
@@ -89,14 +85,14 @@ def format_number(x) -> str:
     return repr(float(x))
 
 
-def as_float(x) -> float:
-    if x is NEG_INF:
-        return float("-inf")
-    return float(x)
-
-
 def float_tolerance(values) -> float:
     """Absolute tolerance for float comparisons among sums of these values:
     1e-9 times the largest magnitude, and never below 1e-9."""
     scale = np.abs(np.asarray(values, dtype=np.float64))
     return 1e-9 * max(1.0, float(scale.max(initial=0.0)))
+
+
+def tie_tolerance(values):
+    """Tolerance of equality decisions among sums of these values: 0 (exact)
+    when every value is rational, float_tolerance(values) when any is a float."""
+    return float_tolerance(values) if any(isinstance(x, float) for x in values) else 0

@@ -22,6 +22,7 @@ from .circle import (
     pq_correspondence,
     three_branch_doubling,
 )
+from .geometry import convex_hull
 from .io import InputFormatError, load_system, measure_row
 from .mea import NoCycleError, NoPathError, mea_report
 from .measures import extreme_invariant_measures
@@ -147,6 +148,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def cmd_mea(args) -> int:
+    if args.horizon < 0:
+        raise CliError("--horizon must be non-negative", EXIT_INPUT)
     system, default_f = load_finite(args)
     f = resolve_state_function(args.f, system, default_f)
     try:
@@ -180,9 +183,11 @@ def cmd_measures(args) -> int:
 def cmd_subaction(args) -> int:
     system, default_f = load_finite(args)
     f = resolve_state_function(args.f, system, default_f)
+    beta = None
+    if args.beta_override is not None:
+        beta = _parse_arg("--beta-override", args.beta_override, parse_number)
     try:
-        if args.beta_override is not None:
-            beta = parse_number(args.beta_override)
+        if beta is not None:
             f_edge = lift_function(f, system)
             phi = compute_phi(system, f_edge, beta)
             v = compute_v(phi, f_edge, beta)
@@ -273,10 +278,9 @@ def cmd_hull(args) -> int:
     _write_csv(out / "hull.csv",
                ["orbit", "period", "itinerary", "re", "im", "on_hull", "sturmian"], rows)
     scatter = [(bp.value.real, bp.value.imag, bp.on_hull) for bp in points]
-    from .geometry import convex_hull
-
+    # the flagged vertices span the same polygon as all the barycentres
     hull = [(float(x), float(y)) for x, y in
-            convex_hull([(bp.value.real, bp.value.imag) for bp in points])]
+            convex_hull([(bp.value.real, bp.value.imag) for bp in points if bp.on_hull])]
     _write(out / "hull.svg", hull_chart(scatter, hull))
     n_hull = sum(1 for bp in points if bp.on_hull)
     print(f"{len(points)} orbits, {n_hull} extremal barycentres")
@@ -284,6 +288,10 @@ def cmd_hull(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.count < 1:
+        raise CliError("--count must be at least 1", EXIT_INPUT)
+    if args.max_states < 2:
+        raise CliError("--max-states must be at least 2", EXIT_INPUT)
     report = run_verify(args.seed, count=args.count, max_states=args.max_states)
     _write(Path(args.out) / "verify.txt", report.text())
     print(report.text(), end="")

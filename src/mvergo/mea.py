@@ -1,11 +1,13 @@
 """Maximum ergodic averages on finite systems.
 
 The maximum average equals the best mean weight over directed cycles.  It is
-computed exactly over rationals with Karp's maximum mean cycle algorithm,
-and for float weights on large grids with Howard's policy iteration, whose
-value is checked by a potential that bounds every cycle mean.  Alongside
-come finite-horizon path maxima, a prefix-sum rotation witness, and a
-brute-force oracle.
+computed exactly with Karp's maximum mean cycle algorithm, and for float
+weights on large grids with Howard's policy iteration, whose value is
+checked by a potential that bounds every cycle mean.  Karp's table, the
+tight-edge potentials, the finite-horizon path maxima and ``subaction``'s
+potential all run one max-plus relaxation step (``_relax``), on rational
+inputs scaled to Python ints over one denominator (``_scaled``).  Alongside
+come a prefix-sum rotation witness and a brute-force oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numbers import NEG_INF, float_tolerance
+from ._numbers import NEG_INF, float_tolerance, tie_tolerance
 from .measures import Cycle, VertexMeasure, cycle_measure
 from .system import FiniteMVSystem, eventual_domain, lift_function, simple_cycles
 
@@ -38,39 +40,47 @@ class PolicyIterationError(RuntimeError):
     value fails the potential check."""
 
 
-def _is_float_weights(weights) -> bool:
-    return any(isinstance(w, float) for w in weights)
-
-
-def _divide(num, k: int):
+def _divide(num, k: int, d=None):
+    """num / k, exact unless num is a float; num / (k d) for a pass result
+    scaled by ``_scaled`` with D = d."""
     if isinstance(num, float):
         return num / k
-    return Fraction(num, 1) / k
+    return Fraction(num, k * (d or 1))
+
+
+# ---------------------------------------------------------------------------
+# The max-plus relaxation kernel and its number format
+
+
+def _scaled(*groups):
+    """The number format of the Bellman passes: when every value in the
+    groups is rational, each group as Python ints over the values' common
+    denominator D, and D, so that a pass adds and compares exactly in
+    integers; when any value is a float, the groups unchanged and D = None."""
+    if any(isinstance(x, float) for group in groups for x in group):
+        return groups, None
+    # lists: CPython parks each dead tuple built from a generator in its free list
+    d = math.lcm(*[x.denominator for group in groups for x in group])
+    return [[x.numerator * (d // x.denominator) for x in group] for group in groups], d
+
+
+def _relax(edges, weights, values, out, shift=0) -> None:
+    """One max-plus relaxation step, the inner loop of every Bellman pass:
+    out[h] = max(out[h], values[t] + weights[k] - shift) over the edges
+    k = (t, h) whose tail is reached.  None marks an unreached state, in
+    ``values`` and in ``out``."""
+    for (t, h), w in zip(edges, weights):
+        base = values[t]
+        if base is None:
+            continue
+        cand = base + w - shift
+        best = out[h]
+        if best is None or cand > best:
+            out[h] = cand
 
 
 # ---------------------------------------------------------------------------
 # Karp's maximum mean cycle
-
-
-def _walk_tables(system: FiniteMVSystem, weights):
-    """Best-walk table: rows[j][v] = max weight of a walk with exactly j edges
-    ending at v (NEG_INF when none), j = 0..n_states, from a virtual source."""
-    n = system.n_states
-    zero = 0.0 if _is_float_weights(weights) else Fraction(0)
-    rows = [[zero] * n]
-    edges = system.edges
-    for _ in range(n):
-        cur = rows[-1]
-        nxt = [NEG_INF] * n
-        for k, (t, h) in enumerate(edges):
-            base = cur[t]
-            if base is NEG_INF:
-                continue
-            cand = base + weights[k]
-            if nxt[h] is NEG_INF or cand > nxt[h]:
-                nxt[h] = cand
-        rows.append(nxt)
-    return rows
 
 
 def max_mean_cycle_value(system: FiniteMVSystem, weights: Sequence):
@@ -78,25 +88,33 @@ def max_mean_cycle_value(system: FiniteMVSystem, weights: Sequence):
     if len(weights) != len(system.edges):
         raise ValueError("weight vector length must equal the edge count")
     n = system.n_states
-    rows = _walk_tables(system, weights)
-    last = rows[n]
-    best = NEG_INF
-    for v in range(n):
-        if last[v] is NEG_INF:
+    (w,), d = _scaled(weights)
+    # rows[j][v]: the best weight of a walk with exactly j edges ending at v,
+    # from a virtual source joined to every state; 0.0 in float mode keeps
+    # every sum a float sum, as in plain float code
+    rows = [[0 if d else 0.0] * n]
+    for _ in range(n):
+        rows.append([None] * n)
+        _relax(system.edges, w, rows[-2], rows[-1])
+    # means are pairs (num, k) standing for num / k, compared by cross
+    # multiplication; a float mean is divided out at once and has k = 1
+    best = None
+    for v, top in enumerate(rows[n]):
+        if top is None:
             continue
         worst = None
         for j in range(n):
             prev = rows[j][v]
-            if prev is NEG_INF:
+            if prev is None:
                 continue
-            val = _divide(last[v] - prev, n - j)
-            if worst is None or val < worst:
-                worst = val
-        if worst is not None and worst > best:
+            mean = (top - prev, n - j) if d else ((top - prev) / (n - j), 1)
+            if worst is None or mean[0] * worst[1] < worst[0] * mean[1]:
+                worst = mean
+        if best is None or worst[0] * best[1] > best[0] * worst[1]:
             best = worst
-    if best is NEG_INF:
+    if best is None:
         raise NoCycleError("the system has no directed cycle")
-    return best
+    return _divide(best[0], best[1], d)
 
 
 def _first_argmax(values: np.ndarray, starts: np.ndarray, tails: np.ndarray):
@@ -229,25 +247,19 @@ def tight_edges(system: FiniteMVSystem, weights: Sequence, alpha, eps=0) -> list
     """Edge ids whose reduced weight is realized with equality by converged
     longest-walk potentials; cycles inside this subgraph are exactly the
     mean-maximizing cycles."""
-    n = system.n_states
-    zero = 0.0 if (_is_float_weights(weights) or isinstance(alpha, float)) else Fraction(0)
-    pot = [zero] * n
-    edges = system.edges
-    for _ in range(n):
-        changed = False
+    (w, (a,)), d = _scaled(weights, (alpha,))
+    pot = [0 if d else 0.0] * system.n_states
+    for _ in range(system.n_states):
         nxt = list(pot)
-        for k, (t, h) in enumerate(edges):
-            cand = pot[t] + weights[k] - alpha
-            if cand > nxt[h]:
-                nxt[h] = cand
-                changed = True
-        pot = nxt
-        if not changed:
+        _relax(system.edges, w, pot, nxt, a)
+        if nxt == pot:
             break
+        pot = nxt
+    tol = eps * (d or 1)
     out = []
-    for k, (t, h) in enumerate(edges):
-        gap = pot[t] + weights[k] - alpha - pot[h]
-        if (eps == 0 and gap == 0) or (eps != 0 and abs(gap) <= eps):
+    for k, ((t, h), wk) in enumerate(zip(system.edges, w)):
+        gap = pot[t] + wk - a - pot[h]
+        if abs(gap) <= tol:
             out.append(k)
     return out
 
@@ -322,9 +334,7 @@ def max_mean_cycle(system: FiniteMVSystem, weights: Sequence, eps=0) -> tuple:
     state sequence.  Raises NoCycleError on acyclic systems.
     """
     alpha = max_mean_cycle_value(system, weights)
-    if eps == 0 and _is_float_weights(weights):
-        eps = float_tolerance(weights)
-    ids = tight_edges(system, weights, alpha, eps)
+    ids = tight_edges(system, weights, alpha, eps or tie_tolerance(weights))
     succ: list[list[int]] = [[] for _ in range(system.n_states)]
     for k in ids:
         t, h = system.edges[k]
@@ -343,45 +353,39 @@ def alpha_state(system: FiniteMVSystem, f: Sequence) -> tuple:
     return max_mean_cycle(system, lift_function(f, system))
 
 
-def delta_finite_horizon(system: FiniteMVSystem, f: Sequence, n: int):
-    """Best average of f over orbit segments with n steps (n+1 states)."""
+def _segment_maxima(system: FiniteMVSystem, f: Sequence, horizon: int) -> tuple[list, object]:
+    """The best sum of f over orbit segments with n steps, for n = 0..horizon
+    (None when there is no such segment), in the format of ``_scaled``, and
+    its D."""
     if len(f) != system.n_states:
         raise ValueError("state function length must equal n_states")
-    if n < 0:
+    if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    cur = list(f)
-    for _ in range(n):
-        nxt = [NEG_INF] * system.n_states
-        for t, h in system.edges:
-            if cur[t] is NEG_INF:
-                continue
-            cand = cur[t] + f[h]
-            if nxt[h] is NEG_INF or cand > nxt[h]:
-                nxt[h] = cand
-        cur = nxt
-    best = max(cur)
-    if best is NEG_INF:
+    (g,), d = _scaled(f)
+    weights = [g[h] for _t, h in system.edges]
+    cur = g
+    maxima = [max(g)]
+    for _ in range(horizon):
+        cur, prev = [None] * system.n_states, cur
+        _relax(system.edges, weights, prev, cur)
+        maxima.append(max((x for x in cur if x is not None), default=None))
+    return maxima, d
+
+
+def delta_finite_horizon(system: FiniteMVSystem, f: Sequence, n: int):
+    """Best average of f over orbit segments with n steps (n+1 states)."""
+    maxima, d = _segment_maxima(system, f, n)
+    if maxima[n] is None:
         raise NoPathError(f"no orbit segment of length {n}")
-    return _divide(best, n + 1)
+    return _divide(maxima[n], n + 1, d)
 
 
 def delta_sequence(system: FiniteMVSystem, f: Sequence, horizon: int) -> list[tuple[int, object]]:
-    """(n, delta_n) for all n = 0..horizon in one dynamic-programming pass."""
-    out = []
-    cur = list(f)
-    for n in range(horizon + 1):
-        if n > 0:
-            nxt = [NEG_INF] * system.n_states
-            for t, h in system.edges:
-                if cur[t] is NEG_INF:
-                    continue
-                cand = cur[t] + f[h]
-                if nxt[h] is NEG_INF or cand > nxt[h]:
-                    nxt[h] = cand
-            cur = nxt
-        best = max(cur)
-        out.append((n, NEG_INF if best is NEG_INF else _divide(best, n + 1)))
-    return out
+    """(n, delta_n) for all n = 0..horizon in one dynamic-programming pass;
+    delta_n is the NEG_INF sentinel when no segment has n steps."""
+    maxima, d = _segment_maxima(system, f, horizon)
+    return [(n, NEG_INF if best is None else _divide(best, n + 1, d))
+            for n, best in enumerate(maxima)]
 
 
 def epsilon_witness(cycle: Cycle, f: Sequence) -> int:
@@ -422,10 +426,7 @@ def maximizing_measures(system: FiniteMVSystem, f: Sequence) -> list[VertexMeasu
     sorted; always non-empty when a cycle exists."""
     weights = lift_function(f, system)
     alpha = max_mean_cycle_value(system, weights)
-    eps = 0
-    if _is_float_weights(weights):
-        eps = float_tolerance(weights)
-    ids = tight_edges(system, weights, alpha, eps)
+    ids = tight_edges(system, weights, alpha, tie_tolerance(weights))
     tight_sys = FiniteMVSystem.make(system.n_states, (system.edges[k] for k in ids))
     seen: dict[tuple, VertexMeasure] = {}
     for states in simple_cycles(tight_sys):
@@ -441,7 +442,8 @@ def maximizing_measures(system: FiniteMVSystem, f: Sequence) -> list[VertexMeasu
 @dataclass(frozen=True)
 class MeaReport:
     """Computed averages for one (system, f) pair: alpha, the canonical
-    maximizing cycle, the finite-horizon sequence and the rotation witness."""
+    maximizing cycle, the finite-horizon sequence, the rotation witness and
+    the tolerance the maximizing cycle's tie decisions used."""
 
     alpha: object
     maximizing_cycle: Cycle
@@ -451,8 +453,8 @@ class MeaReport:
 
 
 def mea_report(system: FiniteMVSystem, f: Sequence, horizon: int = 64) -> MeaReport:
-    alpha, cycle = alpha_state(system, f)
+    weights = lift_function(f, system)
+    alpha, cycle = max_mean_cycle(system, weights)
     deltas = tuple(delta_sequence(system, f, horizon))
     rotation = epsilon_witness(cycle, f)
-    tol = 0 if not _is_float_weights(f) else 1e-9
-    return MeaReport(alpha, cycle, deltas, rotation, tol)
+    return MeaReport(alpha, cycle, deltas, rotation, tie_tolerance(weights))

@@ -3,7 +3,8 @@ correction v, and per-edge slack verification of f + v(tail) - v(head) <= beta.
 
 Maximizing cycles live exactly on the tight (zero-slack) edges, which is the
 computational value of the construction: the support of every maximizing
-measure is pinned down by one Bellman pass.
+measure is pinned down by one Bellman pass, run on ``mea``'s max-plus
+relaxation step over integer-scaled reduced weights.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._numbers import NEG_INF, float_tolerance
-from .mea import max_mean_cycle
+from ._numbers import NEG_INF, tie_tolerance
+from .mea import _divide, _relax, _scaled, max_mean_cycle, max_mean_cycle_value
 from .system import FiniteMVSystem, lift_function
 
 
@@ -57,25 +58,19 @@ def compute_phi(system: FiniteMVSystem, f: Sequence, beta, tol=0) -> tuple:
     if len(f) != len(system.edges):
         raise ValueError("edge function length must equal the edge count")
     n = system.n_states
-    reduced = [w - beta for w in f]
-    phi = [NEG_INF] * n
-    edges = system.edges
+    (g, (scaled_beta,)), d = _scaled(f, (beta,))
+    reduced = [w - scaled_beta for w in g]
+    tol *= d or 1
+    phi = [None] * n
     for _ in range(n + 1):
-        nxt = [NEG_INF] * n
-        for k, (t, h) in enumerate(edges):
-            base = phi[t]
-            if base is NEG_INF or base < 0:
-                base = 0 * reduced[k]  # the segment may start at t
-            cand = base + reduced[k]
-            if nxt[h] is NEG_INF or cand > nxt[h]:
-                nxt[h] = cand
-        if nxt == phi:
-            return tuple(phi)
-        if tol != 0 and all(
-            (a is NEG_INF) == (b is NEG_INF) and (a is NEG_INF or abs(a - b) <= tol)
+        nxt = [None] * n
+        # the segment may start at any state: the clamped base max(phi, 0)
+        _relax(system.edges, reduced, [0 if p is None or p < 0 else p for p in phi], nxt)
+        if nxt == phi or tol != 0 and all(
+            (a is None) == (b is None) and (a is None or abs(a - b) <= tol)
             for a, b in zip(nxt, phi)
         ):
-            return tuple(nxt)
+            return tuple([NEG_INF if p is None else _divide(p, 1, d) for p in nxt])
         phi = nxt
     raise PositiveCycleError(
         "value iteration still improving after n_states + 1 rounds; "
@@ -130,10 +125,8 @@ def subaction_for_state_function(system: FiniteMVSystem, f: Sequence) -> Subacti
     """Full pipeline for a state function: lift to edges, take beta as the
     maximum ergodic average, build phi and v, verify every edge."""
     f_edge = lift_function(f, system)
-    beta, _cycle = max_mean_cycle(system, f_edge)
-    tol = 0
-    if any(isinstance(w, float) for w in f_edge):
-        tol = float_tolerance(f_edge)
+    beta = max_mean_cycle_value(system, f_edge)
+    tol = tie_tolerance(f_edge)
     phi = compute_phi(system, f_edge, beta, tol=tol)
     v = compute_v(phi, f_edge, beta)
     return verify_mane(system, f_edge, v, beta, tol=tol, phi=phi)

@@ -234,6 +234,11 @@ def test_cmd_sweep_max_period_over_limit_exit_code(tmp_path, capsys):
     ["sweep", "--f", "cos:abc", "--theta-grid", "2", "--max-period", "2", "--grid", "8"],
     ["hull", "--max-period", "0"],
     ["hull", "--max-period", "30"],
+    ["verify", "--max-states", "1"],
+    ["verify", "--max-states", "0"],
+    ["verify", "--count", "-2"],
+    ["mea", "--builtin", "z4", "--f", "indicator:0", "--horizon", "-1"],
+    ["subaction", "--builtin", "z4", "--f", "indicator:0", "--beta-override", "abc"],
 ], ids=" ".join)
 def test_cli_bad_arguments_exit_code(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 3

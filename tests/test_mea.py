@@ -1,5 +1,6 @@
 """mea-engine: cycle means, finite horizons, witnesses, oracles."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 import mvergo.mea as mea_mod
-from mvergo._numbers import NEG_INF
+from mvergo._numbers import NEG_INF, float_tolerance
+from mvergo.io import loads_system
 from mvergo.bounds import make_family, outer_grid_system
 from mvergo.circle import doubling_map, pq_correspondence, three_branch_doubling
 from mvergo.mea import (
@@ -26,6 +28,7 @@ from mvergo.mea import (
     mea_report,
 )
 from mvergo.measures import Cycle, is_invariant
+from mvergo.subaction import subaction_for_state_function
 from mvergo.system import FiniteMVSystem, graph_system, lift_function
 from mvergo.verify import make_instances
 from oracles import dfs_simple_cycles, karp_max_mean_cycle_value_float, z4_system
@@ -348,3 +351,76 @@ def test_mea_report_fields():
     deltas = dict(rep.delta_seq)
     for n in (4, 8, 16):
         assert abs(deltas[n] - rep.alpha) <= F(2 * 4 * 1, n + 1)
+
+
+FIRST_30_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+                   73, 79, 83, 89, 97, 101, 103, 107, 109, 113)
+
+
+def _delta_reference(system, f, horizon):
+    """delta_n by a plain Fraction dynamic programme, NEG_INF for no path."""
+    cur = [F(x) for x in f]
+    out = [(0, max(cur))]
+    for n in range(1, horizon + 1):
+        nxt = [None] * system.n_states
+        for t, h in system.edges:
+            if cur[t] is not None and (nxt[h] is None or cur[t] + f[h] > nxt[h]):
+                nxt[h] = cur[t] + f[h]
+        cur = nxt
+        best = max((x for x in cur if x is not None), default=None)
+        out.append((n, NEG_INF if best is None else best / (n + 1)))
+    return out
+
+
+def test_exact_passes_with_a_common_denominator_beyond_64_bits():
+    # values c/p over 12 of the first 30 primes: the scaled integers need more
+    # than 64 bits, and every result must still be the exact rational
+    rng = random.Random(41)
+    for trial in range(8):
+        n = 12
+        edges = {(x, (x + 1) % n) for x in range(n)}
+        while len(edges) < n + 6:
+            edges.add((rng.randrange(n), rng.randrange(n)))
+        if trial % 2:  # break the ring: some states may then lie on no cycle
+            edges = {(t, h) for t, h in edges if not (t == n - 1 and h == 0)}
+        s = FiniteMVSystem.make(n, edges)
+        primes = rng.sample(FIRST_30_PRIMES[12:], n)
+        f = tuple(F(rng.choice((-1, 1)) * rng.randint(1, 9), p) for p in primes)
+        assert math.lcm(*(x.denominator for x in f)) > 2 ** 64
+        alpha = alpha_state(s, f)[0]
+        assert type(alpha) is F and alpha == brute_force_alpha(s, f)
+        assert delta_sequence(s, f, 20) == _delta_reference(s, f, 20)
+        res = subaction_for_state_function(s, f)
+        assert res.beta == alpha and min(res.slack) == 0
+
+
+README_DOCUMENT = ('{"n_states": 4, "edges": [[0, 1], [1, 0], [1, 2], [2, 1]], '
+                   '"f_state": ["1", "0", "-3/7", "0.25"]}')
+
+
+def test_readme_mixed_document_is_solved_exactly():
+    # the one float value sits on a state without edges, so every lifted
+    # weight is rational and every decision exact
+    doc = loads_system(README_DOCUMENT)
+    rep = mea_report(doc.system, doc.f_state)
+    assert type(rep.alpha) is F and rep.alpha == F(1, 2)
+    assert rep.tolerance == 0
+    delta_0 = rep.delta_seq[0][1]
+    assert type(delta_0) is F and delta_0 == 1
+    res = subaction_for_state_function(doc.system, doc.f_state)
+    assert res.phi == (F(0), F(1, 2), F(0), NEG_INF)
+    assert all(type(p) is F for p in res.phi[:3])
+
+
+def test_mea_report_tolerance_of_float_weights():
+    rep = mea_report(z4_system(), (5.5,) * 4)
+    assert rep.alpha == 5.5
+    assert rep.tolerance == float_tolerance([5.5] * 8) > 1e-9
+
+
+def test_delta_sequence_argument_checks():
+    z4 = z4_system()
+    with pytest.raises(ValueError, match="n_states"):
+        delta_sequence(z4, indicator(3, 0), 4)
+    with pytest.raises(ValueError, match="non-negative"):
+        delta_sequence(z4, indicator(4, 0), -1)
