@@ -300,7 +300,13 @@ class BarycentrePoint:
 def barycentre_hull(system: PiecewiseAffineMVSystem, max_period: int,
                     arc_length=None) -> list[BarycentrePoint]:
     """Barycentres of all periodic orbits up to max_period, with exact-hull
-    extremality flags and the Sturmian arc classification."""
+    extremality flags and the Sturmian arc classification.
+
+    The barycentres are float approximations, evaluated in floating point
+    from the exact orbit points.  The hull is exact over those float values
+    (each converted to a Fraction), not over the true barycentres: among
+    nearly collinear barycentres, the flags can differ from the exact
+    set's."""
     if arc_length is None:
         arc_length = system.sturmian_arc if system.sturmian_arc is not None else Fraction(1, 2)
     orbits = enumerate_periodic_orbits(system, max_period)

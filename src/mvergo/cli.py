@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -26,8 +27,7 @@ from .geometry import convex_hull
 from .io import InputFormatError, load_system, measure_row
 from .mea import NoCycleError, NoPathError, mea_report
 from .measures import extreme_invariant_measures
-from .subaction import PositiveCycleError, ViolatedEdgeError, compute_phi, compute_v, verify_mane
-from .subaction import subaction_for_state_function
+from .subaction import PositiveCycleError, ViolatedEdgeError, subaction_for_state_function
 from .svg import hull_chart, line_chart
 from .system import FiniteMVSystem, lift_function
 from .verify import run_verify
@@ -186,14 +186,10 @@ def cmd_subaction(args) -> int:
     beta = None
     if args.beta_override is not None:
         beta = _parse_arg("--beta-override", args.beta_override, parse_number)
+        if isinstance(beta, float) and not math.isfinite(beta):
+            raise CliError(f"--beta-override must be finite, got {args.beta_override!r}", EXIT_INPUT)
     try:
-        if beta is not None:
-            f_edge = lift_function(f, system)
-            phi = compute_phi(system, f_edge, beta)
-            v = compute_v(phi, f_edge, beta)
-            result = verify_mane(system, f_edge, v, beta, tol=args.tol, phi=phi)
-        else:
-            result = subaction_for_state_function(system, f)
+        result = subaction_for_state_function(system, f, beta)
     except NoCycleError as exc:
         raise CliError(f"no cycle: {exc}", EXIT_VALIDATION) from exc
     except PositiveCycleError as exc:
@@ -328,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("subaction", help="subaction and slack verification")
     common(p)
-    p.add_argument("--tol", type=float, default=0)
     p.add_argument("--beta-override", help="force a beta value (diagnostics)")
     p.set_defaults(func=cmd_subaction)
 

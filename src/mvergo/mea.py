@@ -243,10 +243,10 @@ def max_mean_cycle_value_float(system: FiniteMVSystem, weights: np.ndarray) -> f
     return bound if bound > value + rounding else value
 
 
-def tight_edges(system: FiniteMVSystem, weights: Sequence, alpha, eps=0) -> list[int]:
+def tight_edges(system: FiniteMVSystem, weights: Sequence, alpha) -> list[int]:
     """Edge ids whose reduced weight is realized with equality by converged
-    longest-walk potentials; cycles inside this subgraph are exactly the
-    mean-maximizing cycles."""
+    longest-walk potentials, up to ``tie_tolerance(weights)``; cycles inside
+    this subgraph are exactly the mean-maximizing cycles."""
     (w, (a,)), d = _scaled(weights, (alpha,))
     pot = [0 if d else 0.0] * system.n_states
     for _ in range(system.n_states):
@@ -255,7 +255,7 @@ def tight_edges(system: FiniteMVSystem, weights: Sequence, alpha, eps=0) -> list
         if nxt == pot:
             break
         pot = nxt
-    tol = eps * (d or 1)
+    tol = tie_tolerance(weights)
     out = []
     for k, ((t, h), wk) in enumerate(zip(system.edges, w)):
         gap = pot[t] + wk - a - pot[h]
@@ -264,84 +264,70 @@ def tight_edges(system: FiniteMVSystem, weights: Sequence, alpha, eps=0) -> list
     return out
 
 
-def _shortest_cycle_in(n_states: int, succ: list[list[int]]) -> Cycle:
-    """Canonical minimum-length cycle of a subgraph: shortest, then the
+def _tight_subsystem(system: FiniteMVSystem, weights: Sequence) -> tuple:
+    """The maximum cycle mean and the subsystem on the tight edges, whose
+    cycles are exactly the mean-maximizing cycles."""
+    alpha = max_mean_cycle_value(system, weights)
+    edges = [system.edges[k] for k in tight_edges(system, weights, alpha)]
+    return alpha, FiniteMVSystem(system.n_states, tuple(edges))
+
+
+def _shortest_cycle_in(system: FiniteMVSystem) -> Cycle:
+    """Canonical minimum-length cycle of a system: shortest, then the
     lexicographically smallest state sequence among shortest ones."""
-    best_len = None
-    # shortest cycle through v = min over edges (u, v) of dist(v -> u) + 1
-    dists = {}
-    for v in range(n_states):
-        if not succ[v]:
-            continue
-        dist = [-1] * n_states
-        dist[v] = 0
-        frontier = [v]
+    succ, pred = system.successors, system.predecessors
+    n = system.n_states
+    # the shortest cycle through s closes a forward search from s over an
+    # edge into s; the first s to reach the minimum length is the least
+    # state on a shortest cycle, and starts the canonical one
+    best_len, start = None, None
+    for s in range(n):
+        dist = [-1] * n
+        dist[s] = 0
+        frontier = [s]
         while frontier:
             nxt = []
             for u in frontier:
-                for wv in succ[u]:
-                    if dist[wv] < 0:
-                        dist[wv] = dist[u] + 1
-                        nxt.append(wv)
+                for x in succ[u]:
+                    if dist[x] < 0:
+                        dist[x] = dist[u] + 1
+                        nxt.append(x)
             frontier = nxt
-        dists[v] = dist
-        loop = 1 if v in succ[v] else None
-        back = [dist[u] for u in range(n_states) if v in succ[u] and dist[u] >= 0]
-        through = min([d + 1 for d in back] + ([loop] if loop else [1 << 30]))
-        if through < (1 << 30) and (best_len is None or through < best_len):
-            best_len = through
+        through = min([dist[u] + 1 for u in pred[s] if dist[u] >= 0], default=None)
+        if through is not None and (best_len is None or through < best_len):
+            best_len, start = through, s
     if best_len is None:
         raise NoCycleError("no cycle in the tight subgraph")
 
-    # smallest start vertex lying on a cycle of the minimum length
-    start = None
-    for v in sorted(dists):
-        dist = dists[v]
-        arrives = min((dist[u] + 1 for u in range(n_states) if v in succ[u] and dist[u] >= 0),
-                      default=1 << 30)
-        if arrives == best_len:
-            start = v
-            break
-    assert start is not None
-
-    # exact-length reachability back to start; closed walks of minimal length
-    # are necessarily simple, so a greedy lexicographic walk is the answer
-    reach = [[False] * n_states for _ in range(best_len + 1)]
-    reach[0][start] = True
-    for r in range(1, best_len + 1):
-        for u in range(n_states):
-            reach[r][u] = any(reach[r - 1][w] for w in succ[u])
+    # back[u]: the fewest edges from u to start.  A walk from start that can
+    # close within the steps left must take them exactly, or it would close
+    # a shorter cycle; such a walk is simple, so the greedy lexicographic
+    # walk is the canonical cycle
+    back = [-1] * n
+    back[start] = 0
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for x in pred[u]:
+                if back[x] < 0:
+                    back[x] = back[u] + 1
+                    nxt.append(x)
+        frontier = nxt
     walk = [start]
-    cur = start
-    for step in range(1, best_len):
-        rem = best_len - step
-        nxt = None
-        for u in succ[cur]:
-            if u != start and u not in walk and reach[rem][u]:
-                nxt = u
-                break
-        assert nxt is not None, "exact-length completion must exist"
-        walk.append(nxt)
-        cur = nxt
-    assert start in succ[cur]
+    for rem in range(best_len - 1, 0, -1):
+        walk.append(next(x for x in succ[walk[-1]] if back[x] == rem))
     return Cycle(tuple(walk))
 
 
-def max_mean_cycle(system: FiniteMVSystem, weights: Sequence, eps=0) -> tuple:
+def max_mean_cycle(system: FiniteMVSystem, weights: Sequence) -> tuple:
     """Maximum mean cycle value and the canonical cycle attaining it.
 
     Ties break to the shortest cycle, then the lexicographically smallest
     state sequence.  Raises NoCycleError on acyclic systems.
     """
-    alpha = max_mean_cycle_value(system, weights)
-    ids = tight_edges(system, weights, alpha, eps or tie_tolerance(weights))
-    succ: list[list[int]] = [[] for _ in range(system.n_states)]
-    for k in ids:
-        t, h = system.edges[k]
-        succ[t].append(h)
-    for lst in succ:
-        lst.sort()
-    return alpha, _shortest_cycle_in(system.n_states, succ)
+    alpha, tight = _tight_subsystem(system, weights)
+    return alpha, _shortest_cycle_in(tight)
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +410,9 @@ def brute_force_alpha(system: FiniteMVSystem, f: Sequence):
 def maximizing_measures(system: FiniteMVSystem, f: Sequence) -> list[VertexMeasure]:
     """Cycle measures of every mean-maximizing simple cycle, deduplicated and
     sorted; always non-empty when a cycle exists."""
-    weights = lift_function(f, system)
-    alpha = max_mean_cycle_value(system, weights)
-    ids = tight_edges(system, weights, alpha, tie_tolerance(weights))
-    tight_sys = FiniteMVSystem.make(system.n_states, (system.edges[k] for k in ids))
+    _alpha, tight = _tight_subsystem(system, lift_function(f, system))
     seen: dict[tuple, VertexMeasure] = {}
-    for states in simple_cycles(tight_sys):
+    for states in simple_cycles(tight):
         vm, _ = cycle_measure(Cycle(states), system)
         seen.setdefault(vm.weights, vm)
     return [seen[w] for w in sorted(seen)]

@@ -1,5 +1,6 @@
 """Subactions for finite systems: the backward-orbit potential, the bounded
-correction v, and per-edge slack verification of f + v(tail) - v(head) <= beta.
+correction v, and per-edge slack verification of f + v(tail) - v(head) <= beta,
+which with one cycle of tight edges certifies beta without a solver.
 
 Maximizing cycles live exactly on the tight (zero-slack) edges, which is the
 computational value of the construction: the support of every maximizing
@@ -14,8 +15,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._numbers import NEG_INF, tie_tolerance
-from .mea import _divide, _relax, _scaled, max_mean_cycle, max_mean_cycle_value
-from .system import FiniteMVSystem, lift_function
+from .mea import NoCycleError, _divide, _relax, _scaled, max_mean_cycle_value
+from .system import FiniteMVSystem, eventual_domain, lift_function
 
 
 class PositiveCycleError(Exception):
@@ -90,30 +91,34 @@ def compute_v(phi: Sequence, f: Sequence, beta) -> tuple:
 
 
 def verify_mane(system: FiniteMVSystem, f: Sequence, v: Sequence, beta, tol=0, phi=None) -> SubactionResult:
-    """Check f + v(tail) - v(head) <= beta edge by edge.
+    """Check f + v(tail) - v(head) <= beta edge by edge, and certify beta as
+    the maximum ergodic average from the slacks alone.
 
-    Returns the slack report with the tight edge set; raises ViolatedEdgeError
-    on the worst edge if any slack drops below -tol, and checks that the
-    canonical maximizing cycle is entirely tight.  ``phi`` is carried through
-    into the result when supplied (callers that built v from the potential).
+    Raises ViolatedEdgeError on the worst edge if any slack drops below -tol.
+    Then the slacks sum around every cycle to its length times beta minus its
+    weight, so beta is at least every cycle mean, up to tol; and a cycle of
+    tight edges (slack <= tol) has its mean within tol of beta.  Raises
+    ValueError when the tight edges hold no cycle, NoCycleError when the
+    system has none.  No solver is called.
+    ``phi`` is carried through into the result when supplied (callers that
+    built v from the potential).
     """
     if len(f) != len(system.edges):
         raise ValueError("edge function length must equal the edge count")
     if len(v) != system.n_states:
         raise ValueError("v length must equal n_states")
-    slack = tuple(beta - (f[k] + v[t] - v[h]) for k, (t, h) in enumerate(system.edges))
+    slack = tuple([beta - (f[k] + v[t] - v[h]) for k, (t, h) in enumerate(system.edges)])
     worst = min(range(len(slack)), key=lambda k: slack[k], default=None)
     if worst is not None and slack[worst] < -tol:
         raise ViolatedEdgeError(system.edges[worst], slack[worst])
-    tight = tuple(k for k, s in enumerate(slack) if s <= tol)
-    _alpha, cycle = max_mean_cycle(system, f)
-    tight_set = set(tight)
-    for t, h in cycle.edge_pairs():
-        if system.edge_index[(t, h)] not in tight_set:
-            raise ValueError(
-                f"maximizing cycle edge ({t}, {h}) is not tight; "
-                "beta does not match the maximum ergodic average"
-            )
+    tight = tuple([k for k, s in enumerate(slack) if s <= tol])
+    tight_sys = FiniteMVSystem(system.n_states, tuple([system.edges[k] for k in tight]))
+    if not eventual_domain(tight_sys):
+        if not eventual_domain(system):
+            raise NoCycleError("the system has no directed cycle")
+        raise ValueError(
+            "no cycle of tight edges; beta does not match the maximum ergodic average"
+        )
     if phi is None:
         phi = tuple(v)
     finite = [p for p in phi if p is not NEG_INF]
@@ -121,11 +126,13 @@ def verify_mane(system: FiniteMVSystem, f: Sequence, v: Sequence, beta, tol=0, p
     return SubactionResult(beta, tuple(phi), tuple(v), bound, slack, tight)
 
 
-def subaction_for_state_function(system: FiniteMVSystem, f: Sequence) -> SubactionResult:
+def subaction_for_state_function(system: FiniteMVSystem, f: Sequence, beta=None) -> SubactionResult:
     """Full pipeline for a state function: lift to edges, take beta as the
-    maximum ergodic average, build phi and v, verify every edge."""
+    maximum ergodic average unless one is given, build phi and v, verify
+    every edge and certify beta."""
     f_edge = lift_function(f, system)
-    beta = max_mean_cycle_value(system, f_edge)
+    if beta is None:
+        beta = max_mean_cycle_value(system, f_edge)
     tol = tie_tolerance(f_edge)
     phi = compute_phi(system, f_edge, beta, tol=tol)
     v = compute_v(phi, f_edge, beta)

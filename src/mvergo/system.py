@@ -15,6 +15,18 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
+def _grouped(n: int, pairs) -> tuple[tuple[int, ...], ...]:
+    """The values of (key, value) pairs grouped by key in 0..n-1, in pair
+    order.  Each group becomes a tuple in place, so no tuple is built by
+    resizing."""
+    groups: list = [[] for _ in range(n)]
+    for k, v in pairs:
+        groups[k].append(v)
+    for k, group in enumerate(groups):
+        groups[k] = tuple(group)
+    return tuple(groups)
+
+
 @dataclass(frozen=True)
 class FiniteMVSystem:
     """A finite state set with a directed edge relation.
@@ -59,31 +71,20 @@ class FiniteMVSystem:
 
     @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.n_states)]
-        for t, h in self.edges:
-            out[t].append(h)
-        return tuple(tuple(s) for s in out)
+        return _grouped(self.n_states, self.edges)
 
     @cached_property
     def predecessors(self) -> tuple[tuple[int, ...], ...]:
-        inc: list[list[int]] = [[] for _ in range(self.n_states)]
-        for t, h in self.edges:
-            inc[h].append(t)
-        return tuple(tuple(sorted(s)) for s in inc)
+        # the edges are sorted by tail, so each group comes out sorted
+        return _grouped(self.n_states, ((h, t) for t, h in self.edges))
 
     @cached_property
     def out_edge_ids(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.n_states)]
-        for i, (t, _h) in enumerate(self.edges):
-            out[t].append(i)
-        return tuple(tuple(s) for s in out)
+        return _grouped(self.n_states, ((t, i) for i, (t, _h) in enumerate(self.edges)))
 
     @cached_property
     def in_edge_ids(self) -> tuple[tuple[int, ...], ...]:
-        inc: list[list[int]] = [[] for _ in range(self.n_states)]
-        for i, (_t, h) in enumerate(self.edges):
-            inc[h].append(i)
-        return tuple(tuple(s) for s in inc)
+        return _grouped(self.n_states, ((h, i) for i, (_t, h) in enumerate(self.edges)))
 
     def has_edge(self, tail: int, head: int) -> bool:
         return (tail, head) in self.edge_index
@@ -165,7 +166,7 @@ def lift_function(f: Sequence, system: FiniteMVSystem) -> tuple:
     """Lift a state function to the edge function (x, y) -> f(x)."""
     if len(f) != system.n_states:
         raise ValueError("state function length must equal n_states")
-    return tuple(f[t] for t, _h in system.edges)
+    return tuple([f[t] for t, _h in system.edges])
 
 
 def induced_subsystem(system: FiniteMVSystem, states: Iterable[int]) -> tuple[FiniteMVSystem, dict[int, int]]:

@@ -150,6 +150,23 @@ def test_cmd_subaction_beta_override_positive_cycle(tmp_path):
     assert code == 2
 
 
+def test_cmd_subaction_beta_override_above_alpha(tmp_path, capsys):
+    code = main([
+        "subaction", "--builtin", "z4", "--f", "indicator:0",
+        "--beta-override", "1", "--out", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert "no cycle of tight edges" in capsys.readouterr().err
+
+
+def test_cmd_subaction_beta_override_at_alpha_matches_default(tmp_path):
+    base = ["subaction", "--builtin", "z4", "--f", "indicator:0"]
+    assert main(base + ["--out", str(tmp_path / "a")]) == 0
+    assert main(base + ["--beta-override", "1/2", "--out", str(tmp_path / "b")]) == 0
+    for name in ("subaction_states.csv", "subaction_edges.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_cmd_sweep_small(tmp_path):
     out = tmp_path / "o"
     code = main([
@@ -239,6 +256,9 @@ def test_cmd_sweep_max_period_over_limit_exit_code(tmp_path, capsys):
     ["verify", "--count", "-2"],
     ["mea", "--builtin", "z4", "--f", "indicator:0", "--horizon", "-1"],
     ["subaction", "--builtin", "z4", "--f", "indicator:0", "--beta-override", "abc"],
+    ["subaction", "--builtin", "z4", "--f", "indicator:0", "--beta-override", "inf"],
+    ["subaction", "--builtin", "z4", "--f", "indicator:0", "--beta-override=-inf"],
+    ["subaction", "--builtin", "z4", "--f", "indicator:0", "--beta-override", "nan"],
 ], ids=" ".join)
 def test_cli_bad_arguments_exit_code(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 3

@@ -63,6 +63,25 @@ def test_max_mean_cycle_acyclic_raises():
     assert brute_force_alpha(chain, (F(1), F(2), F(3))) is NEG_INF
 
 
+def test_max_mean_cycle_is_the_least_maximizing_cycle_under_ties():
+    # f in {-1, 0, 1} makes many cycles share the maximum mean
+    rng = random.Random(42)
+    checked = 0
+    while checked < 2000:
+        n = rng.randint(1, 7)
+        s = FiniteMVSystem.make(n, [(rng.randrange(n), rng.randrange(n))
+                                    for _ in range(rng.randint(1, 3 * n))])
+        cycles = dfs_simple_cycles(s)
+        if not cycles:
+            continue
+        f = tuple(F(rng.randint(-1, 1)) for _ in range(n))
+        means = [F(sum(f[x] for x in c), len(c)) for c in cycles]
+        alpha, cyc = max_mean_cycle(s, lift_function(f, s))
+        assert alpha == max(means)
+        assert cyc.states == cycles[means.index(alpha)]  # least (length, states)
+        checked += 1
+
+
 def test_alpha_state_examples():
     z4 = z4_system()
     assert alpha_state(z4, (F(3), F(3), F(3), F(3)))[0] == 3

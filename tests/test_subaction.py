@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from mvergo._numbers import NEG_INF
-from mvergo.mea import alpha_state, max_mean_cycle
+from mvergo.mea import NoCycleError, alpha_state, max_mean_cycle
 from mvergo.subaction import (
     PositiveCycleError,
     ViolatedEdgeError,
@@ -121,6 +121,28 @@ def test_verify_mane_raises_on_violation():
     s, fe = two_state_ab()
     with pytest.raises(ViolatedEdgeError):
         verify_mane(s, fe, (F(0), F(0)), F(1, 2))
+
+
+def test_verify_mane_certifies_beta_without_a_solver(monkeypatch):
+    import mvergo.mea
+    import mvergo.subaction
+
+    def solver(*args):
+        raise AssertionError("verify_mane called a max-mean-cycle solver")
+
+    for module in (mvergo.mea, mvergo.subaction):
+        for name in ("max_mean_cycle", "max_mean_cycle_value"):
+            monkeypatch.setattr(module, name, solver, raising=False)
+    z4 = z4_system()
+    f = lift_function((F(1), F(0), F(0), F(0)), z4)
+    # slack 1 - f >= 0 everywhere, but only the edges out of 0 are tight
+    with pytest.raises(ValueError, match="no cycle of tight edges"):
+        verify_mane(z4, f, (F(0),) * 4, F(1))
+    res = verify_mane(z4, f, (F(0), F(1, 2), F(0), F(1, 2)), F(1, 2))
+    assert min(res.slack) == 0
+    chain = FiniteMVSystem.make(3, [(0, 1), (1, 2)])
+    with pytest.raises(NoCycleError):
+        verify_mane(chain, (F(1), F(0)), (F(0),) * 3, F(1))
 
 
 def test_subaction_z4_indicator():
