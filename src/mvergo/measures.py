@@ -4,7 +4,9 @@ A probability vector on states is invariant iff it is the common marginal of
 some probability weighting on edges whose tail and head marginals agree (an
 edge circulation).  Invariance is decided by a transportation feasibility
 problem; the extreme points of the invariant set are simple-cycle measures
-that survive an exact convex-combination elimination.
+that survive an exact convex-combination elimination.  Each elimination LP
+sees only the candidates supported inside the candidate's own support, over
+that support's coordinates, since no other candidate can take part.
 """
 
 from __future__ import annotations
@@ -218,24 +220,32 @@ def is_invariant(system: FiniteMVSystem, mu: VertexMeasure) -> tuple[bool, EdgeC
 def invariant_by_subsets(system: FiniteMVSystem, mu: VertexMeasure) -> bool:
     """Independent invariance test: mu(A) <= mu(T^{-1} A) over every subset A.
 
-    Exponential in n_states; guarded to small systems.  Used as the oracle
-    against the flow-based decision.
+    Hall's condition for the transportation problem, decided without any
+    flow.  Weights are scaled to integers over their common denominator
+    (a float is an exact binary rational), so the decision is exact on the
+    given weights.  One pass over the bitmasks builds each subset's mass and
+    preimage from the subset without its lowest state.  Exponential in
+    n_states; guarded to small systems.  Used as the oracle against the
+    flow-based decision.
     """
     n = system.n_states
     if n > 16:
         raise ValueError("subset oracle is limited to n_states <= 16")
-    w = mu.weights
-    pred = system.predecessors
-    for mask in range(1, 1 << n):
-        members = [x for x in range(n) if mask >> x & 1]
-        mass_a = sum(w[x] for x in members)
-        preimage = set()
-        for x in members:
-            preimage.update(pred[x])
-        mass_pre = sum(w[x] for x in preimage)
-        if mass_a > mass_pre:
-            return False
-    return True
+    w = [Fraction(v) for v in mu.weights]
+    denom = 1
+    for v in w:  # grows to the lcm of the denominators
+        denom *= (v * denom).denominator
+    scaled = [(v * denom).numerator for v in w]
+    predmask = [sum(1 << t for t in preds) for preds in system.predecessors]
+    size = 1 << n
+    mass = [0] * size
+    pre = [0] * size
+    for mask in range(1, size):
+        low = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        mass[mask] = mass[rest] + scaled[low]
+        pre[mask] = pre[rest] | predmask[low]
+    return all(mass[mask] <= mass[pre[mask]] for mask in range(1, size))
 
 
 def convex_combination(target, points):
@@ -309,18 +319,41 @@ def extreme_invariant_measures(system: FiniteMVSystem) -> list[VertexMeasure]:
     """Extreme points of the set of invariant measures, exactly.
 
     Every extreme point is the vertex-projection of a simple-cycle
-    circulation; projections that are convex combinations of the others are
-    eliminated with an exact feasibility test.  Empty when no cycle exists.
+    circulation, which is uniform, 1/|S|, on the cycle's state set S; so the
+    distinct candidates are exactly the distinct state sets, and candidates
+    are keyed by state set before any rational arithmetic.  A candidate mu_S
+    is eliminated when it is a convex combination of the others, decided by
+    an exact feasibility test restricted to what can take part:
+
+    - if mu_S = sum_j lambda_j mu_j with every lambda_j >= 0, then for each
+      x outside S, 0 = mu_S(x) >= lambda_j mu_j(x), so every mu_j with
+      lambda_j > 0 is supported inside S;
+    - only mu_S itself has support exactly S, so the columns are the
+      candidates whose support is a proper subset of S;
+    - those columns and the target vanish off S, so the coordinates outside
+      S carry no constraint and are dropped.
+
+    A candidate survives with no LP at all when the supports inside S do not
+    cover S, since some state of S would get no mass.  Empty when no cycle
+    exists.
     """
-    cycles = simple_cycles(system)
-    seen: dict[tuple, VertexMeasure] = {}
-    for states in cycles:
-        vm, _ = cycle_measure(Cycle(states), system)
-        seen.setdefault(vm.weights, vm)
-    candidates = sorted(seen)
+    n = system.n_states
+    supports = sorted(
+        (tuple(Fraction(1, len(states)) if x in states else Fraction(0) for x in range(n)),
+         sum(1 << x for x in states))
+        for states in {frozenset(c) for c in simple_cycles(system)}
+    )
     survivors = []
-    for i, weights in enumerate(candidates):
-        others = [c for j, c in enumerate(candidates) if j != i]
-        if convex_combination(weights, others) is None:
-            survivors.append(seen[weights])
+    for weights, support in supports:
+        inside = [(w, s) for w, s in supports if s != support and s & support == s]
+        covered = 0
+        for _, s in inside:
+            covered |= s
+        if covered == support:
+            coords = [x for x in range(n) if support >> x & 1]
+            target = [weights[x] for x in coords]
+            columns = [[w[x] for x in coords] for w, _ in inside]
+            if convex_combination(target, columns) is not None:
+                continue
+        survivors.append(VertexMeasure(weights))
     return survivors

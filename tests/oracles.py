@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's algorithmic paths: cycles come from a
 plain DFS, invariance from the subset characterization, extreme measures from
-active-set vertex enumeration of the inequality polytope, the potential
+active-set vertex enumeration of the inequality polytope and from the
+elimination LP over every other candidate, the potential
 from explicit backward-walk enumeration, float cycle means from Karp's walk
 table, and periodic orbits of circle systems from a rational lift search.
 """
@@ -17,7 +18,8 @@ import numpy as np
 
 from mvergo.circle import PiecewiseAffineMVSystem
 from mvergo.mea import NoCycleError
-from mvergo.system import FiniteMVSystem
+from mvergo.measures import Cycle, VertexMeasure, convex_combination, cycle_measure
+from mvergo.system import FiniteMVSystem, simple_cycles
 
 
 def z4_system() -> FiniteMVSystem:
@@ -205,6 +207,44 @@ def vertex_certificate(system: FiniteMVSystem, weights) -> bool:
         if sum(r * w for r, w in zip(row, weights)) == 0:
             active.append(list(row))
     return rational_rank(active) == n
+
+
+def subset_loop_invariance(system: FiniteMVSystem, mu: VertexMeasure) -> bool:
+    """Reference for ``measures.invariant_by_subsets``: mu(A) <= mu(T^{-1} A)
+    checked subset by subset, summing the weights over a set per subset."""
+    n = system.n_states
+    if n > 16:
+        raise ValueError("subset oracle is limited to n_states <= 16")
+    w = mu.weights
+    pred = system.predecessors
+    for mask in range(1, 1 << n):
+        members = [x for x in range(n) if mask >> x & 1]
+        mass_a = sum(w[x] for x in members)
+        preimage = set()
+        for x in members:
+            preimage.update(pred[x])
+        mass_pre = sum(w[x] for x in preimage)
+        if mass_a > mass_pre:
+            return False
+    return True
+
+
+def unfiltered_extreme_measures(system: FiniteMVSystem) -> list[VertexMeasure]:
+    """Reference for ``measures.extreme_invariant_measures``: one elimination
+    LP per simple-cycle projection over every other projection and every
+    coordinate."""
+    cycles = simple_cycles(system)
+    seen: dict[tuple, VertexMeasure] = {}
+    for states in cycles:
+        vm, _ = cycle_measure(Cycle(states), system)
+        seen.setdefault(vm.weights, vm)
+    candidates = sorted(seen)
+    survivors = []
+    for i, weights in enumerate(candidates):
+        others = [c for j, c in enumerate(candidates) if j != i]
+        if convex_combination(weights, others) is None:
+            survivors.append(seen[weights])
+    return survivors
 
 
 def phi_backward_oracle(system: FiniteMVSystem, f_edge, beta, max_len=None):

@@ -1,5 +1,6 @@
 """bounds: certified sandwich bounds, sweeps, barycentre hulls."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,27 @@ def test_orientation_and_hull_basics():
     hull = convex_hull(square)
     assert hull == [(0, 0), (1, 0), (1, 1), (0, 1)]  # collinear midpoint dropped
     assert is_convex_polygon(hull)
+
+
+def test_hull_near_collinear_float_points_match_exact_orientation():
+    # the middle point sits one ulp below, on and one ulp above the float
+    # value of the chord; at (1/3, 0.1)-(2/3, 0.9) a float cross product
+    # calls the upper point collinear, the exact one does not
+    bases = [
+        ((0.0, 0.0), (3.0, 1.0), 1.5),
+        ((1 / 3, 0.1), (2 / 3, 0.9), 0.5),
+        ((0.1, 0.2), (0.7, 1.3), 0.3),
+    ]
+    flags = []
+    for a, c, x in bases:
+        y0 = a[1] + (c[1] - a[1]) * (x - a[0]) / (c[0] - a[0])
+        for y in (math.nextafter(y0, -math.inf), y0, math.nextafter(y0, math.inf)):
+            (ax, ay), (bx, by), (cx, cy) = [(F(p[0]), F(p[1])) for p in (a, (x, y), c)]
+            cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+            on_hull = (bx, by) in convex_hull([a, (x, y), c])
+            assert on_hull == (cross != 0)
+            flags.append(on_hull)
+    assert flags == [True, False, True] + [True] * 6
 
 
 def test_beta_lower_examples():

@@ -1,10 +1,14 @@
 """measures: circulations, invariance, extreme points."""
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import mvergo.measures
 from mvergo.measures import (
     Cycle,
     EdgeCirculation,
@@ -16,7 +20,13 @@ from mvergo.measures import (
     marginals,
 )
 from mvergo.system import FiniteMVSystem, simple_cycles
-from oracles import identity_system, polytope_extreme_measures, z4_system
+from oracles import (
+    identity_system,
+    polytope_extreme_measures,
+    subset_loop_invariance,
+    unfiltered_extreme_measures,
+    z4_system,
+)
 
 F = Fraction
 
@@ -135,6 +145,27 @@ def test_is_invariant_matches_subset_oracle():
             assert tail.weights == mu.weights == head.weights
 
 
+def test_invariant_by_subsets_matches_per_subset_loop():
+    rng = random.Random(17)
+    outcomes = set()
+    for _ in range(120):
+        s = random_cyclic_system(rng, max_states=8)
+        n = s.n_states
+        cycle_weights = [cycle_measure(Cycle(c), s)[0].weights for c in simple_cycles(s)]
+        mix = [F(rng.randint(1, 5)) for _ in cycle_weights]
+        invariant = [sum(a * w[x] for a, w in zip(mix, cycle_weights)) / sum(mix) for x in range(n)]
+        raw = [F(rng.randint(0, 6)) for _ in range(n)]
+        raw[rng.randrange(n)] += 1
+        measures = [invariant, [v / sum(raw) for v in raw], [F(1, n)] * n]
+        for weights in measures:
+            mu = VertexMeasure.make(weights)
+            decision = invariant_by_subsets(s, mu)
+            assert decision == subset_loop_invariance(s, mu)
+            outcomes.add(decision)
+        assert invariant_by_subsets(s, VertexMeasure.make(invariant))
+    assert outcomes == {True, False}
+
+
 def test_invariance_convex_combinations():
     rng = random.Random(13)
     for _ in range(15):
@@ -246,3 +277,62 @@ def test_extreme_measures_certificates_n6():
                     assert sum(w * o[coord] for w, o in zip(weights, others)) == cand[coord]
         checked += 1
     assert checked >= 6
+
+
+def finite_small_systems(seeds, workdir, monkeypatch):
+    """The graphs of pass 0 of the finite-small benchmark workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for seed in seeds:
+        job = workloads.build("finite-small", seed, 0, "full", workdir / str(seed))
+        for g in job.graphs.values():
+            yield FiniteMVSystem.make(g.n, g.edges)
+
+
+def test_extreme_measures_match_unfiltered_oracle(tmp_path, monkeypatch):
+    rng = random.Random(18)
+    systems = [random_cyclic_system(rng, max_states=8) for _ in range(300)]
+    systems += list(finite_small_systems((301, 302, 303), tmp_path, monkeypatch))
+    for s in systems:
+        got = extreme_invariant_measures(s)
+        want = unfiltered_extreme_measures(s)
+        assert [e.weights for e in got] == [e.weights for e in want]
+
+
+def counting_convex_combination(monkeypatch):
+    calls = []
+    real = mvergo.measures.convex_combination
+
+    def counting(target, points):
+        calls.append((list(target), [list(p) for p in points]))
+        return real(target, points)
+
+    monkeypatch.setattr(mvergo.measures, "convex_combination", counting)
+    return calls
+
+
+def test_extreme_measures_square_eliminated_by_its_two_halves(monkeypatch):
+    # the 4-cycle 0->1->2->3->0 with the 2-cycles 0<->1 and 2<->3: the
+    # uniform measure is half of each 2-cycle measure
+    s = FiniteMVSystem.make(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 0), (3, 2)])
+    calls = counting_convex_combination(monkeypatch)
+    extremes = [e.weights for e in extreme_invariant_measures(s)]
+    half = F(1, 2)
+    assert extremes == [(0, 0, half, half), (half, half, 0, 0)]
+    assert calls == [([F(1, 4)] * 4, [[0, 0, half, half], [half, half, 0, 0]])]
+
+
+def test_extreme_measures_no_lp_without_a_covering_sub_support(monkeypatch):
+    calls = counting_convex_combination(monkeypatch)
+    # disjoint self-loops: no support lies inside another
+    assert len(extreme_invariant_measures(identity_system(4))) == 4
+    # {0, 1} lies inside {0, 1, 2} but does not cover state 2
+    nested = FiniteMVSystem.make(3, [(0, 1), (1, 0), (1, 2), (2, 0)])
+    assert len(extreme_invariant_measures(nested)) == 2
+    assert calls == []
+    # z4: only the full support holds other supports, so one LP runs
+    assert len(extreme_invariant_measures(z4_system())) == 4
+    assert len(calls) == 1 and calls[0][0] == [F(1, 4)] * 4
