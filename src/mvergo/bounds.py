@@ -304,14 +304,16 @@ def barycentre_hull(system: PiecewiseAffineMVSystem, max_period: int,
 
     The barycentres are float approximations, evaluated in floating point
     from the exact orbit points.  The hull is exact over those float values
-    (each converted to a Fraction), not over the true barycentres: among
-    nearly collinear barycentres, the flags can differ from the exact
-    set's."""
+    (each read as its exact binary rational by the integer orientation
+    kernel), not over the true barycentres: among nearly collinear
+    barycentres, the flags can differ from the exact set's.  A float pair
+    equals and hashes like its Fraction vertex, so the flags are read off
+    the hull's vertex set directly."""
     if arc_length is None:
         arc_length = system.sturmian_arc if system.sturmian_arc is not None else Fraction(1, 2)
     orbits = enumerate_periodic_orbits(system, max_period)
     values = [barycentre(o) for o in orbits]
-    coords = [(Fraction(z.real), Fraction(z.imag)) for z in values]
+    coords = [(z.real, z.imag) for z in values]
     hull_vertices = set(convex_hull(coords))
     out = []
     for orbit, z, coord in zip(orbits, values, coords):

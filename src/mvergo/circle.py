@@ -430,14 +430,37 @@ def enumerate_periodic_orbits(system: PiecewiseAffineMVSystem, max_period: int) 
 
     One representative per distinct point sequence; sorted by (period,
     points).  For large orbit sets prefer the streaming visitor.
+
+    The sort runs on integers: within one period every orbit's numerators
+    are scaled to the lcm of that period's denominators, which orders them
+    exactly as their points.  The Fraction points are built after the sort.
     """
     found: list[PeriodicOrbit] = []
+    group: list = []  # (word, numerators, denominator) of the current period
+
+    def place_group():
+        unit = math.lcm(*{t[2] for t in group})
+
+        def scaled(t):
+            s = unit // t[2]
+            return tuple([x * s for x in t[1]])
+
+        group.sort(key=scaled)
+        # tuple([...]) allocates the final size, so the points reuse the key
+        # tuples that the sort freed to CPython's tuple free list
+        found.extend(PeriodicOrbit(word, tuple([Fraction(x, denom) for x in numerators]))
+                     for word, numerators, denom in group)
+        group.clear()
 
     def consume(word, numerators, denom):
-        found.append(PeriodicOrbit(word, tuple(Fraction(x, denom) for x in numerators)))
+        if group and len(group[0][0]) != len(word):
+            place_group()
+        group.append((word, numerators, denom))
 
     visit_periodic_orbits(system, max_period, consume)
-    return sorted(found, key=lambda o: (o.period, o.points))
+    if group:
+        place_group()
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -456,18 +479,22 @@ def barycentre(orbit: PeriodicOrbit) -> complex:
 
 def is_sturmian(orbit_or_points, arc_length) -> bool:
     """True iff all points fit in a closed circular arc of the given length:
-    sort on the circle and compare the largest gap with 1 - arc_length."""
+    the largest gap between consecutive points on the circle, the wrap-around
+    gap included, is at least 1 - arc_length.
+
+    Decided in integers: the points are put over the lcm D of their
+    denominators and their numerators reduced mod D, so a point at 1 counts
+    as 0; with arc = a/b the test is gap * b >= (b - a) * D."""
     arc = Fraction(arc_length)
     if not (0 < arc <= 1):
         raise ValueError("arc length must be in (0, 1]")
     points = getattr(orbit_or_points, "points", orbit_or_points)
-    circle_points = sorted({Fraction(p) - math.floor(Fraction(p)) for p in points})
-    m = len(circle_points)
-    if m <= 1:
+    ratios = [(p if isinstance(p, (int, float, Fraction)) else Fraction(p)).as_integer_ratio()
+              for p in points]
+    den = math.lcm(*(d for _, d in ratios))
+    residues = sorted({n * (den // d) % den for n, d in ratios})
+    if len(residues) <= 1:
         return True
-    largest_gap = max(
-        (circle_points[(i + 1) % m] - circle_points[i]) % 1 if i + 1 < m
-        else circle_points[0] + 1 - circle_points[-1]
-        for i in range(m)
-    )
-    return largest_gap >= 1 - arc
+    largest_gap = max(residues[0] + den - residues[-1],
+                      max(b - a for a, b in zip(residues, residues[1:])))
+    return largest_gap * arc.denominator >= (arc.denominator - arc.numerator) * den

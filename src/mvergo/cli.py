@@ -11,6 +11,7 @@ import argparse
 import csv
 import math
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -129,15 +130,25 @@ def load_finite(args) -> tuple[FiniteMVSystem, tuple | None]:
     raise CliError("pass --input FILE or --builtin NAME", EXIT_INPUT)
 
 
+@contextmanager
+def _output(path: Path):
+    """``path`` opened for writing, its directory created; an OSError from
+    either step or from the writes is an input error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", EXIT_INPUT) from exc
+
+
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _output(path) as fh:
         fh.write(text)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

@@ -190,11 +190,13 @@ def check_measures(inst: Instance):
                 return f"convex mixture at a={a} not invariant"
             if not invariant_by_subsets(system, mix):
                 return f"subset oracle rejects mixture at a={a}"
-    # extreme points are certified invariant and are cycle projections
+    # extreme points are certified invariant and are cycle projections: a
+    # simple cycle's vertex projection is uniform, 1/|S|, on its state set S
     cycle_meas = set()
-    for states in cycles:
-        vm, _ = cycle_measure(Cycle(states), system)
-        cycle_meas.add(vm.weights)
+    zero = Fraction(0)
+    for states in {frozenset(c) for c in cycles}:
+        share = Fraction(1, len(states))
+        cycle_meas.add(tuple(share if x in states else zero for x in range(system.n_states)))
     for vm in extreme_invariant_measures(system):
         if vm.weights not in cycle_meas:
             return "an extreme measure is not a simple-cycle projection"

@@ -6,6 +6,8 @@ active-set vertex enumeration of the inequality polytope and from the
 elimination LP over every other candidate, the potential
 from explicit backward-walk enumeration, float cycle means from Karp's walk
 table, and periodic orbits of circle systems from a rational lift search.
+Convex hulls, Sturmian arcs and the orbit order are decided in ``Fraction``
+arithmetic, where the package works in integers.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from mvergo.circle import PiecewiseAffineMVSystem
+from mvergo.circle import PeriodicOrbit, PiecewiseAffineMVSystem, visit_periodic_orbits
 from mvergo.mea import NoCycleError
 from mvergo.measures import Cycle, VertexMeasure, convex_combination, cycle_measure
 from mvergo.system import FiniteMVSystem, simple_cycles
@@ -403,3 +405,62 @@ def fraction_periodic_orbits(system: PiecewiseAffineMVSystem, max_period: int, c
                 seen.add(canon_pts)
                 denom = math.lcm(*(p.denominator for p in canon_pts))
                 consume(canon_word, tuple(int(p * denom) for p in canon_pts), denom)
+
+
+def fraction_orientation(o, a, b) -> int:
+    """Sign of the cross product (a - o) x (b - o) of Fraction points."""
+    cross = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    return (cross > 0) - (cross < 0)
+
+
+def fraction_convex_hull(points) -> list[tuple[Fraction, Fraction]]:
+    """Reference for ``geometry.convex_hull``: every point converted to a
+    Fraction pair, then the monotone chain with Fraction orientation."""
+    pts = sorted(set((Fraction(p[0]), Fraction(p[1])) for p in points))
+    if len(pts) <= 2:
+        return pts
+    lower: list[tuple[Fraction, Fraction]] = []
+    for p in pts:
+        while len(lower) >= 2 and fraction_orientation(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list[tuple[Fraction, Fraction]] = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and fraction_orientation(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 3:  # all points collinear
+        return [pts[0], pts[-1]]
+    return hull
+
+
+def fraction_is_sturmian(orbit_or_points, arc_length) -> bool:
+    """Reference for ``circle.is_sturmian``: the points sorted on the circle
+    as Fractions, the largest gap compared with 1 - arc_length."""
+    arc = Fraction(arc_length)
+    if not (0 < arc <= 1):
+        raise ValueError("arc length must be in (0, 1]")
+    points = getattr(orbit_or_points, "points", orbit_or_points)
+    circle_points = sorted({Fraction(p) - math.floor(Fraction(p)) for p in points})
+    m = len(circle_points)
+    if m <= 1:
+        return True
+    largest_gap = max(
+        (circle_points[(i + 1) % m] - circle_points[i]) % 1 if i + 1 < m
+        else circle_points[0] + 1 - circle_points[-1]
+        for i in range(m)
+    )
+    return largest_gap >= 1 - arc
+
+
+def fraction_sorted_orbits(system: PiecewiseAffineMVSystem, max_period: int) -> list[PeriodicOrbit]:
+    """Reference for ``circle.enumerate_periodic_orbits``: the visitor's
+    orbits as Fraction points, sorted by (period, points)."""
+    found: list[PeriodicOrbit] = []
+
+    def consume(word, numerators, denom):
+        found.append(PeriodicOrbit(word, tuple(Fraction(x, denom) for x in numerators)))
+
+    visit_periodic_orbits(system, max_period, consume)
+    return sorted(found, key=lambda o: (o.period, o.points))

@@ -25,7 +25,7 @@ from mvergo.circle import (
     three_branch_doubling,
     visit_periodic_orbits,
 )
-from oracles import fraction_periodic_orbits
+from oracles import fraction_is_sturmian, fraction_periodic_orbits, fraction_sorted_orbits
 
 F = Fraction
 
@@ -330,6 +330,72 @@ def test_is_sturmian_matches_arc_search(points, arc):
         all((q - p) % 1 <= arc for q in pts) for p in pts
     )
     assert is_sturmian(pts, arc) == brute
+
+
+def test_is_sturmian_integer_gaps_pin_edge_cases():
+    cases = [
+        # a point at 1 is the point 0: doubling's fixed point at 1 and at 0
+        ([F(1), F(0)], F(1, 100), True),
+        ([F(1), F(1, 2)], F(1, 2), True),
+        ([F(1), F(1, 2)], F(1, 4), False),
+        # a largest gap of exactly 1 - arc: the closed arc holds every point
+        ([F(0), F(1, 3)], F(1, 3), True),
+        ([F(1, 6), F(1, 3), F(1, 2)], F(1, 3), True),
+        ([F(1, 6), F(1, 3), F(1, 2)], F(1, 3) - F(1, 10 ** 30), False),
+        # arc = 1 holds any point set
+        ([F(0), F(1, 3), F(2, 3)], 1, True),
+        ([F(k, 97) for k in range(97)], F(1), True),
+        # a float arc length is read as its exact binary rational
+        ([F(0), F(1, 4)], 0.25, True),
+        ([F(0), F(1, 10)], 0.1, True),  # the float 0.1 exceeds 1/10
+        ([F(0), F(1, 10)], math.nextafter(0.1, 0), False),
+        ([0.0, 0.1], 0.1, True),
+        # repeated points count once
+        ([F(1, 5)] * 4, F(1, 100), True),
+        ([F(0), F(0), F(1, 2), F(1, 2), F(1)], F(1, 2), True),
+        ([F(0), F(0), F(1, 2), F(1, 2), F(1)], F(1, 3), False),
+        # points outside [0, 1) are taken mod 1
+        ([F(-1, 4), F(5, 4)], F(1, 2), True),
+        ([F(-1, 4), F(5, 4)], F(1, 3), False),
+    ]
+    for points, arc, expected in cases:
+        assert is_sturmian(points, arc) is expected, (points, arc)
+        assert fraction_is_sturmian(points, arc) is expected, (points, arc)
+    for arc in (0, -F(1, 2), F(3, 2), 1.5):
+        with pytest.raises(ValueError):
+            is_sturmian([F(0)], arc)
+    assert is_sturmian([], F(1, 2))
+
+
+def test_is_sturmian_matches_fraction_oracle_on_orbits():
+    for system, period in ((pq_correspondence(2, 3), 7), (three_branch_doubling(), 7),
+                           (doubling_map(), 8)):
+        orbits = enumerate_periodic_orbits(system, period)
+        for arc in (F(1, 4), F(1, 3), F(1, 2), F(2, 3), 1, 0.3):
+            flags = [is_sturmian(o, arc) for o in orbits]
+            assert flags == [fraction_is_sturmian(o, arc) for o in orbits]
+            if arc != 1:
+                assert True in flags and False in flags
+
+
+@pytest.mark.parametrize("system, period", [
+    (pq_correspondence(2, 3), 8),
+    (pq_correspondence(1, 2), 9),
+    (three_branch_doubling(), 8),
+    (doubling_map(), 10),
+], ids=["pq23-8", "pq12-9", "threebranch-8", "doubling-10"])
+def test_enumerate_periodic_orbits_integer_sort_matches_fraction_sort(system, period):
+    orbits = enumerate_periodic_orbits(system, period)
+    assert orbits == fraction_sorted_orbits(system, period)
+    assert all(type(x) is Fraction for o in orbits for x in o.points)
+
+
+def test_pq23_mixes_denominators_within_one_period():
+    # the integer sort scales numerators over several denominators per period
+    dens: dict[int, set] = {}
+    visit_periodic_orbits(pq_correspondence(2, 3), 8,
+                          lambda w, xs, d: dens.setdefault(len(w), set()).add(d))
+    assert max(len(v) for v in dens.values()) == 5
 
 
 def test_necklaces_fkm_against_brute_force():

@@ -266,6 +266,21 @@ def test_cli_bad_arguments_exit_code(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["hull", "--max-period", "2"],
+    ["sweep", "--theta-grid", "2", "--max-period", "2", "--grid", "8"],
+    ["mea", "--builtin", "z4", "--f", "indicator:0"],
+], ids=lambda argv: argv[0])
+def test_cli_unwritable_out_exit_code(tmp_path, capsys, argv):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "x"  # its parent is a regular file, so no directory can be made
+    assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}")
+    assert "Traceback" not in err
+
+
 def test_cmd_verify_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["verify", "--seed", "7", "--count", "25", "--out", str(out1)]) == 0
