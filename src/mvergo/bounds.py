@@ -182,42 +182,46 @@ class GridModel:
     tails: np.ndarray        # edge tails, canonical edge order
 
 
-def _cells_meeting(lo: Fraction, hi: Fraction, g: int) -> range:
-    """Indices a with [a/g, (a+1)/g] meeting the closed interval [lo, hi]."""
-    a_min = math.ceil(lo * g) - 1
-    a_max = math.floor(hi * g)
-    return range(max(a_min, 0), min(a_max, g - 1) + 1)
-
-
 def outer_grid_system(system: PiecewiseAffineMVSystem, grid_n: int) -> GridModel:
     """Cell a links to cell b iff some branch image of (cell a intersected
-    with the branch domain) meets cell b; wrapping images are split mod 1."""
+    with the branch domain) meets cell b; wrapping images are split mod 1.
+
+    Cells are closed, [a/g, (a+1)/g], and so are the images.  Decided in
+    integers, one branch at a time: with slope p/q, offset e/f and domain
+    [ln/ld, hn/hd], every x end is u/D over D = lcm(g, ld, hd) and its image
+    is (p f u + e q D)/E over E = q f D, a multiple of g.  The cells meeting
+    [y1/E, y2/E] are ceil(y1 g/E) - 1 through floor(y2 g/E), clipped to the
+    grid."""
     g = int(grid_n)
     if g < GRID_MIN:
         raise ValueError(f"grid_n must be at least {GRID_MIN}")
-    edges: set[tuple[int, int]] = set()
+    edges: set[int] = set()  # edge (a, b) as a * g + b
     for br in system.branches:
-        for a in _cells_meeting(br.lo, br.hi, g):
-            lo = max(Fraction(a, g), br.lo)
-            hi = min(Fraction(a + 1, g), br.hi)
-            y1, y2 = sorted((br.slope * lo + br.offset, br.slope * hi + br.offset))
+        p, q = br.slope.numerator, br.slope.denominator
+        e, f = br.offset.numerator, br.offset.denominator
+        x_den = math.lcm(g, br.lo.denominator, br.hi.denominator)
+        y_den = q * f * x_den
+        x_step, y_step = x_den // g, y_den // g
+        lo = br.lo.numerator * (x_den // br.lo.denominator)
+        hi = br.hi.numerator * (x_den // br.hi.denominator)
+        pf, eqd = p * f, e * q * x_den
+        for a in range(max(-(-lo // x_step) - 1, 0), min(hi // x_step, g - 1) + 1):
+            y1 = pf * max(a * x_step, lo) + eqd
+            y2 = pf * min((a + 1) * x_step, hi) + eqd
+            if y1 > y2:
+                y1, y2 = y2, y1
+            row = a * g
             if br.wraps:
-                shift = math.floor(y1)
-                y1, y2 = y1 - shift, y2 - shift
-                spans = []
-                while y2 > 1:
-                    spans.append((y1, Fraction(1)))
-                    y1, y2 = Fraction(0), y2 - 1
-                spans.append((y1, y2))
-            else:
-                spans = [(y1, y2)]
-            for s1, s2 in spans:
-                for b in _cells_meeting(s1, s2, g):
-                    edges.add((a, b))
-                # a closed image touching 1 also meets cell 0 on the circle
-                if br.wraps and s2 == 1:
-                    edges.add((a, 0))
-    fs = FiniteMVSystem.make(g, edges)
+                y1, y2 = y1 % y_den, y2 - y1 // y_den * y_den
+                while y2 > y_den:  # a full turn to 1; the next span starts at 0
+                    edges.update(range(row + max(-(-y1 // y_step) - 1, 0), row + g))
+                    y1, y2 = 0, y2 - y_den
+                if y2 == y_den:  # a closed image touching 1 also meets cell 0
+                    edges.add(row)
+            edges.update(range(row + max(-(-y1 // y_step) - 1, 0),
+                               row + min(y2 // y_step, g - 1) + 1))
+    # sorted codes are the canonical (tail, head) order
+    fs = FiniteMVSystem(g, tuple([divmod(c, g) for c in sorted(edges)]))
     centers = (np.arange(g) + 0.5) / g
     return GridModel(fs, g, centers, fs.edge_array[:, 0])
 

@@ -30,7 +30,7 @@ from .mea import NoCycleError, NoPathError, mea_report
 from .measures import extreme_invariant_measures
 from .subaction import PositiveCycleError, ViolatedEdgeError, subaction_for_state_function
 from .svg import hull_chart, line_chart
-from .system import FiniteMVSystem, lift_function
+from .system import FiniteMVSystem, TooManyCyclesError, lift_function
 from .verify import run_verify
 
 EXIT_OK = 0
@@ -377,6 +377,9 @@ def main(argv=None) -> int:
     except NoPathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except TooManyCyclesError as exc:
+        print(f"error: input too large: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -14,6 +14,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# Johnson's enumeration is exponential in the graph, so it stops at a count
+# far above the largest any test or benchmark input reaches (39 cycles)
+SIMPLE_CYCLE_LIMIT = 100_000
+
+
+class TooManyCyclesError(Exception):
+    """The graph has more simple cycles than ``SIMPLE_CYCLE_LIMIT``."""
+
+    def __init__(self, limit: int):
+        super().__init__(f"more than {limit} simple cycles; their enumeration stops there")
+        self.limit = limit
+
 
 def _grouped(n: int, pairs) -> tuple[tuple[int, ...], ...]:
     """The values of (key, value) pairs grouped by key in 0..n-1, in pair
@@ -195,6 +207,8 @@ def simple_cycles(system: FiniteMVSystem) -> list[tuple[int, ...]]:
     """All simple directed cycles, as state tuples starting at each cycle's
     smallest state.  Johnson's algorithm with an explicit stack, so long
     paths cost no recursion depth; output sorted by (length, states).
+    Raises ``TooManyCyclesError`` once more than ``SIMPLE_CYCLE_LIMIT``
+    cycles are found.
     """
     n = system.n_states
     live = eventual_domain(system)  # every cycle lies inside it
@@ -214,6 +228,8 @@ def simple_cycles(system: FiniteMVSystem) -> list[tuple[int, ...]]:
         while frames:
             for w in frames[-1]:
                 if w == s:
+                    if len(cycles) == SIMPLE_CYCLE_LIMIT:
+                        raise TooManyCyclesError(SIMPLE_CYCLE_LIMIT)
                     cycles.append(tuple(path))
                     found[-1] = True
                 elif w > s and not blocked[w]:

@@ -18,6 +18,7 @@ from itertools import combinations, product
 
 import numpy as np
 
+from mvergo.bounds import GridModel
 from mvergo.circle import PeriodicOrbit, PiecewiseAffineMVSystem, visit_periodic_orbits
 from mvergo.mea import NoCycleError
 from mvergo.measures import Cycle, VertexMeasure, convex_combination, cycle_measure
@@ -464,3 +465,42 @@ def fraction_sorted_orbits(system: PiecewiseAffineMVSystem, max_period: int) -> 
 
     visit_periodic_orbits(system, max_period, consume)
     return sorted(found, key=lambda o: (o.period, o.points))
+
+
+def _cells_meeting(lo: Fraction, hi: Fraction, g: int) -> range:
+    """Indices a with [a/g, (a+1)/g] meeting the closed interval [lo, hi]."""
+    a_min = math.ceil(lo * g) - 1
+    a_max = math.floor(hi * g)
+    return range(max(a_min, 0), min(a_max, g - 1) + 1)
+
+
+def fraction_outer_grid_system(system: PiecewiseAffineMVSystem, grid_n: int) -> GridModel:
+    """Reference for ``bounds.outer_grid_system``, in ``Fraction`` arithmetic:
+    cell a links to cell b iff some branch image of (cell a intersected with
+    the branch domain) meets cell b; wrapping images are split mod 1."""
+    g = int(grid_n)
+    edges: set[tuple[int, int]] = set()
+    for br in system.branches:
+        for a in _cells_meeting(br.lo, br.hi, g):
+            lo = max(Fraction(a, g), br.lo)
+            hi = min(Fraction(a + 1, g), br.hi)
+            y1, y2 = sorted((br.slope * lo + br.offset, br.slope * hi + br.offset))
+            if br.wraps:
+                shift = math.floor(y1)
+                y1, y2 = y1 - shift, y2 - shift
+                spans = []
+                while y2 > 1:
+                    spans.append((y1, Fraction(1)))
+                    y1, y2 = Fraction(0), y2 - 1
+                spans.append((y1, y2))
+            else:
+                spans = [(y1, y2)]
+            for s1, s2 in spans:
+                for b in _cells_meeting(s1, s2, g):
+                    edges.add((a, b))
+                # a closed image touching 1 also meets cell 0 on the circle
+                if br.wraps and s2 == 1:
+                    edges.add((a, 0))
+    fs = FiniteMVSystem.make(g, edges)
+    centers = (np.arange(g) + 0.5) / g
+    return GridModel(fs, g, centers, fs.edge_array[:, 0])

@@ -1,8 +1,10 @@
 """bounds: certified sandwich bounds, sweeps, barycentre hulls."""
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mvergo.bounds import (
@@ -19,12 +21,17 @@ from mvergo.bounds import (
     theta_sweep,
 )
 from mvergo.circle import (
+    Branch,
+    PeriodicOrbit,
+    PiecewiseAffineMVSystem,
     doubling_map,
     is_sturmian,
     pq_correspondence,
     three_branch_doubling,
+    visit_periodic_orbits,
 )
 from mvergo.geometry import convex_hull, is_convex_polygon, orientation
+from oracles import fraction_outer_grid_system
 
 F = Fraction
 
@@ -180,6 +187,21 @@ def test_orbit_table_reconstruction():
                 assert float(p) == table.points[start + offset]
 
 
+def test_orbit_table_reconstruction_repeated_least_point():
+    # three-branch rows whose least point repeats take the batched path's
+    # per-row tie-break; each must rebuild to the visitor's exact orbit
+    system = three_branch_doubling()
+    calls = []
+    visit_periodic_orbits(system, 10, lambda *call: calls.append(call))
+    table = orbit_table(system, 10)
+    tied = [i for i, (_, xs, _) in enumerate(calls) if xs.count(min(xs)) > 1]
+    assert len(tied) == 46
+    assert sum(len(calls[i][0]) == 10 for i in tied) == 28
+    for idx in tied:
+        word, xs, den = calls[idx]
+        assert table.orbit(idx) == PeriodicOrbit(word, tuple(F(x, den) for x in xs))
+
+
 def test_hull_doubling_extremal_orbits_in_semicircle():
     points = barycentre_hull(pq_correspondence(1, 2), 8)
     extremal = [bp for bp in points if bp.on_hull]
@@ -255,3 +277,60 @@ def test_outer_grid_covers_true_transitions():
                 a = min(int(math.floor(orbit.points[i] * g)), g - 1)
                 b = min(int(math.floor(orbit.points[(i + 1) % k] * g)), g - 1)
                 assert model.system.has_edge(a, b)
+
+
+def _random_branch(rng):
+    """A valid branch of rational slope of either sign, wrapping or not."""
+    while True:
+        slope = F(rng.randint(11, 70), rng.randint(1, 10)) * rng.choice((1, -1))
+        if abs(slope) <= 1:
+            continue
+        den = rng.randint(1, 13)
+        lo, hi = sorted(F(rng.randint(0, den), den) for _ in range(2))
+        if rng.random() < 0.4:
+            return Branch(slope, F(rng.randint(-40, 40), rng.randint(1, 11)), lo, hi, wraps=True)
+        low, high = sorted((slope * lo, slope * hi))
+        if high - low <= 1:
+            offset = -low + (1 - high + low) * F(rng.randint(0, 7), 7)
+            return Branch(slope, offset, lo, hi)
+
+
+def _assert_grid_matches_oracle(system, g):
+    model = outer_grid_system(system, g)
+    oracle = fraction_outer_grid_system(system, g)
+    assert model.system.edges == oracle.system.edges
+    assert model.grid_n == oracle.grid_n == g
+    assert np.array_equal(model.centers, oracle.centers)
+    assert np.array_equal(model.tails, oracle.tails)
+
+
+@pytest.mark.parametrize("g", [8, 9, 64, 100, 1024, 2048])
+def test_integer_grid_matches_fraction_oracle_on_builtins(g):
+    for system in (doubling_map(), three_branch_doubling(), pq_correspondence(2, 3),
+                   pq_correspondence(1, 2), pq_correspondence(3, 4), pq_correspondence(3, 7)):
+        _assert_grid_matches_oracle(system, g)
+
+
+def test_integer_grid_matches_fraction_oracle_on_random_systems():
+    rng = random.Random(4242)
+    negative = wrapping = 0
+    for trial in range(40):
+        branches = tuple(_random_branch(rng) for _ in range(rng.randint(1, 4)))
+        negative += sum(br.slope < 0 for br in branches)
+        wrapping += sum(br.wraps for br in branches)
+        system = PiecewiseAffineMVSystem(branches, metric=rng.choice(("interval", "circle")))
+        for g in (8, rng.randint(9, 300)) + ((2048,) if trial % 8 == 0 else ()):
+            _assert_grid_matches_oracle(system, g)
+    assert negative > 15 and wrapping > 15
+
+
+def test_integer_grid_pins_closed_cell_edges():
+    # doubling at g = 8: cell 3 = [3/8, 1/2] maps onto [3/4, 1] and also
+    # meets the branch 2x - 1 at its point 1/2, whose image 0 touches cell 0
+    model = outer_grid_system(doubling_map(), 8)
+    assert model.system.successors[3] == (0, 5, 6, 7)
+    # a wrapping image ending exactly at 1 also meets cell 0
+    whole = PiecewiseAffineMVSystem((Branch(F(2), F(0), F(0), F(1), wraps=True),), "circle")
+    assert outer_grid_system(whole, 8).system.successors[3] == (0, 5, 6, 7)
+    with pytest.raises(ValueError):
+        outer_grid_system(doubling_map(), 7)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mvergo.circle as circle
 from mvergo.circle import (
     Branch,
     NotExpandingError,
@@ -25,6 +26,7 @@ from mvergo.circle import (
     three_branch_doubling,
     visit_periodic_orbits,
 )
+from mvergo.circle import _batch_slope, _integer_branches, _visit_batched, _visit_words
 from oracles import fraction_is_sturmian, fraction_periodic_orbits, fraction_sorted_orbits
 
 F = Fraction
@@ -164,6 +166,137 @@ def test_visit_periodic_orbits_matches_fraction_oracle(system, max_period):
     fraction_periodic_orbits(system, max_period, lambda *call: expected.append(call))
     assert got
     assert got == expected
+
+
+def _per_word_calls(system, max_period):
+    """The consume calls of the per-word integer path at every period."""
+    unit, rows = _integer_branches(system)
+    calls = []
+    for k in range(1, max_period + 1):
+        _visit_words(k, rows, unit, lambda *call: calls.append(call))
+    return calls
+
+
+def _visit_calls(system, max_period):
+    calls = []
+    visit_periodic_orbits(system, max_period, lambda *call: calls.append(call))
+    return calls
+
+
+# A and B share the offset 0 on [1/3, 1/2]: the same point sequence follows
+# several words, so the per-period dedup has work to do
+SHARED_IMAGE = PiecewiseAffineMVSystem(
+    branches=(
+        Branch(F(2), F(0), F(0), F(1, 2)),
+        Branch(F(2), F(0), F(1, 3), F(1, 2)),
+        Branch(F(2), F(-1), F(1, 2), F(1)),
+    ),
+    name="shared",
+)
+
+
+def test_batch_eligibility():
+    assert _batch_slope(doubling_map()) == 2
+    assert _batch_slope(three_branch_doubling()) == 2
+    for system in (pq_correspondence(2, 3), pq_correspondence(1, 2), MIXED, NEGATIVE_WRAP,
+                   SHARED_IMAGE):
+        assert _batch_slope(system) is None
+    touching = PiecewiseAffineMVSystem(branches=(  # equal offsets, domains meet at 1/4
+        Branch(F(2), F(0), F(0), F(1, 4)),
+        Branch(F(2), F(0), F(1, 4), F(1, 2)),
+    ))
+    assert _batch_slope(touching) is None
+    apart = PiecewiseAffineMVSystem(branches=(  # equal offsets, disjoint domains
+        Branch(F(3), F(0), F(0), F(1, 4)),
+        Branch(F(3), F(0), F(1, 4) + F(1, 100), F(1, 3)),
+    ))
+    assert _batch_slope(apart) == 3
+    rational = PiecewiseAffineMVSystem(branches=(Branch(F(5, 2), F(0), F(0), F(2, 5)),))
+    assert _batch_slope(rational) is None
+
+
+def test_shared_image_system_keeps_per_word_dedup():
+    calls = _visit_calls(SHARED_IMAGE, 6)
+    assert len(calls) == 23
+    assert calls.count(((0, 2), (1, 2), 3)) == 1
+    # the batched path, which skips the dedup and the primitivity test,
+    # would emit 48 calls: 44 primitive point sequences, 23 of them distinct
+    unit, rows = _integer_branches(SHARED_IMAGE)
+    batched = []
+    for k in range(1, 7):
+        assert _visit_batched(k, 2, rows, unit, lambda *call: batched.append(call))
+    primitive = [(xs, d) for _, xs, d in batched
+                 if all(xs[p:] + xs[:p] != xs for p in range(1, len(xs)))]
+    assert (len(batched), len(primitive), len(set(primitive))) == (48, 44, 23)
+    expected = []
+    fraction_periodic_orbits(SHARED_IMAGE, 6, lambda *call: expected.append(call))
+    assert calls == expected
+
+
+@pytest.mark.parametrize("system", [doubling_map(), three_branch_doubling()],
+                         ids=lambda s: s.name)
+def test_batched_orbits_match_per_word_path(system):
+    unit, rows = _integer_branches(system)
+    assert all(_visit_batched(k, 2, rows, unit, lambda *call: None) for k in range(1, 13))
+    calls = _visit_calls(system, 12)
+    assert calls == _per_word_calls(system, 12)
+    assert all(type(x) is int for _, xs, d in calls[::97] for x in xs + (d,))
+
+
+def _random_eligible_system(rng):
+    s = rng.choice((2, 3, 4))
+    while True:
+        branches = []
+        for _ in range(rng.randint(1, 4)):
+            den = rng.randint(1, 12)
+            width = F(rng.randint(0, den), den * s)  # the image fits in [0, 1]
+            lo = F(rng.randint(0, den), den) * (1 - width)
+            low_off, high_off = -s * lo, 1 - s * (lo + width)
+            offset = low_off + (high_off - low_off) * F(rng.randint(0, 6), 6)
+            branches.append(Branch(F(s), offset, lo, lo + width))
+        system = PiecewiseAffineMVSystem(tuple(branches))
+        if _batch_slope(system) == s:
+            return system
+
+
+def test_batched_orbits_match_references_on_random_systems():
+    rng = random.Random(808)
+    total = 0
+    for trial in range(40):
+        system = _random_eligible_system(rng)
+        period = {1: 10, 2: 9, 3: 7, 4: 6}[len(system.branches)]
+        calls = _visit_calls(system, period)
+        assert calls == _per_word_calls(system, period)
+        if trial < 8:
+            expected = []
+            fraction_periodic_orbits(system, min(period, 6), lambda *call: expected.append(call))
+            assert _visit_calls(system, min(period, 6)) == expected
+        total += len(calls)
+    assert total > 1000
+
+
+def test_batched_path_falls_back_per_period_past_int64(monkeypatch):
+    system = three_branch_doubling()
+    reference = _per_word_calls(system, 9)
+    unit, rows = _integer_branches(system)
+    # a bound of 2^12 fits periods up to 7 only (3^8 > 2^12); later periods take the
+    # per-word path and the calls stay the same
+    monkeypatch.setattr(circle, "_INT64_SAFE", 1 << 12)
+    fits = [_visit_batched(k, 2, rows, unit, lambda *call: None) for k in range(1, 10)]
+    assert fits == [True] * 7 + [False] * 2
+    assert _visit_calls(system, 9) == reference
+    monkeypatch.undo()
+    # a domain denominator of 2^62 fails the bound at every period
+    fine = PiecewiseAffineMVSystem(branches=(
+        Branch(F(2), F(0), F(0), F(1, 2) - F(1, 2 ** 62)),
+        Branch(F(2), F(-1), F(1, 2), F(1)),
+    ))
+    unit, rows = _integer_branches(fine)
+    assert _batch_slope(fine) == 2
+    assert not _visit_batched(1, 2, rows, unit, lambda *call: None)
+    expected = []
+    fraction_periodic_orbits(fine, 6, lambda *call: expected.append(call))
+    assert _visit_calls(fine, 6) == expected
 
 
 def test_pq23_orbit_counts():

@@ -110,6 +110,16 @@ def test_cmd_measures(tmp_path):
     )
 
 
+def test_cmd_measures_too_many_cycles_exit_code(tmp_path, capsys):
+    n = 12  # the complete digraph: far more simple cycles than the limit
+    doc = {"n_states": n, "edges": [[a, b] for a in range(n) for b in range(n)]}
+    path = tmp_path / "complete.json"
+    path.write_text(json.dumps(doc))
+    assert main(["measures", "--input", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "simple cycles" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cmd_measures_identity_and_empty(tmp_path):
     out1 = tmp_path / "a"
     assert main(["measures", "--builtin", "identity:3", "--out", str(out1)]) == 0

@@ -6,7 +6,9 @@ import pytest
 from fractions import Fraction
 
 from mvergo.system import (
+    SIMPLE_CYCLE_LIMIT,
     FiniteMVSystem,
+    TooManyCyclesError,
     eventual_domain,
     graph_system,
     induced_subsystem,
@@ -179,6 +181,21 @@ def test_simple_cycles_against_dfs_oracle():
         s = random_system(rng, max_states=7)
         assert simple_cycles(s) == dfs_simple_cycles(s)
     assert len(simple_cycles(z4_system())) == 6
+
+
+def _complete_digraph(n):
+    return FiniteMVSystem.make(n, [(a, b) for a in range(n) for b in range(n)])
+
+
+def test_simple_cycles_limit_fails_fast_on_complete_digraph():
+    # with loops, K_n has sum_k C(n, k) (k - 1)! simple cycles: 16072 for
+    # n = 8, 125673 for n = 9 and more than 29! for n = 30
+    assert len(simple_cycles(_complete_digraph(8))) == 16072
+    for n in (9, 30):
+        with pytest.raises(TooManyCyclesError) as info:
+            simple_cycles(_complete_digraph(n))
+        assert info.value.limit == SIMPLE_CYCLE_LIMIT
+        assert str(SIMPLE_CYCLE_LIMIT) in str(info.value)
 
 
 def test_simple_cycles_long_ring_without_recursion():
