@@ -1,13 +1,19 @@
-"""Shared numeric helpers: the -infinity sentinel, rational/decimal parsing
-and the float tolerance policy.
+"""Shared numeric helpers: the -infinity sentinel, rational/decimal parsing,
+and the one number policy of the finite layer.
 
 Exact rational arithmetic (fractions.Fraction) is the default number type
 throughout the package; floats appear only where a caller opts in (large
-sweeps, cosine evaluation).
+sweeps, cosine evaluation, decimal input tokens), and ``finite`` keeps
+infinite and NaN floats out of the input.  ``mea``, ``subaction`` and
+``measures`` run rational inputs as Python ints over one common denominator
+(``scaled``, undone by ``divide``), and every equality decision they make
+allows ``tie_tolerance``: 0 when every input is rational, the float policy
+``float_tolerance`` when any is a float.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -60,16 +66,25 @@ class NegInfinity:
 NEG_INF = NegInfinity()
 
 
+def finite(x):
+    """x itself when it is finite; ValueError for an infinite or NaN float."""
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"numbers must be finite, got {x!r}")
+    return x
+
+
 def parse_number(text: str):
     """Parse a number token: "p/q" and integer strings are exact Fractions,
-    anything with a decimal point or exponent is read as a binary float."""
+    anything with a decimal point or exponent is read as a binary float.
+    Raises ValueError on a malformed token and on one that reads as an
+    infinite or NaN float ("inf", "nan", "1e400")."""
     s = text.strip()
     if "/" in s:
         return Fraction(s)
     try:
         return Fraction(int(s))
     except ValueError:
-        return float(s)
+        return finite(float(s))
 
 
 def format_number(x) -> str:
@@ -96,3 +111,23 @@ def tie_tolerance(values):
     """Tolerance of equality decisions among sums of these values: 0 (exact)
     when every value is rational, float_tolerance(values) when any is a float."""
     return float_tolerance(values) if any(isinstance(x, float) for x in values) else 0
+
+
+def scaled(*groups):
+    """The number format of the finite layer: when every value in the groups
+    is rational, each group as Python ints over the values' common
+    denominator D, and D, so that a pass adds and compares exactly in
+    integers; when any value is a float, the groups unchanged and D = None."""
+    if any(isinstance(x, float) for group in groups for x in group):
+        return groups, None
+    # lists: CPython parks each dead tuple built from a generator in its free list
+    d = math.lcm(*[x.denominator for group in groups for x in group])
+    return [[x.numerator * (d // x.denominator) for x in group] for group in groups], d
+
+
+def divide(num, k: int, d=None):
+    """num / k, exact unless num is a float; num / (k d) for a result in the
+    format of ``scaled`` with D = d."""
+    if isinstance(num, float):
+        return num / k
+    return Fraction(num, k * (d or 1))

@@ -44,8 +44,6 @@ GRID_MIN = 8
 class CosWave:
     """f_theta(x) = cos(2 pi (x - theta)); Lipschitz constant 2 pi."""
 
-    family = "cos"
-
     def __init__(self, theta):
         self.theta = Fraction(theta)
         self.lipschitz = 2 * math.pi
@@ -59,8 +57,6 @@ class CosWave:
 
 class NegDistance:
     """g_theta(x) = -d(x, theta); Euclidean on [0, 1] or intrinsic circle."""
-
-    family = "negdist"
 
     def __init__(self, theta, metric: str = "interval"):
         self.theta = Fraction(theta)
@@ -84,8 +80,6 @@ class NegDistance:
 
 class ConstFunction:
     """Constant function; Lipschitz constant 0."""
-
-    family = "const"
 
     def __init__(self, c):
         self.c = c
@@ -301,10 +295,10 @@ class BarycentrePoint:
     sturmian: bool
 
 
-def barycentre_hull(system: PiecewiseAffineMVSystem, max_period: int,
-                    arc_length=None) -> list[BarycentrePoint]:
+def barycentre_hull(system: PiecewiseAffineMVSystem, max_period: int) -> list[BarycentrePoint]:
     """Barycentres of all periodic orbits up to max_period, with exact-hull
-    extremality flags and the Sturmian arc classification.
+    extremality flags and the Sturmian arc classification over the system's
+    ``sturmian_arc`` (1/2 when it has none).
 
     The barycentres are float approximations, evaluated in floating point
     from the exact orbit points.  The hull is exact over those float values
@@ -313,8 +307,7 @@ def barycentre_hull(system: PiecewiseAffineMVSystem, max_period: int,
     barycentres, the flags can differ from the exact set's.  A float pair
     equals and hashes like its Fraction vertex, so the flags are read off
     the hull's vertex set directly."""
-    if arc_length is None:
-        arc_length = system.sturmian_arc if system.sturmian_arc is not None else Fraction(1, 2)
+    arc_length = system.sturmian_arc if system.sturmian_arc is not None else Fraction(1, 2)
     orbits = enumerate_periodic_orbits(system, max_period)
     values = [barycentre(o) for o in orbits]
     coords = [(z.real, z.imag) for z in values]

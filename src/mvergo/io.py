@@ -3,7 +3,8 @@
 A system document is a single JSON object with fields ``n_states`` (integer)
 and ``edges`` (list of [tail, head] pairs), plus optional ``f_state`` /
 ``f_edge`` value lists parallel to states / sorted edges.  Number tokens may
-be "p/q" strings (exact) or decimals (binary floats).
+be "p/q" strings (exact) or decimals (binary floats); infinite and NaN
+values (JSON ``Infinity``/``NaN`` tokens, "inf" strings) are rejected.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from ._numbers import format_number, parse_number
+from ._numbers import finite, format_number, parse_number
 from .system import FiniteMVSystem
 
 
@@ -31,19 +32,13 @@ def _parse_values(raw, expected_len: int, label: str) -> tuple:
         raise InputFormatError(f"{label} must be a list of {expected_len} numbers")
     out = []
     for v in raw:
-        if isinstance(v, str):
-            try:
-                out.append(parse_number(v))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InputFormatError(f"bad number {v!r} in {label}: {exc}") from exc
-        elif isinstance(v, bool):
+        if isinstance(v, bool) or not isinstance(v, (str, int, float)):
             raise InputFormatError(f"{label} entries must be numbers")
-        elif isinstance(v, int):
-            out.append(parse_number(str(v)))
-        elif isinstance(v, float):
-            out.append(v)
-        else:
-            raise InputFormatError(f"{label} entries must be numbers")
+        try:
+            # an integer token goes through its text and becomes a Fraction
+            out.append(finite(v) if isinstance(v, float) else parse_number(str(v)))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputFormatError(f"bad number {v!r} in {label}: {exc}") from exc
     return tuple(out)
 
 

@@ -5,21 +5,23 @@ computed exactly with Karp's maximum mean cycle algorithm, and for float
 weights on large grids with Howard's policy iteration, whose value is
 checked by a potential that bounds every cycle mean.  Karp's table, the
 tight-edge potentials, the finite-horizon path maxima and ``subaction``'s
-potential all run one max-plus relaxation step (``_relax``), on rational
-inputs scaled to Python ints over one denominator (``_scaled``).  Alongside
-come a prefix-sum rotation witness and a brute-force oracle.
+potential all run one max-plus relaxation step (``_relax``).  They take the
+number format and the tolerance of the finite layer from ``_numbers``:
+rational inputs run as Python ints over one denominator (``scaled``), and
+equality decisions allow ``tie_tolerance``, which is 0 unless an input is
+a float.  Alongside come a prefix-sum rotation witness and a brute-force
+oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from ._numbers import NEG_INF, float_tolerance, tie_tolerance
+from ._numbers import NEG_INF, divide, float_tolerance, scaled, tie_tolerance
 from .measures import Cycle, VertexMeasure, cycle_measure
 from .system import FiniteMVSystem, eventual_domain, lift_function, simple_cycles
 
@@ -40,28 +42,8 @@ class PolicyIterationError(RuntimeError):
     value fails the potential check."""
 
 
-def _divide(num, k: int, d=None):
-    """num / k, exact unless num is a float; num / (k d) for a pass result
-    scaled by ``_scaled`` with D = d."""
-    if isinstance(num, float):
-        return num / k
-    return Fraction(num, k * (d or 1))
-
-
 # ---------------------------------------------------------------------------
-# The max-plus relaxation kernel and its number format
-
-
-def _scaled(*groups):
-    """The number format of the Bellman passes: when every value in the
-    groups is rational, each group as Python ints over the values' common
-    denominator D, and D, so that a pass adds and compares exactly in
-    integers; when any value is a float, the groups unchanged and D = None."""
-    if any(isinstance(x, float) for group in groups for x in group):
-        return groups, None
-    # lists: CPython parks each dead tuple built from a generator in its free list
-    d = math.lcm(*[x.denominator for group in groups for x in group])
-    return [[x.numerator * (d // x.denominator) for x in group] for group in groups], d
+# The max-plus relaxation kernel; its number format is ``_numbers.scaled``
 
 
 def _relax(edges, weights, values, out, shift=0) -> None:
@@ -88,7 +70,7 @@ def max_mean_cycle_value(system: FiniteMVSystem, weights: Sequence):
     if len(weights) != len(system.edges):
         raise ValueError("weight vector length must equal the edge count")
     n = system.n_states
-    (w,), d = _scaled(weights)
+    (w,), d = scaled(weights)
     # rows[j][v]: the best weight of a walk with exactly j edges ending at v,
     # from a virtual source joined to every state; 0.0 in float mode keeps
     # every sum a float sum, as in plain float code
@@ -114,7 +96,7 @@ def max_mean_cycle_value(system: FiniteMVSystem, weights: Sequence):
             best = worst
     if best is None:
         raise NoCycleError("the system has no directed cycle")
-    return _divide(best[0], best[1], d)
+    return divide(best[0], best[1], d)
 
 
 def _first_argmax(values: np.ndarray, starts: np.ndarray, tails: np.ndarray):
@@ -247,7 +229,7 @@ def tight_edges(system: FiniteMVSystem, weights: Sequence, alpha) -> list[int]:
     """Edge ids whose reduced weight is realized with equality by converged
     longest-walk potentials, up to ``tie_tolerance(weights)``; cycles inside
     this subgraph are exactly the mean-maximizing cycles."""
-    (w, (a,)), d = _scaled(weights, (alpha,))
+    (w, (a,)), d = scaled(weights, (alpha,))
     pot = [0 if d else 0.0] * system.n_states
     for _ in range(system.n_states):
         nxt = list(pot)
@@ -341,13 +323,13 @@ def alpha_state(system: FiniteMVSystem, f: Sequence) -> tuple:
 
 def _segment_maxima(system: FiniteMVSystem, f: Sequence, horizon: int) -> tuple[list, object]:
     """The best sum of f over orbit segments with n steps, for n = 0..horizon
-    (None when there is no such segment), in the format of ``_scaled``, and
+    (None when there is no such segment), in the format of ``scaled``, and
     its D."""
     if len(f) != system.n_states:
         raise ValueError("state function length must equal n_states")
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    (g,), d = _scaled(f)
+    (g,), d = scaled(f)
     weights = [g[h] for _t, h in system.edges]
     cur = g
     maxima = [max(g)]
@@ -363,14 +345,14 @@ def delta_finite_horizon(system: FiniteMVSystem, f: Sequence, n: int):
     maxima, d = _segment_maxima(system, f, n)
     if maxima[n] is None:
         raise NoPathError(f"no orbit segment of length {n}")
-    return _divide(maxima[n], n + 1, d)
+    return divide(maxima[n], n + 1, d)
 
 
 def delta_sequence(system: FiniteMVSystem, f: Sequence, horizon: int) -> list[tuple[int, object]]:
     """(n, delta_n) for all n = 0..horizon in one dynamic-programming pass;
     delta_n is the NEG_INF sentinel when no segment has n steps."""
     maxima, d = _segment_maxima(system, f, horizon)
-    return [(n, NEG_INF if best is None else _divide(best, n + 1, d))
+    return [(n, NEG_INF if best is None else divide(best, n + 1, d))
             for n, best in enumerate(maxima)]
 
 
@@ -380,7 +362,7 @@ def epsilon_witness(cycle: Cycle, f: Sequence) -> int:
     values = [f[x] for x in cycle.states]
     k = len(values)
     total = sum(values)
-    mean = _divide(total, k)
+    mean = divide(total, k)
     prefix = [0 * total]
     for v in values:
         prefix.append(prefix[-1] + v - mean)
@@ -401,7 +383,7 @@ def brute_force_alpha(system: FiniteMVSystem, f: Sequence):
         raise ValueError(f"brute force is limited to {BRUTE_FORCE_STATE_LIMIT} states")
     best = NEG_INF
     for states in simple_cycles(system):
-        mean = _divide(sum(f[x] for x in states), len(states))
+        mean = divide(sum(f[x] for x in states), len(states))
         if best is NEG_INF or mean > best:
             best = mean
     return best

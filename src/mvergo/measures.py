@@ -3,8 +3,11 @@
 A probability vector on states is invariant iff it is the common marginal of
 some probability weighting on edges whose tail and head marginals agree (an
 edge circulation).  Invariance is decided by a transportation feasibility
-problem; the extreme points of the invariant set are simple-cycle measures
-that survive an exact convex-combination elimination.  Each elimination LP
+problem, a max flow on the weights in the format of ``_numbers.scaled``;
+every mass and balance check allows ``_numbers.tie_tolerance`` of the
+weights, which is 0 for rational ones.  The extreme points of the invariant
+set are simple-cycle measures that survive an exact convex-combination
+elimination.  Each elimination LP
 sees only the candidates supported inside the candidate's own support, over
 that support's coordinates, since no other candidate can take part.
 """
@@ -16,14 +19,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._numbers import divide, scaled, tie_tolerance
 from .system import FiniteMVSystem, simple_cycles
 
-FLOAT_MASS_TOL = 1e-12
-FLOAT_BALANCE_TOL = 1e-9
 
-
-def _is_exact(values) -> bool:
-    return all(isinstance(v, (Fraction, int)) for v in values)
+def _check_mass(weights, what: str) -> None:
+    """ValueError unless the weights sum to 1 up to their ``tie_tolerance``."""
+    total = sum(weights)
+    if abs(total - 1) > tie_tolerance(weights):
+        raise ValueError(f"{what} must sum to 1, got {total}")
 
 
 @dataclass(frozen=True)
@@ -37,16 +41,8 @@ class VertexMeasure:
         w = tuple(weights)
         if any(v < 0 for v in w):
             raise ValueError("measure weights must be non-negative")
-        total = sum(w)
-        if _is_exact(w):
-            if total != 1:
-                raise ValueError(f"measure weights must sum to 1, got {total}")
-        elif abs(total - 1) > FLOAT_MASS_TOL:
-            raise ValueError(f"measure weights must sum to 1, got {total}")
+        _check_mass(w, "measure weights")
         return cls(w)
-
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(v) for v in self.weights)
 
 
 @dataclass(frozen=True)
@@ -62,17 +58,11 @@ class EdgeCirculation:
             raise ValueError("circulation length must equal the edge count")
         if any(v < 0 for v in w):
             raise ValueError("circulation weights must be non-negative")
-        total = sum(w)
-        exact = _is_exact(w)
-        if exact:
-            if total != 1:
-                raise ValueError(f"circulation weights must sum to 1, got {total}")
-        elif abs(total - 1) > FLOAT_MASS_TOL:
-            raise ValueError(f"circulation weights must sum to 1, got {total}")
+        _check_mass(w, "circulation weights")
+        tol = tie_tolerance(w)
         tail, head = _raw_marginals(system, w)
         for x in range(system.n_states):
-            gap = tail[x] - head[x]
-            if (exact and gap != 0) or (not exact and abs(gap) > FLOAT_BALANCE_TOL):
+            if abs(tail[x] - head[x]) > tol:
                 raise ValueError(f"circulation is unbalanced at state {x}")
         return cls(w)
 
@@ -132,10 +122,10 @@ def cycle_measure(cycle: Cycle, system: FiniteMVSystem) -> tuple[VertexMeasure, 
     return VertexMeasure.make(vert_w), EdgeCirculation.make(system, edge_w)
 
 
-def _max_flow(n_nodes: int, arcs: list[tuple[int, int, object]], source: int, sink: int, exact: bool):
-    """Edmonds-Karp max flow.  Returns (value, flow-per-arc)."""
-    zero = Fraction(0) if exact else 0.0
-    eps = 0 if exact else 1e-15
+def _max_flow(n_nodes: int, arcs: list[tuple[int, int, object]], source: int, sink: int):
+    """Edmonds-Karp max flow over capacities of one number type.  Returns
+    (value, flow-per-arc); the flow on an arc no path uses is a zero of the
+    arc's capacity type."""
     # adjacency of arc ids; residual capacity per directed arc + reverse arc
     cap = []
     to = []
@@ -146,8 +136,8 @@ def _max_flow(n_nodes: int, arcs: list[tuple[int, int, object]], source: int, si
         cap.append(c)
         adj[v].append(len(cap))
         to.append(u)
-        cap.append(zero)
-    value = zero
+        cap.append(0 * c)
+    value = 0
     while True:
         parent_arc = [-1] * n_nodes
         parent_arc[source] = -2
@@ -156,7 +146,7 @@ def _max_flow(n_nodes: int, arcs: list[tuple[int, int, object]], source: int, si
             u = queue.popleft()
             for a in adj[u]:
                 v = to[a]
-                if parent_arc[v] == -1 and cap[a] > eps:
+                if parent_arc[v] == -1 and cap[a] > 0:
                     parent_arc[v] = a
                     queue.append(v)
         if parent_arc[sink] == -1:
@@ -185,36 +175,35 @@ def is_invariant(system: FiniteMVSystem, mu: VertexMeasure) -> tuple[bool, EdgeC
     Feasibility of the transportation problem on the bipartite tails/heads
     graph: supply mu(x) at each tail, demand mu(y) at each head, infinite
     capacity on the edges of the system.  Feasible iff the max flow moves the
-    whole unit of mass.
+    whole unit of mass, up to ``tie_tolerance`` of the weights.  Rational
+    weights run as integers over their common denominator D, so the flow is
+    exact and the witness is the flow over D.
     """
     w = mu.weights
     if len(w) != system.n_states:
         raise ValueError("measure length must equal n_states")
-    exact = _is_exact(w)
-    total = sum(w)
-    if (exact and total != 1) or (not exact and abs(total - 1) > FLOAT_MASS_TOL):
-        raise ValueError("measure must sum to 1")
+    _check_mass(w, "measure")
     n = system.n_states
+    (mass,), d = scaled(w)
+    # the unit of mass in the flow's numbers: D, or 1.0 for float weights
+    unit = d or 1.0
     source, sink = 2 * n, 2 * n + 1
-    big = Fraction(2) if exact else 2.0
     arcs: list[tuple[int, int, object]] = []
     for x in range(n):
-        if w[x] > 0:
-            arcs.append((source, x, Fraction(w[x]) if exact else float(w[x])))
+        if mass[x] > 0:
+            arcs.append((source, x, mass[x]))
     inner_start = len(arcs)
     for t, h in system.edges:
-        arcs.append((t, n + h, big))
+        arcs.append((t, n + h, 2 * unit))
     for y in range(n):
-        if w[y] > 0:
-            arcs.append((n + y, sink, Fraction(w[y]) if exact else float(w[y])))
-    value, flows = _max_flow(2 * n + 2, arcs, source, sink, exact)
-    deficit = 1 - value
-    ok = (deficit == 0) if exact else (abs(deficit) <= FLOAT_BALANCE_TOL)
-    if not ok:
+        if mass[y] > 0:
+            arcs.append((n + y, sink, mass[y]))
+    value, flows = _max_flow(2 * n + 2, arcs, source, sink)
+    # the tolerance is nonzero only for float weights, whose unit is 1.0
+    if abs(unit - value) > tie_tolerance(w):
         return False, None
-    edge_w = flows[inner_start:inner_start + len(system.edges)]
-    witness = EdgeCirculation.make(system, edge_w)
-    return True, witness
+    edge_w = [divide(x, 1, d) for x in flows[inner_start:inner_start + len(system.edges)]]
+    return True, EdgeCirculation.make(system, edge_w)
 
 
 def invariant_by_subsets(system: FiniteMVSystem, mu: VertexMeasure) -> bool:
@@ -231,11 +220,7 @@ def invariant_by_subsets(system: FiniteMVSystem, mu: VertexMeasure) -> bool:
     n = system.n_states
     if n > 16:
         raise ValueError("subset oracle is limited to n_states <= 16")
-    w = [Fraction(v) for v in mu.weights]
-    denom = 1
-    for v in w:  # grows to the lcm of the denominators
-        denom *= (v * denom).denominator
-    scaled = [(v * denom).numerator for v in w]
+    (mass_of,), _ = scaled([Fraction(v) for v in mu.weights])
     predmask = [sum(1 << t for t in preds) for preds in system.predecessors]
     size = 1 << n
     mass = [0] * size
@@ -243,7 +228,7 @@ def invariant_by_subsets(system: FiniteMVSystem, mu: VertexMeasure) -> bool:
     for mask in range(1, size):
         low = (mask & -mask).bit_length() - 1
         rest = mask & (mask - 1)
-        mass[mask] = mass[rest] + scaled[low]
+        mass[mask] = mass[rest] + mass_of[low]
         pre[mask] = pre[rest] | predmask[low]
     return all(mass[mask] <= mass[pre[mask]] for mask in range(1, size))
 

@@ -5,7 +5,9 @@ which with one cycle of tight edges certifies beta without a solver.
 Maximizing cycles live exactly on the tight (zero-slack) edges, which is the
 computational value of the construction: the support of every maximizing
 measure is pinned down by one Bellman pass, run on ``mea``'s max-plus
-relaxation step over integer-scaled reduced weights.
+relaxation step over reduced weights in the format of ``_numbers.scaled``.
+Every equality decision allows ``tie_tolerance(f)``: none for rational f,
+the float policy's slack for float f.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._numbers import NEG_INF, tie_tolerance
-from .mea import NoCycleError, _divide, _relax, _scaled, max_mean_cycle_value
+from ._numbers import NEG_INF, divide, scaled, tie_tolerance
+from .mea import NoCycleError, _relax, max_mean_cycle_value
 from .system import FiniteMVSystem, eventual_domain, lift_function
 
 
@@ -47,21 +49,21 @@ class SubactionResult:
     tight_edge_ids: tuple[int, ...]
 
 
-def compute_phi(system: FiniteMVSystem, f: Sequence, beta, tol=0) -> tuple:
+def compute_phi(system: FiniteMVSystem, f: Sequence, beta) -> tuple:
     """Backward-orbit supremum of reduced sums: phi(x) is the supremum over
     n >= 1 and orbit segments ending at x of (sum of f along the segment)
     minus n * beta.
 
     Bellman value iteration on reduced weights; rounds are monotone and
-    freeze within n_states rounds unless a reduced cycle is positive, which
-    raises PositiveCycleError.
+    freeze, up to ``tie_tolerance(f)``, within n_states rounds unless a
+    reduced cycle is positive, which raises PositiveCycleError.
     """
     if len(f) != len(system.edges):
         raise ValueError("edge function length must equal the edge count")
     n = system.n_states
-    (g, (scaled_beta,)), d = _scaled(f, (beta,))
+    (g, (scaled_beta,)), d = scaled(f, (beta,))
     reduced = [w - scaled_beta for w in g]
-    tol *= d or 1
+    tol = tie_tolerance(f)  # nonzero only for float f, which runs unscaled
     phi = [None] * n
     for _ in range(n + 1):
         nxt = [None] * n
@@ -71,7 +73,7 @@ def compute_phi(system: FiniteMVSystem, f: Sequence, beta, tol=0) -> tuple:
             (a is None) == (b is None) and (a is None or abs(a - b) <= tol)
             for a, b in zip(nxt, phi)
         ):
-            return tuple([NEG_INF if p is None else _divide(p, 1, d) for p in nxt])
+            return tuple([NEG_INF if p is None else divide(p, 1, d) for p in nxt])
         phi = nxt
     raise PositiveCycleError(
         "value iteration still improving after n_states + 1 rounds; "
@@ -90,11 +92,12 @@ def compute_v(phi: Sequence, f: Sequence, beta) -> tuple:
     return tuple(p if p is not NEG_INF else fill for p in phi)
 
 
-def verify_mane(system: FiniteMVSystem, f: Sequence, v: Sequence, beta, tol=0, phi=None) -> SubactionResult:
+def verify_mane(system: FiniteMVSystem, f: Sequence, v: Sequence, beta, phi=None) -> SubactionResult:
     """Check f + v(tail) - v(head) <= beta edge by edge, and certify beta as
     the maximum ergodic average from the slacks alone.
 
-    Raises ViolatedEdgeError on the worst edge if any slack drops below -tol.
+    With tol = ``tie_tolerance(f)``, raises ViolatedEdgeError on the worst
+    edge if any slack drops below -tol.
     Then the slacks sum around every cycle to its length times beta minus its
     weight, so beta is at least every cycle mean, up to tol; and a cycle of
     tight edges (slack <= tol) has its mean within tol of beta.  Raises
@@ -107,6 +110,7 @@ def verify_mane(system: FiniteMVSystem, f: Sequence, v: Sequence, beta, tol=0, p
         raise ValueError("edge function length must equal the edge count")
     if len(v) != system.n_states:
         raise ValueError("v length must equal n_states")
+    tol = tie_tolerance(f)
     slack = tuple([beta - (f[k] + v[t] - v[h]) for k, (t, h) in enumerate(system.edges)])
     worst = min(range(len(slack)), key=lambda k: slack[k], default=None)
     if worst is not None and slack[worst] < -tol:
@@ -133,7 +137,6 @@ def subaction_for_state_function(system: FiniteMVSystem, f: Sequence, beta=None)
     f_edge = lift_function(f, system)
     if beta is None:
         beta = max_mean_cycle_value(system, f_edge)
-    tol = tie_tolerance(f_edge)
-    phi = compute_phi(system, f_edge, beta, tol=tol)
+    phi = compute_phi(system, f_edge, beta)
     v = compute_v(phi, f_edge, beta)
-    return verify_mane(system, f_edge, v, beta, tol=tol, phi=phi)
+    return verify_mane(system, f_edge, v, beta, phi=phi)

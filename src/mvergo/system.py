@@ -94,10 +94,6 @@ class FiniteMVSystem:
     def out_edge_ids(self) -> tuple[tuple[int, ...], ...]:
         return _grouped(self.n_states, ((t, i) for i, (t, _h) in enumerate(self.edges)))
 
-    @cached_property
-    def in_edge_ids(self) -> tuple[tuple[int, ...], ...]:
-        return _grouped(self.n_states, ((h, i) for i, (_t, h) in enumerate(self.edges)))
-
     def has_edge(self, tail: int, head: int) -> bool:
         return (tail, head) in self.edge_index
 

@@ -31,6 +31,8 @@ from .measures import (
 from .subaction import subaction_for_state_function
 from .system import FiniteMVSystem, graph_system, lift_function, simple_cycles
 
+SINGLE_VALUED_EVERY = 5
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -63,14 +65,13 @@ def random_state_function(rng: random.Random, n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 10)) for _ in range(n))
 
 
-def make_instances(seed: int, count: int, max_states: int = 8,
-                   single_valued_every: int = 5) -> list[Instance]:
-    """The shared instance stream: every ``single_valued_every``-th instance
+def make_instances(seed: int, count: int, max_states: int = 8) -> list[Instance]:
+    """The shared instance stream: every ``SINGLE_VALUED_EVERY``-th instance
     is single-valued (one out-edge per state)."""
     rng = random.Random(seed)
     out = []
     for i in range(count):
-        sv = single_valued_every > 0 and i % single_valued_every == single_valued_every - 1
+        sv = i % SINGLE_VALUED_EVERY == SINGLE_VALUED_EVERY - 1
         system = random_system(rng, max_states, single_valued=sv)
         out.append(Instance(system, random_state_function(rng, system.n_states)))
     return out

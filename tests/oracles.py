@@ -1,7 +1,8 @@
 """Independent brute-force oracles used by the test suite.
 
 These deliberately avoid the package's algorithmic paths: cycles come from a
-plain DFS, invariance from the subset characterization, extreme measures from
+plain DFS, invariance from the subset characterization and from a max flow
+in ``Fraction`` arithmetic, extreme measures from
 active-set vertex enumeration of the inequality polytope and from the
 elimination LP over every other candidate, the potential
 from explicit backward-walk enumeration, float cycle means from Karp's walk
@@ -13,6 +14,7 @@ arithmetic, where the package works in integers.
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -21,7 +23,13 @@ import numpy as np
 from mvergo.bounds import GridModel
 from mvergo.circle import PeriodicOrbit, PiecewiseAffineMVSystem, visit_periodic_orbits
 from mvergo.mea import NoCycleError
-from mvergo.measures import Cycle, VertexMeasure, convex_combination, cycle_measure
+from mvergo.measures import (
+    Cycle,
+    EdgeCirculation,
+    VertexMeasure,
+    convex_combination,
+    cycle_measure,
+)
 from mvergo.system import FiniteMVSystem, simple_cycles
 
 
@@ -230,6 +238,65 @@ def subset_loop_invariance(system: FiniteMVSystem, mu: VertexMeasure) -> bool:
         if mass_a > mass_pre:
             return False
     return True
+
+
+def fraction_max_flow(n_nodes: int, arcs, source: int, sink: int):
+    """Edmonds-Karp max flow over ``Fraction`` capacities.  Returns (value,
+    flow-per-arc)."""
+    cap = []
+    to = []
+    adj: list[list[int]] = [[] for _ in range(n_nodes)]
+    for u, v, c in arcs:
+        adj[u].append(len(cap))
+        to.append(v)
+        cap.append(c)
+        adj[v].append(len(cap))
+        to.append(u)
+        cap.append(Fraction(0))
+    value = Fraction(0)
+    while True:
+        parent_arc = [-1] * n_nodes
+        parent_arc[source] = -2
+        queue = deque([source])
+        while queue and parent_arc[sink] == -1:
+            u = queue.popleft()
+            for a in adj[u]:
+                v = to[a]
+                if parent_arc[v] == -1 and cap[a] > 0:
+                    parent_arc[v] = a
+                    queue.append(v)
+        if parent_arc[sink] == -1:
+            break
+        bottleneck = None
+        v = sink
+        while v != source:
+            a = parent_arc[v]
+            bottleneck = cap[a] if bottleneck is None else min(bottleneck, cap[a])
+            v = to[a ^ 1]
+        v = sink
+        while v != source:
+            a = parent_arc[v]
+            cap[a] -= bottleneck
+            cap[a ^ 1] += bottleneck
+            v = to[a ^ 1]
+        value += bottleneck
+    return value, [cap[2 * i + 1] for i in range(len(arcs))]
+
+
+def fraction_is_invariant(system: FiniteMVSystem, mu: VertexMeasure):
+    """Reference for ``measures.is_invariant`` on rational weights: the same
+    transportation max flow, run in ``Fraction`` arithmetic."""
+    w = mu.weights
+    n = system.n_states
+    source, sink = 2 * n, 2 * n + 1
+    arcs = [(source, x, Fraction(w[x])) for x in range(n) if w[x] > 0]
+    inner_start = len(arcs)
+    arcs += [(t, n + h, Fraction(2)) for t, h in system.edges]
+    arcs += [(n + y, sink, Fraction(w[y])) for y in range(n) if w[y] > 0]
+    value, flows = fraction_max_flow(2 * n + 2, arcs, source, sink)
+    if value != 1:
+        return False, None
+    return True, EdgeCirculation.make(system, flows[inner_start:inner_start + len(system.edges)])
 
 
 def unfiltered_extreme_measures(system: FiniteMVSystem) -> list[VertexMeasure]:

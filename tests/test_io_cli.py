@@ -56,6 +56,9 @@ def test_number_tokens():
     assert parse_number("-2") == F(-2)
     assert isinstance(parse_number("0.5"), float)
     assert isinstance(parse_number("1e-3"), float)
+    for token in ("inf", "-inf", "nan", "Infinity", "1e400"):
+        with pytest.raises(ValueError, match="finite"):
+            parse_number(token)
 
 
 def _read_csv(path):
@@ -269,11 +272,32 @@ def test_cmd_sweep_max_period_over_limit_exit_code(tmp_path, capsys):
     ["subaction", "--builtin", "z4", "--f", "indicator:0", "--beta-override", "inf"],
     ["subaction", "--builtin", "z4", "--f", "indicator:0", "--beta-override=-inf"],
     ["subaction", "--builtin", "z4", "--f", "indicator:0", "--beta-override", "nan"],
+    ["mea", "--builtin", "selfloop:inf"],
+    ["mea", "--builtin", "selfloop:nan"],
+    ["mea", "--builtin", "z4", "--f", "const:-inf"],
+    ["mea", "--builtin", "z4", "--f", "const:1e400"],
+    ["subaction", "--builtin", "selfloop:-inf"],
 ], ids=" ".join)
 def test_cli_bad_arguments_exit_code(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("values", ["[NaN]", "[Infinity]", "[-Infinity]", "[1e400]",
+                                    '["inf"]', '["nan"]', '["-1e400"]'])
+@pytest.mark.parametrize("command", ["mea", "subaction", "measures"])
+def test_cli_non_finite_document_exit_code(tmp_path, capsys, command, values):
+    doc = tmp_path / "doc.json"
+    doc.write_text('{"n_states": 1, "edges": [[0, 0]], "f_state": ' + values + "}")
+    assert main([command, "--input", str(doc), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad number" in err and "finite" in err
+    assert not (tmp_path / "o").exists()
+    # the same document as a function file
+    assert main(["mea", "--builtin", "selfloop:0", "--f", f"file:{doc}",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("input error: bad number")
 
 
 @pytest.mark.parametrize("argv", [

@@ -21,6 +21,7 @@ from mvergo.measures import (
 )
 from mvergo.system import FiniteMVSystem, simple_cycles
 from oracles import (
+    fraction_is_invariant,
     identity_system,
     polytope_extreme_measures,
     subset_loop_invariance,
@@ -41,6 +42,12 @@ def test_vertex_measure_validation():
     with pytest.raises(ValueError):
         VertexMeasure.make((F(3, 2), F(-1, 2)))
     VertexMeasure.make((0.5, 0.5))
+    # one policy: exact mass for rationals, 1e-9 for floats
+    VertexMeasure.make((0.5, 0.5 + 5e-10))
+    with pytest.raises(ValueError, match="must sum to 1"):
+        VertexMeasure.make((0.5, 0.5 + 2e-9))
+    with pytest.raises(ValueError, match="must sum to 1"):
+        VertexMeasure.make((F(1, 2), F(1, 2) + F(1, 10**12)))
 
 
 def test_circulation_validation():
@@ -114,6 +121,12 @@ def test_is_invariant_floats():
     assert ok and witness is not None
     ok, _ = is_invariant(z4, VertexMeasure.make((1.0, 0.0, 0.0, 0.0)))
     assert not ok
+    # a flow deficit within the tolerance is accepted, and the witness built
+    # from that flow passes the same tolerance
+    ok, witness = is_invariant(z4, VertexMeasure.make((0.5, 0.5 - 5e-10, 5e-10, 0.0)))
+    assert ok
+    tail, head = marginals(witness, z4)
+    assert all(abs(a - b) <= 1e-9 for a, b in zip(tail.weights, head.weights))
 
 
 def random_cyclic_system(rng, max_states=6):
@@ -143,6 +156,37 @@ def test_is_invariant_matches_subset_oracle():
         if flow_ok:
             tail, head = marginals(witness, s)
             assert tail.weights == mu.weights == head.weights
+
+
+def test_is_invariant_matches_fraction_oracle():
+    # integer-scaled flow against the Fraction flow: same decision, same
+    # witness; and the same decision as Hall's condition
+    rng = random.Random(19)
+    outcomes = set()
+    checked = 0
+    for _ in range(220):
+        s = random_cyclic_system(rng, max_states=8)
+        n = s.n_states
+        cycle_weights = [cycle_measure(Cycle(c), s)[0].weights for c in simple_cycles(s)]
+        mix = [F(rng.randint(0, 5), rng.randint(1, 7)) for _ in cycle_weights]
+        mix[rng.randrange(len(mix))] += 1
+        invariant = [sum(a * w[x] for a, w in zip(mix, cycle_weights)) / sum(mix) for x in range(n)]
+        raw = [F(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(n)]
+        raw[rng.randrange(n)] += 1
+        # move mass from a state of the support to another state
+        shifted = list(invariant)
+        src = rng.choice([x for x in range(n) if shifted[x] > 0])
+        share = shifted[src] / rng.randint(1, 3)
+        shifted[src] -= share
+        shifted[rng.randrange(n)] += share
+        for weights in (invariant, [v / sum(raw) for v in raw], shifted):
+            mu = VertexMeasure.make(weights)
+            got = is_invariant(s, mu)
+            assert got == fraction_is_invariant(s, mu)
+            assert got[0] == invariant_by_subsets(s, mu)
+            outcomes.add(got[0])
+            checked += 1
+    assert checked >= 600 and outcomes == {True, False}
 
 
 def test_invariant_by_subsets_matches_per_subset_loop():

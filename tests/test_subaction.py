@@ -121,6 +121,12 @@ def test_verify_mane_raises_on_violation():
     s, fe = two_state_ab()
     with pytest.raises(ViolatedEdgeError):
         verify_mane(s, fe, (F(0), F(0)), F(1, 2))
+    # float f: slacks within tie_tolerance(f) pass and count as tight
+    two_cycle = FiniteMVSystem.make(2, [(0, 1), (1, 0)])
+    res = verify_mane(two_cycle, (1.0, 1.0), (0.0, 1e-12), 1.0)
+    assert res.tight_edge_ids == (0, 1)
+    with pytest.raises(ViolatedEdgeError):
+        verify_mane(two_cycle, (1.0, 1.0), (0.0, 1e-6), 1.0)
 
 
 def test_verify_mane_certifies_beta_without_a_solver(monkeypatch):
