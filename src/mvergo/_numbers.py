@@ -8,7 +8,8 @@ infinite and NaN floats out of the input.  ``mea``, ``subaction`` and
 ``measures`` run rational inputs as Python ints over one common denominator
 (``scaled``, undone by ``divide``), and every equality decision they make
 allows ``tie_tolerance``: 0 when every input is rational, the float policy
-``float_tolerance`` when any is a float.
+``float_tolerance`` when any is a float.  Float inputs must also leave room
+for the sums a pass forms (``check_float_range``).
 """
 
 from __future__ import annotations
@@ -111,6 +112,23 @@ def tie_tolerance(values):
     """Tolerance of equality decisions among sums of these values: 0 (exact)
     when every value is rational, float_tolerance(values) when any is a float."""
     return float_tolerance(values) if any(isinstance(x, float) for x in values) else 0
+
+
+class FloatRangeError(Exception):
+    """Float inputs so large that the sums a pass forms may overflow."""
+
+
+def check_float_range(values, n_states: int) -> None:
+    """FloatRangeError when values in float format (``scaled`` gave D = None)
+    are too large for a Bellman pass over ``n_states`` states: its walk sums
+    and potentials reach 2 * n_states * max|value|, which must stay a finite
+    float.  Values in integer format need no check."""
+    largest = float(np.abs(np.asarray(values, dtype=np.float64)).max(initial=0.0))
+    if not math.isfinite(2 * n_states * largest):
+        raise FloatRangeError(
+            f"float weights up to {largest!r} on {n_states} states: walk sums "
+            f"reach {2 * n_states} times that, beyond the float range"
+        )
 
 
 def scaled(*groups):

@@ -2,7 +2,8 @@
 
 Subcommands: mea, measures, subaction, sweep, hull, verify.  Exit codes:
 0 success, 2 validation failure (slack violation, oracle mismatch), 3 input
-error (an infinite or NaN number included).  Identical flags and seed
+error (an infinite or NaN number, or a float too large for the sums of a
+pass, included).  Identical flags and seed
 produce byte-identical output files.
 """
 
@@ -15,7 +16,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from ._numbers import format_number, parse_number
+from ._numbers import FloatRangeError, format_number, parse_number
 from .bounds import GRID_MIN, barycentre_hull, theta_sweep
 from .circle import (
     ORBIT_PERIOD_LIMIT,
@@ -375,7 +376,7 @@ def main(argv=None) -> int:
     except NoPathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except TooManyCyclesError as exc:
+    except (TooManyCyclesError, FloatRangeError) as exc:
         print(f"error: input too large: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numbers import NEG_INF, divide, float_tolerance, scaled, tie_tolerance
+from ._numbers import NEG_INF, check_float_range, divide, float_tolerance, scaled, tie_tolerance
 from .measures import Cycle, VertexMeasure, cycle_measure
 from .system import FiniteMVSystem, eventual_domain, lift_function, simple_cycles
 
@@ -66,11 +66,15 @@ def _relax(edges, weights, values, out, shift=0) -> None:
 
 
 def max_mean_cycle_value(system: FiniteMVSystem, weights: Sequence):
-    """Maximum cycle mean weight (Karp).  Exact for rational weights."""
+    """Maximum cycle mean weight (Karp).  Exact for rational weights; float
+    weights must pass ``check_float_range``, which also covers the
+    potentials of ``tight_edges`` at the returned mean."""
     if len(weights) != len(system.edges):
         raise ValueError("weight vector length must equal the edge count")
     n = system.n_states
     (w,), d = scaled(weights)
+    if d is None:
+        check_float_range(w, n)
     # rows[j][v]: the best weight of a walk with exactly j edges ending at v,
     # from a virtual source joined to every state; 0.0 in float mode keeps
     # every sum a float sum, as in plain float code

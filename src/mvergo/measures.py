@@ -3,13 +3,15 @@
 A probability vector on states is invariant iff it is the common marginal of
 some probability weighting on edges whose tail and head marginals agree (an
 edge circulation).  Invariance is decided by a transportation feasibility
-problem, a max flow on the weights in the format of ``_numbers.scaled``;
-every mass and balance check allows ``_numbers.tie_tolerance`` of the
-weights, which is 0 for rational ones.  The extreme points of the invariant
-set are simple-cycle measures that survive an exact convex-combination
-elimination.  Each elimination LP
-sees only the candidates supported inside the candidate's own support, over
-that support's coordinates, since no other candidate can take part.
+problem, a max flow on the weights in the format of ``_numbers.scaled``.
+Every mass and balance check adds the weights in that format too, so
+rational weights are decided exactly as integers, and float ones within
+``_numbers.tie_tolerance``.  The extreme points of the invariant set are
+simple-cycle measures that survive an exact convex-combination elimination:
+a phase-1 simplex run fraction-free, on integers over one running
+denominator.  Each elimination LP sees only the candidates supported inside
+the candidate's own support, over that support's coordinates, since no other
+candidate can take part.
 """
 
 from __future__ import annotations
@@ -23,11 +25,18 @@ from ._numbers import divide, scaled, tie_tolerance
 from .system import FiniteMVSystem, simple_cycles
 
 
-def _check_mass(weights, what: str) -> None:
-    """ValueError unless the weights sum to 1 up to their ``tie_tolerance``."""
-    total = sum(weights)
-    if abs(total - 1) > tie_tolerance(weights):
-        raise ValueError(f"{what} must sum to 1, got {total}")
+def _check_mass(weights, what: str) -> tuple:
+    """ValueError unless the weights sum to 1 up to their ``tie_tolerance``;
+    else the weights in the format of ``scaled``, and D.  Rational weights
+    are summed as integers over D, an exact test of the same sum."""
+    (nums,), d = scaled(weights)
+    total = sum(nums)
+    if d is None:
+        if abs(total - 1) > tie_tolerance(weights):
+            raise ValueError(f"{what} must sum to 1, got {total}")
+    elif total != d:
+        raise ValueError(f"{what} must sum to 1, got {Fraction(total, d)}")
+    return nums, d
 
 
 @dataclass(frozen=True)
@@ -58,9 +67,9 @@ class EdgeCirculation:
             raise ValueError("circulation length must equal the edge count")
         if any(v < 0 for v in w):
             raise ValueError("circulation weights must be non-negative")
-        _check_mass(w, "circulation weights")
+        nums, _ = _check_mass(w, "circulation weights")
         tol = tie_tolerance(w)
-        tail, head = _raw_marginals(system, w)
+        tail, head = _raw_marginals(system, nums)
         for x in range(system.n_states):
             if abs(tail[x] - head[x]) > tol:
                 raise ValueError(f"circulation is unbalanced at state {x}")
@@ -182,9 +191,8 @@ def is_invariant(system: FiniteMVSystem, mu: VertexMeasure) -> tuple[bool, EdgeC
     w = mu.weights
     if len(w) != system.n_states:
         raise ValueError("measure length must equal n_states")
-    _check_mass(w, "measure")
+    mass, d = _check_mass(w, "measure")
     n = system.n_states
-    (mass,), d = scaled(w)
     # the unit of mass in the flow's numbers: D, or 1.0 for float weights
     unit = d or 1.0
     source, sink = 2 * n, 2 * n + 1
@@ -237,66 +245,86 @@ def convex_combination(target, points):
     """Exact convex-combination witness: weights lambda >= 0 summing to 1 with
     sum(lambda_j * points_j) = target, or None when infeasible.
 
-    Phase-1 simplex over Fractions with Bland's rule.
+    Phase-1 simplex with Bland's rule, fraction-free (Edmonds 1967, Bareiss
+    1968).  The target and point values go over one common denominator D in
+    the format of ``_numbers.scaled`` (a float as its exact binary rational):
+    each coordinate row and the convex-combination row, times D, is a row of
+    integers, with a unit artificial column.  The tableau is held as integers
+    M over one running denominator den, 1 at the start.  A pivot on
+    p = M[leave][enter] keeps the leaving row, replaces every other row and
+    the objective by (p * row - row[enter] * pivot_row) // den, and sets
+    den = p.  The division is exact: by Cramer's rule each entry is a minor
+    of the initial integer tableau (the objective counted as one more row)
+    and den is the basis determinant, positive since every pivot is.
+
+    The pivots are those of the same simplex on the rows as given.  The rows
+    times D are the same LP with D times each artificial as its variable and
+    D times the phase-1 objective.  At every basis its tableau differs from
+    the unscaled one by positive factors only (D on a row whose basic
+    variable is artificial, 1/D on an artificial column), and its objective
+    row is D times the old one on the point columns and equal to it on the
+    artificial ones.  So every reduced cost and every entering-column entry
+    keeps its sign, and the ratios within a column keep their order and
+    their ties, compared by cross-multiplication.  Bland's rule (the first
+    improving column; the least ratio, ties to the lowest basis index) takes
+    the same pivots, and the weights rhs / den are the same Fractions.
     """
     if not points:
         return None
     dim = len(target)
     m = len(points)
-    # constraint rows: coordinates, then the convex-combination row (sum = 1)
-    rows = []
-    for i in range(dim):
-        rows.append([Fraction(p[i]) for p in points] + [Fraction(target[i])])
-    rows.append([Fraction(1)] * m + [Fraction(1)])
+    groups = (target, *points)
+    (rhs, *cols), d = scaled(*groups)
+    if d is None:  # floats, as their exact binary rationals
+        (rhs, *cols), d = scaled(*[[Fraction(v) for v in g] for g in groups])
+    # coordinate rows, then the convex-combination row (sum = 1); the
+    # artificial columns form the initial basis, the last column is the rhs
+    rows = [[c[i] for c in cols] + [rhs[i]] for i in range(dim)] + [[d] * (m + 1)]
     n_rows = dim + 1
-    # artificial columns form the initial basis
-    width = m + n_rows + 1
     tab = []
     for r, row in enumerate(rows):
-        line = row[:-1] + [Fraction(0)] * n_rows + [row[-1]]
-        line[m + r] = Fraction(1)
+        line = row[:-1] + [0] * n_rows + row[-1:]
+        line[m + r] = 1
         tab.append(line)
-    basis = [m + r for r in range(n_rows)]
+    basis = list(range(m, m + n_rows))
     # objective: minimize the artificial sum, expressed over nonbasic columns
-    z = [Fraction(0)] * (width - 1)
-    zval = Fraction(0)
-    for r in range(n_rows):
-        for j in range(m):
-            z[j] += tab[r][j]
-        zval += tab[r][-1]
+    # (the column sums, 0 on the artificials); its last entry is the sum itself
+    z = [sum(col) for col in zip(*tab)]
+    z[m:-1] = [0] * n_rows
+    den = 1
     while True:
-        enter = -1
-        for j in range(width - 1):
-            if z[j] > 0:
-                enter = j
-                break
+        enter = next((j for j in range(m + n_rows) if z[j] > 0), -1)
         if enter < 0:
             break
-        leave, best = -1, None
-        for r in range(n_rows):
-            a = tab[r][enter]
+        leave = -1
+        for r, row in enumerate(tab):
+            a = row[enter]
             if a > 0:
-                ratio = tab[r][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best, leave = ratio, r
+                if leave < 0:
+                    leave = r
+                    continue
+                # row[-1] / a against the least ratio so far, cross-multiplied
+                ratio, least = row[-1] * tab[leave][enter], tab[leave][-1] * a
+                if ratio < least or (ratio == least and basis[r] < basis[leave]):
+                    leave = r
         if leave < 0:
             raise RuntimeError("phase-1 simplex cannot be unbounded")
-        piv = tab[leave][enter]
-        tab[leave] = [v / piv for v in tab[leave]]
-        for r in range(n_rows):
-            if r != leave and tab[r][enter] != 0:
-                f = tab[r][enter]
-                tab[r] = [v - f * p for v, p in zip(tab[r], tab[leave])]
+        pivot_row = tab[leave]
+        p = pivot_row[enter]
+        for r, row in enumerate(tab):
+            if r != leave:
+                f = row[enter]
+                tab[r] = [(p * v - f * w) // den for v, w in zip(row, pivot_row)]
         f = z[enter]
-        z = [v - f * p for v, p in zip(z, tab[leave][:-1])]
-        zval -= f * tab[leave][-1]
+        z = [(p * v - f * w) // den for v, w in zip(z, pivot_row)]
+        den = p
         basis[leave] = enter
-    if zval != 0:
+    if z[-1] != 0:
         return None
     weights = [Fraction(0)] * m
-    for r in range(n_rows):
-        if basis[r] < m:
-            weights[basis[r]] = tab[r][-1]
+    for r, j in enumerate(basis):
+        if j < m:
+            weights[j] = Fraction(tab[r][-1], den)
     return weights
 
 

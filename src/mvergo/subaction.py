@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._numbers import NEG_INF, divide, scaled, tie_tolerance
+from ._numbers import NEG_INF, check_float_range, divide, scaled, tie_tolerance
 from .mea import NoCycleError, _relax, max_mean_cycle_value
 from .system import FiniteMVSystem, eventual_domain, lift_function
 
@@ -56,13 +56,16 @@ def compute_phi(system: FiniteMVSystem, f: Sequence, beta) -> tuple:
 
     Bellman value iteration on reduced weights; rounds are monotone and
     freeze, up to ``tie_tolerance(f)``, within n_states rounds unless a
-    reduced cycle is positive, which raises PositiveCycleError.
+    reduced cycle is positive, which raises PositiveCycleError.  Float
+    reduced weights must pass ``check_float_range``.
     """
     if len(f) != len(system.edges):
         raise ValueError("edge function length must equal the edge count")
     n = system.n_states
     (g, (scaled_beta,)), d = scaled(f, (beta,))
     reduced = [w - scaled_beta for w in g]
+    if d is None:
+        check_float_range(reduced, n)
     tol = tie_tolerance(f)  # nonzero only for float f, which runs unscaled
     phi = [None] * n
     for _ in range(n + 1):

@@ -4,7 +4,7 @@ These deliberately avoid the package's algorithmic paths: cycles come from a
 plain DFS, invariance from the subset characterization and from a max flow
 in ``Fraction`` arithmetic, extreme measures from
 active-set vertex enumeration of the inequality polytope and from the
-elimination LP over every other candidate, the potential
+elimination LP over every other candidate (a ``Fraction`` simplex), the potential
 from explicit backward-walk enumeration, float cycle means from Karp's walk
 table, and periodic orbits of circle systems from a rational lift search.
 Convex hulls, Sturmian arcs and the orbit order are decided in ``Fraction``
@@ -27,7 +27,6 @@ from mvergo.measures import (
     Cycle,
     EdgeCirculation,
     VertexMeasure,
-    convex_combination,
     cycle_measure,
 )
 from mvergo.system import FiniteMVSystem, simple_cycles
@@ -299,6 +298,72 @@ def fraction_is_invariant(system: FiniteMVSystem, mu: VertexMeasure):
     return True, EdgeCirculation.make(system, flows[inner_start:inner_start + len(system.edges)])
 
 
+def fraction_convex_combination(target, points):
+    """Reference for ``measures.convex_combination``: weights lambda >= 0
+    summing to 1 with sum(lambda_j * points_j) = target, or None when
+    infeasible, by the same phase-1 simplex with Bland's rule over
+    ``Fraction`` tableau entries."""
+    if not points:
+        return None
+    dim = len(target)
+    m = len(points)
+    # constraint rows: coordinates, then the convex-combination row (sum = 1)
+    rows = []
+    for i in range(dim):
+        rows.append([Fraction(p[i]) for p in points] + [Fraction(target[i])])
+    rows.append([Fraction(1)] * m + [Fraction(1)])
+    n_rows = dim + 1
+    # artificial columns form the initial basis
+    width = m + n_rows + 1
+    tab = []
+    for r, row in enumerate(rows):
+        line = row[:-1] + [Fraction(0)] * n_rows + [row[-1]]
+        line[m + r] = Fraction(1)
+        tab.append(line)
+    basis = [m + r for r in range(n_rows)]
+    # objective: minimize the artificial sum, expressed over nonbasic columns
+    z = [Fraction(0)] * (width - 1)
+    zval = Fraction(0)
+    for r in range(n_rows):
+        for j in range(m):
+            z[j] += tab[r][j]
+        zval += tab[r][-1]
+    while True:
+        enter = -1
+        for j in range(width - 1):
+            if z[j] > 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave, best = -1, None
+        for r in range(n_rows):
+            a = tab[r][enter]
+            if a > 0:
+                ratio = tab[r][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                    best, leave = ratio, r
+        if leave < 0:
+            raise RuntimeError("phase-1 simplex cannot be unbounded")
+        piv = tab[leave][enter]
+        tab[leave] = [v / piv for v in tab[leave]]
+        for r in range(n_rows):
+            if r != leave and tab[r][enter] != 0:
+                f = tab[r][enter]
+                tab[r] = [v - f * p for v, p in zip(tab[r], tab[leave])]
+        f = z[enter]
+        z = [v - f * p for v, p in zip(z, tab[leave][:-1])]
+        zval -= f * tab[leave][-1]
+        basis[leave] = enter
+    if zval != 0:
+        return None
+    weights = [Fraction(0)] * m
+    for r in range(n_rows):
+        if basis[r] < m:
+            weights[basis[r]] = tab[r][-1]
+    return weights
+
+
 def unfiltered_extreme_measures(system: FiniteMVSystem) -> list[VertexMeasure]:
     """Reference for ``measures.extreme_invariant_measures``: one elimination
     LP per simple-cycle projection over every other projection and every
@@ -312,7 +377,7 @@ def unfiltered_extreme_measures(system: FiniteMVSystem) -> list[VertexMeasure]:
     survivors = []
     for i, weights in enumerate(candidates):
         others = [c for j, c in enumerate(candidates) if j != i]
-        if convex_combination(weights, others) is None:
+        if fraction_convex_combination(weights, others) is None:
             survivors.append(seen[weights])
     return survivors
 

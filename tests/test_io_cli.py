@@ -284,6 +284,39 @@ def test_cli_bad_arguments_exit_code(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["mea", "--builtin", "z4", "--f", "const:1e308"],
+    ["subaction", "--builtin", "z4", "--f", "const:1e308"],
+    ["subaction", "--builtin", "z4", "--f", "const:1e308", "--beta-override", "0"],
+], ids=" ".join)
+def test_cli_float_sums_beyond_range_exit_code(tmp_path, capsys, argv):
+    # finite floats whose walk sums on 4 states (up to 8 * 1e308) overflow
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: input too large: float weights up to 1e+308 on 4 states")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_large_floats_within_range(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["mea", "--builtin", "z4", "--f", "const:1e300", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "alpha = 1e+300\n"
+    assert (out / "mea_report.txt").read_text() == (
+        "alpha 1e+300\nmaximizing_cycle 0->1\nepsilon_rotation 0\n"
+        "tolerance 1.0000000000000001e+291\n"
+    )
+    rows = _read_csv(out / "mea_delta.csv")
+    assert [int(n) for n, _ in rows[1:]] == list(range(65))
+    assert all(abs(float(d) - 1e300) <= 1e286 for _, d in rows[1:])
+    assert main(["subaction", "--builtin", "z4", "--f", "const:1e300", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "beta = 1e+300, min slack = 0.0\n"
+    assert (out / "subaction_states.csv").read_text() == "state,phi,v\n" + "".join(
+        f"{x},0.0,0.0\n" for x in range(4))
+    edges = sorted([(x, (x + 1) % 4) for x in range(4)] + [(x, (x - 1) % 4) for x in range(4)])
+    assert (out / "subaction_edges.csv").read_text() == "tail,head,f,slack,tight\n" + "".join(
+        f"{t},{h},1e+300,0.0,1\n" for t, h in edges)
+
+
 @pytest.mark.parametrize("values", ["[NaN]", "[Infinity]", "[-Infinity]", "[1e400]",
                                     '["inf"]', '["nan"]', '["-1e400"]'])
 @pytest.mark.parametrize("command", ["mea", "subaction", "measures"])

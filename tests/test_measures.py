@@ -13,6 +13,7 @@ from mvergo.measures import (
     Cycle,
     EdgeCirculation,
     VertexMeasure,
+    convex_combination,
     cycle_measure,
     extreme_invariant_measures,
     invariant_by_subsets,
@@ -21,6 +22,7 @@ from mvergo.measures import (
 )
 from mvergo.system import FiniteMVSystem, simple_cycles
 from oracles import (
+    fraction_convex_combination,
     fraction_is_invariant,
     identity_system,
     polytope_extreme_measures,
@@ -380,3 +382,81 @@ def test_extreme_measures_no_lp_without_a_covering_sub_support(monkeypatch):
     # z4: only the full support holds other supports, so one LP runs
     assert len(extreme_invariant_measures(z4_system())) == 4
     assert len(calls) == 1 and calls[0][0] == [F(1, 4)] * 4
+
+
+def random_lp(rng):
+    """A convex-combination LP of up to 5 coordinates and 9 points, with int,
+    Fraction and float entries, and its kind: no points, a mixture of the
+    points (feasible), a target with negative entries, or a random target."""
+    dim, m = rng.randint(0, 5), rng.randint(0, 7)
+
+    def number():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.randint(0, 3)
+        if kind == 1:
+            return rng.choice((0.0, 0.1, 0.25, 0.5, 1.0))
+        return F(rng.randint(0, 4), rng.randint(1, 6))
+
+    points = [[number() for _ in range(dim)] for _ in range(m)]
+    if rng.random() < 0.5:  # probability vectors, as the callers pass
+        points = [[F(v) / sum(map(F, p)) for v in p] if sum(p) else p for p in points]
+    if points:  # repeated columns
+        points += [list(rng.choice(points)) for _ in range(rng.randint(0, 2))]
+    kind = "empty" if not points else rng.choice(("mixture", "negative" if dim else "random", "random"))
+    if kind == "mixture":
+        lam = [F(rng.randint(0, 2)) for _ in points]
+        lam[rng.randrange(len(lam))] += 1
+        target = [sum(a * F(p[i]) for a, p in zip(lam, points)) / sum(lam) for i in range(dim)]
+    elif kind == "negative":
+        target = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(dim)]
+        target[rng.randrange(dim)] = F(-rng.randint(1, 3), rng.randint(1, 4))
+    else:
+        target = [number() for _ in range(dim)]
+    return kind, target, points
+
+
+def test_convex_combination_matches_fraction_oracle():
+    # fraction-free pivots against the Fraction simplex: the same weights,
+    # as Fractions, or None in both
+    rng = random.Random(20)
+    seen = {}
+    for _ in range(5000):
+        kind, target, points = random_lp(rng)
+        got = convex_combination(target, points)
+        assert got == fraction_convex_combination(target, points), (target, points)
+        assert got is None or all(type(w) is F for w in got)
+        key = (kind, got is not None)
+        seen[key] = seen.get(key, 0) + 1
+    assert seen[("empty", False)] >= 100 and seen[("mixture", True)] >= 1000
+    assert seen[("negative", False)] >= 500 and seen[("random", False)] >= 500
+    assert seen[("random", True)] >= 100
+
+
+def test_convex_combination_matches_fraction_oracle_on_benchmark_graphs(tmp_path, monkeypatch):
+    # every elimination LP of the finite-small benchmark's pass-0 graphs, and
+    # the unfiltered LP of each candidate against all the others
+    calls = counting_convex_combination(monkeypatch)
+    for s in finite_small_systems((301, 302, 303), tmp_path, monkeypatch):
+        extreme_invariant_measures(s)
+        candidates = sorted({cycle_measure(Cycle(c), s)[0].weights for c in simple_cycles(s)})
+        calls += [(list(c), [list(o) for o in candidates if o != c]) for c in candidates]
+    outcomes = set()
+    for target, points in calls:
+        got = convex_combination(target, points)
+        assert got == fraction_convex_combination(target, points)
+        outcomes.add(got is None)
+    assert len(calls) >= 150 and outcomes == {True, False}
+
+
+def test_convex_combination_pivot_path_pinned():
+    # the target is 1/4 p0 + 3/4 p3 and also 1/2 p2 + 1/2 p3; Bland's rule
+    # (first improving column, lowest basis index among tied ratios) on the
+    # uniformly scaled tableau reaches the first; breaking ratio ties the
+    # other way, or scaling each row by its own lcm (which changes the
+    # phase-1 objective), reaches the second
+    third = F(1, 3)
+    points = [[0, third, 2 * third], [0, 2 * third, third], [third, third, third],
+              [2 * third, third, 0]]
+    target = [F(1, 2), third, F(1, 6)]
+    assert convex_combination(target, points) == [F(1, 4), 0, 0, F(3, 4)]
