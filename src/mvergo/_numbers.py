@@ -118,16 +118,20 @@ class FloatRangeError(Exception):
     """Float inputs so large that the sums a pass forms may overflow."""
 
 
-def check_float_range(values, n_states: int) -> None:
+def check_float_range(values, n_states: int, horizon: int = 0) -> None:
     """FloatRangeError when values in float format (``scaled`` gave D = None)
-    are too large for a Bellman pass over ``n_states`` states: its walk sums
-    and potentials reach 2 * n_states * max|value|, which must stay a finite
-    float.  Values in integer format need no check."""
+    are too large for a Bellman pass over ``n_states`` states, or for sums
+    of orbit segments with up to ``horizon`` steps: with L = max(n_states,
+    horizon + 1), the walk sums and potentials reach 2 * L * max|value|,
+    which must stay a finite float.  Values in integer format need no
+    check."""
     largest = float(np.abs(np.asarray(values, dtype=np.float64)).max(initial=0.0))
-    if not math.isfinite(2 * n_states * largest):
+    length = max(n_states, horizon + 1)
+    if not math.isfinite(2 * length * largest):
+        steps = f" over {horizon} steps" if horizon else ""
         raise FloatRangeError(
-            f"float weights up to {largest!r} on {n_states} states: walk sums "
-            f"reach {2 * n_states} times that, beyond the float range"
+            f"float weights up to {largest!r} on {n_states} states{steps}: walk sums "
+            f"reach {2 * length} times that, beyond the float range"
         )
 
 

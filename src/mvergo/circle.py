@@ -9,7 +9,8 @@ integer slope s >= 2, none wrapping, where no two branches of equal offset
 have domains that meet, take a batched numpy int64 path instead: there the
 points of an orbit determine its word, so every primitive necklace carries
 at most one orbit and no two coincide.  Both paths give the same orbits in
-the same order.  The expansion property is certified by exact case
+the same order, one at a time or, for a caller that works on arrays, a
+block at a time.  The expansion property is certified by exact case
 analysis on branch pairs.
 """
 
@@ -450,7 +451,7 @@ def _least_rotation(xs: list[int], word) -> tuple[list[int], tuple[int, ...]]:
     return xs[r:] + xs[:r], tuple(word[r:]) + tuple(word[:r])
 
 
-def _visit_batched(k: int, s: int, rows, unit: int, consume) -> bool:
+def _visit_batched(k: int, s: int, rows, unit: int, consume, blocks: bool = False) -> bool:
     """Period k of ``visit_periodic_orbits`` for an eligible system (see
     ``_batch_slope``) in numpy int64 blocks; False, having visited nothing,
     when a bound of that period does not fit in int64.
@@ -460,7 +461,10 @@ def _visit_batched(k: int, s: int, rows, unit: int, consume) -> bool:
     M = s^k - 1 and offsets e/unit, the word's fixed point is N_0/(unit M)
     with N_0 = -sum_j s^(k-1-j) e_{w_j} (Horner's rule), and
     N_{j+1} = s N_j + e_{w_j} M; every N_j is a fixed point of a rotated
-    composition, so |N_j| <= max|e| M/(s - 1)."""
+    composition, so |N_j| <= max|e| M/(s - 1).  Each block's rows are put in
+    lowest terms and rotated to their least point; a row whose least point
+    repeats takes ``_least_rotation``.  With ``blocks`` the block goes to
+    ``consume`` whole, else row by row."""
     r = len(rows)
     m = s ** k - 1
     den = unit * m
@@ -496,6 +500,8 @@ def _visit_batched(k: int, s: int, rows, unit: int, consume) -> bool:
         inside = ((pts * lo_d[letters] >= lo_n[letters])
                   & (pts * hi_d[letters] <= hi_n[letters])).all(axis=1)
         letters, pts = letters[inside], pts[inside]
+        if not len(pts):
+            continue
         g = np.gcd(np.gcd.reduce(pts, axis=1), den)
         pts //= g[:, None]
         first = pts.argmin(axis=1)
@@ -503,24 +509,55 @@ def _visit_batched(k: int, s: int, rows, unit: int, consume) -> bool:
         order = (first[:, None] + positions) % k
         pts = np.take_along_axis(pts, order, axis=1)
         letters = np.take_along_axis(letters, order, axis=1)
-        for word, xs, d, tie in zip(letters.tolist(), pts.tolist(), (den // g).tolist(),
-                                    ties.tolist()):
-            if tie:
-                xs, word = _least_rotation(xs, word)
+        for i in np.flatnonzero(ties).tolist():
+            pts[i], letters[i] = _least_rotation(pts[i].tolist(), letters[i].tolist())
+        dens = den // g
+        if blocks:
+            consume(letters, pts, dens)
+            continue
+        for word, xs, d in zip(letters.tolist(), pts.tolist(), dens.tolist()):
             consume(tuple(word), tuple(xs), d)
     return True
 
 
-def visit_periodic_orbits(system: PiecewiseAffineMVSystem, max_period: int, consume) -> None:
+def _gather_blocks(consume):
+    """A per-orbit consumer that gathers the orbits of one period into
+    blocks of up to ``_BATCH_CODES`` rows for ``consume``, and the function
+    that hands over the last, partial block.  The numerators and
+    denominators go as object arrays of Python ints, exact at any size."""
+    buffer: list = []
+
+    def flush():
+        if buffer:
+            words, numerators, dens = zip(*buffer)
+            buffer.clear()
+            consume(np.array(words, dtype=np.int64), np.array(numerators, dtype=object),
+                    np.array(dens, dtype=object))
+
+    def gather(word, numerators, denom):
+        buffer.append((word, numerators, denom))
+        if len(buffer) == _BATCH_CODES:
+            flush()
+
+    return gather, flush
+
+
+def visit_periodic_orbits(system: PiecewiseAffineMVSystem, max_period: int, consume,
+                          blocks: bool = False) -> None:
     """Stream every periodic orbit of period <= max_period, exactly.
 
     ``consume(word, numerators, denominator)`` receives the canonical-rotation
     branch word and the orbit points as integers over a positive common
     denominator.  One call per distinct point sequence (branch relabellings at
     domain boundaries are deduplicated); orbits arrive grouped by period,
-    and within a period by word in lexicographic order.
+    and within a period by word in lexicographic order.  With ``blocks``,
+    ``consume(words, numerators, denominators)`` receives the same orbits in
+    the same order, a block of rows of one period at a time: the words and
+    the numerators as (rows, period) arrays, the denominators as a (rows,)
+    array.  The batched path hands over its int64 blocks as they are; the
+    per-word path's orbits are gathered into object arrays of Python ints.
 
-    Two paths give the same calls in the same order.  The per-word path
+    Two paths give the same orbits in the same order.  The per-word path
     takes FKM necklace words in order, each solved by ``_word_orbits`` in
     integer arithmetic (wrapping branches and rational slopes included), its
     orbits in ascending order; non-primitive point sequences are dropped,
@@ -538,7 +575,13 @@ def visit_periodic_orbits(system: PiecewiseAffineMVSystem, max_period: int, cons
     unit, rows = _integer_branches(system)
     slope = _batch_slope(system)
     for k in range(1, max_period + 1):
-        if slope is None or not _visit_batched(k, slope, rows, unit, consume):
+        if slope is not None and _visit_batched(k, slope, rows, unit, consume, blocks):
+            continue
+        if blocks:
+            gather, flush = _gather_blocks(consume)
+            _visit_words(k, rows, unit, gather)
+            flush()
+        else:
             _visit_words(k, rows, unit, consume)
 
 

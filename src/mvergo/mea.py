@@ -2,8 +2,9 @@
 
 The maximum average equals the best mean weight over directed cycles.  It is
 computed exactly with Karp's maximum mean cycle algorithm, and for float
-weights on large grids with Howard's policy iteration, whose value is
-checked by a potential that bounds every cycle mean.  Karp's table, the
+weights on large grids with Howard's policy iteration (``HowardSolver``,
+prepared once per graph and warm-started from its last policy), whose value
+is checked by a potential that bounds every cycle mean.  Karp's table, the
 tight-edge potentials, the finite-horizon path maxima and ``subaction``'s
 potential all run one max-plus relaxation step (``_relax``).  They take the
 number format and the tolerance of the finite layer from ``_numbers``:
@@ -40,6 +41,11 @@ class NoPathError(Exception):
 class PolicyIterationError(RuntimeError):
     """Raised when Howard policy iteration reaches its iteration limit or its
     value fails the potential check."""
+
+
+class PolicyIterationLimitError(PolicyIterationError):
+    """Raised when Howard policy iteration reaches ``HOWARD_ITERATION_LIMIT``:
+    the input is too large for the iteration budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -103,15 +109,6 @@ def max_mean_cycle_value(system: FiniteMVSystem, weights: Sequence):
     return divide(best[0], best[1], d)
 
 
-def _first_argmax(values: np.ndarray, starts: np.ndarray, tails: np.ndarray):
-    """Per state, the first out-edge attaining the state's largest value,
-    and that value; edges are sorted by tail and ``starts`` marks each tail's
-    first edge."""
-    best = np.maximum.reduceat(values, starts)
-    ids = np.where(values == best[tails], np.arange(len(values)), len(values))
-    return np.minimum.reduceat(ids, starts), best
-
-
 def _evaluate_policy(succ: list[int], cost: list[float]) -> tuple[np.ndarray, np.ndarray]:
     """Cycle value eta and bias v of a policy, one walk of its functional
     graph: eta is the mean of the policy cycle a state runs into, v is 0 at
@@ -159,74 +156,137 @@ def _cycle_mean_bound(tails, heads, w, eta: np.ndarray, v: np.ndarray) -> float:
     return float(np.where(eta_head == eta_tail, w - v[tails] + v[heads], -np.inf).max())
 
 
-def max_mean_cycle_value_float(system: FiniteMVSystem, weights: np.ndarray) -> float:
-    """Maximum cycle mean for float weights on large systems, by Howard's
-    policy iteration (Cochet-Terrasson, Cohen, Gaubert, McGettrick and
-    Quadrat, 1998), in O(m) per iteration and O(m) memory.
+class HowardSolver:
+    """Howard's policy iteration (Cochet-Terrasson, Cohen, Gaubert,
+    McGettrick and Quadrat, 1998) prepared once for one system, to solve it
+    for many float weight vectors in O(m) per iteration and O(m) memory.
 
-    States on no bi-infinite orbit (``eventual_domain``) are dropped first:
-    every cycle lies in what is left, and every state left has an out-edge.  A policy picks one out-edge per state; it starts
-    from each state's heaviest edge.  Each iteration evaluates the policy
-    (cycle value eta, bias v) and improves it: first towards any larger eta
-    of the head, so that at the end eta never increases along an edge;
-    otherwise, among edges whose head has the tail's eta, towards a larger
-    w - eta + v(head), switching only on a gain above
-    ``float_tolerance(weights)``.  The best policy cycle's mean (math.fsum
-    of its weights over its length) is a lower bound on the maximum.
+    Preparation keeps what depends on the graph alone.  States on no
+    bi-infinite orbit (``eventual_domain``) are dropped: every cycle lies in
+    what is left, and every state left has an out-edge there.  The live
+    states are relabelled 0..n-1 in order; ``keep`` marks the system's edges
+    between them, whose relabelled ends are ``tails`` and ``heads``.  ``out``
+    is the padded out-edge table: row x lists x's edges in edge order, then
+    the sentinel edge m = len(tails) up to the largest out-degree.
 
-    A check that does not trust the iteration then bounds every cycle mean
-    from above by max(w - v(tail) + v(head)) over the edges whose ends share
-    an eta (``_cycle_mean_bound``).  That bound must not exceed the policy's
-    value plus the tolerance.  The bound is returned when it exceeds the
-    value by more than its own rounding error (the iteration stopped within
-    the tolerance of the maximum), the value otherwise, so the result
-    dominates every cycle mean up to float rounding, as Karp's did.
-    Raises PolicyIterationError when the check fails or the iteration limit
-    is reached, NoCycleError on acyclic systems.
+    ``policy`` is the final policy of the last solve (edge ids into the kept
+    edges) and the next solve starts from it: solves of nearby weights, as
+    in a parameter sweep, then take few iterations.  ``iterations`` counts
+    the policy evaluations of the last solve.
     """
-    w_all = np.asarray(weights, dtype=np.float64)
-    if w_all.shape != (len(system.edges),):
-        raise ValueError("weight vector length must equal the edge count")
-    live = sorted(eventual_domain(system))
-    if not live:
-        raise NoCycleError("the system has no directed cycle")
-    relabel = np.full(system.n_states, -1, dtype=np.int64)
-    relabel[live] = np.arange(len(live))
-    tails, heads = relabel[system.edge_array[:, 0]], relabel[system.edge_array[:, 1]]
-    keep = (tails >= 0) & (heads >= 0)
-    tails, heads, w = tails[keep], heads[keep], w_all[keep]
-    starts = np.flatnonzero(np.r_[True, tails[1:] != tails[:-1]])
-    tol = float_tolerance(w_all)
 
-    policy, _ = _first_argmax(w, starts, tails)
-    for _ in range(HOWARD_ITERATION_LIMIT):
-        eta, v = _evaluate_policy(heads[policy].tolist(), w[policy].tolist())
-        eta_head = eta[heads]
-        choice, best = _first_argmax(eta_head, starts, tails)
-        switch = best > eta
-        if not switch.any():
-            gain = np.where(eta_head == eta[tails], w - eta[tails] + v[heads], -np.inf)
-            choice, best = _first_argmax(gain, starts, tails)
-            switch = best > v + tol
+    def __init__(self, system: FiniteMVSystem):
+        self.system = system
+        live = sorted(eventual_domain(system))
+        relabel = np.full(system.n_states, -1, dtype=np.int64)
+        relabel[live] = np.arange(len(live))
+        tails, heads = relabel[system.edge_array[:, 0]], relabel[system.edge_array[:, 1]]
+        self.keep = (tails >= 0) & (heads >= 0)
+        self.tails, self.heads = tails[self.keep], heads[self.keep]
+        m = len(self.tails)
+        degree = np.bincount(self.tails, minlength=len(live))
+        first = np.cumsum(degree) - degree
+        self.out = np.full((len(live), degree.max(initial=0)), m, dtype=np.int64)
+        self.out[self.tails, np.arange(m) - first[self.tails]] = np.arange(m)
+        self._rows = np.arange(len(live))
+        self._padded = np.full(m + 1, -np.inf)  # edge values, then the sentinel's -inf
+        self.policy: np.ndarray | None = None
+        self.iterations = 0
+
+    def _first_argmax(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per state, the first out-edge attaining the state's largest value,
+        and that value: ``argmax`` returns a row's first maximum, and the
+        sentinel's -inf never beats an edge."""
+        self._padded[:-1] = values
+        table = self._padded[self.out]
+        arg = table.argmax(axis=1)
+        return self.out[self._rows, arg], table[self._rows, arg]
+
+    def solve(self, weights: np.ndarray) -> float:
+        """Maximum cycle mean for one float weight vector on the system's
+        edges; see ``max_mean_cycle_value_float``."""
+        w_all = np.asarray(weights, dtype=np.float64)
+        if w_all.shape != (len(self.system.edges),):
+            raise ValueError("weight vector length must equal the edge count")
+        if not len(self._rows):
+            raise NoCycleError("the system has no directed cycle")
+        tails, heads, w = self.tails, self.heads, w_all[self.keep]
+        tol = float_tolerance(w_all)
+
+        policy = self.policy
+        if policy is None:
+            policy, _ = self._first_argmax(w)
+        for count in range(1, HOWARD_ITERATION_LIMIT + 1):
+            eta, v = _evaluate_policy(heads[policy].tolist(), w[policy].tolist())
+            eta_head = eta[heads]
+            choice, best = self._first_argmax(eta_head)
+            switch = best > eta
             if not switch.any():
-                break
-        policy = np.where(switch, choice, policy)
-    else:
-        raise PolicyIterationError(
-            f"Howard policy iteration did not converge in {HOWARD_ITERATION_LIMIT} iterations"
-        )
+                eta_tail = eta[tails]
+                gain = np.where(eta_head == eta_tail, w - eta_tail + v[heads], -np.inf)
+                choice, best = self._first_argmax(gain)
+                switch = best > v + tol
+                if not switch.any():
+                    break
+            policy = np.where(switch, choice, policy)
+        else:
+            raise PolicyIterationLimitError(
+                f"Howard policy iteration did not converge in {HOWARD_ITERATION_LIMIT} iterations"
+            )
+        self.policy, self.iterations = policy, count
 
-    value = float(eta.max())
-    bound = _cycle_mean_bound(tails, heads, w, eta, v)
-    if bound > value + tol:
-        raise PolicyIterationError(
-            f"potential check failed: cycle means are bounded only by {bound!r}, "
-            f"above the value {value!r} plus the tolerance {tol!r}"
-        )
-    # each term of the bound carries a rounding error of a few ulps of |w| and
-    # |v|; a bound above the value by less than that is the value itself
-    rounding = 8 * np.finfo(np.float64).eps * (np.abs(w).max() + np.abs(v).max())
-    return bound if bound > value + rounding else value
+        value = float(eta.max())
+        bound = _cycle_mean_bound(tails, heads, w, eta, v)
+        if bound > value + tol:
+            raise PolicyIterationError(
+                f"potential check failed: cycle means are bounded only by {bound!r}, "
+                f"above the value {value!r} plus the tolerance {tol!r}"
+            )
+        # each term of the bound carries a rounding error of a few ulps of |w| and
+        # |v|; a bound above the value by less than that is the value itself
+        rounding = 8 * np.finfo(np.float64).eps * (np.abs(w).max() + np.abs(v).max())
+        return bound if bound > value + rounding else value
+
+
+def max_mean_cycle_value_float(system: FiniteMVSystem, weights: np.ndarray,
+                               solver: HowardSolver | None = None) -> float:
+    """Maximum cycle mean for float weights on large systems, by Howard's
+    policy iteration (``HowardSolver``).  ``solver``, prepared for
+    ``system``, is reused and starts from its last final policy (the outer
+    grid of a sweep keeps one, ``bounds.GridModel.howard``); without it a
+    solver is prepared for this call and starts cold.
+
+    A policy picks one out-edge per live state; a cold start takes each
+    state's heaviest edge, the first on ties.  Each iteration evaluates the
+    policy (cycle value eta, bias v) and improves it: first towards any
+    larger eta of the head, so that at the end eta never increases along an
+    edge; otherwise, among edges whose head has the tail's eta, towards a
+    larger w - eta + v(head), switching only on a gain above
+    ``float_tolerance(weights)``.  Both steps pick each state's first
+    best edge.  The best policy cycle's mean (math.fsum of its weights over
+    its length) is a lower bound on the maximum.
+
+    A check that does not trust the iteration, nor where it started, then
+    bounds every cycle mean from above by max(w - v(tail) + v(head)) over
+    the edges whose ends share an eta (``_cycle_mean_bound``).  That bound
+    must not exceed the policy's value plus the tolerance.  The bound is
+    returned when it exceeds the value by more than its own rounding error
+    (the iteration stopped within the tolerance of the maximum), the value
+    otherwise, so the result dominates every cycle mean up to float
+    rounding, as Karp's did.  A warm and a cold start have given
+    bit-identical results on every outer grid tested, but another optimal
+    policy could move the bound in its last ulps.
+
+    Raises PolicyIterationLimitError when ``HOWARD_ITERATION_LIMIT`` is
+    reached (policy iteration has no small worst-case bound on its
+    iterations), PolicyIterationError when the check fails, NoCycleError on
+    acyclic systems.
+    """
+    if solver is None:
+        solver = HowardSolver(system)
+    elif solver.system is not system:
+        raise ValueError("the solver was prepared for another system")
+    return solver.solve(weights)
 
 
 def tight_edges(system: FiniteMVSystem, weights: Sequence, alpha) -> list[int]:
@@ -328,12 +388,14 @@ def alpha_state(system: FiniteMVSystem, f: Sequence) -> tuple:
 def _segment_maxima(system: FiniteMVSystem, f: Sequence, horizon: int) -> tuple[list, object]:
     """The best sum of f over orbit segments with n steps, for n = 0..horizon
     (None when there is no such segment), in the format of ``scaled``, and
-    its D."""
+    its D.  Float values must pass ``check_float_range`` for the horizon."""
     if len(f) != system.n_states:
         raise ValueError("state function length must equal n_states")
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     (g,), d = scaled(f)
+    if d is None:
+        check_float_range(g, system.n_states, horizon)
     weights = [g[h] for _t, h in system.edges]
     cur = g
     maxima = [max(g)]

@@ -6,7 +6,8 @@ in ``Fraction`` arithmetic, extreme measures from
 active-set vertex enumeration of the inequality polytope and from the
 elimination LP over every other candidate (a ``Fraction`` simplex), the potential
 from explicit backward-walk enumeration, float cycle means from Karp's walk
-table, and periodic orbits of circle systems from a rational lift search.
+table, periodic orbits of circle systems from a rational lift search, and orbit
+tables from the per-word orbit path, divided as Python ints.
 Convex hulls, Sturmian arcs and the orbit order are decided in ``Fraction``
 arithmetic, where the package works in integers.
 """
@@ -20,9 +21,15 @@ from itertools import combinations, product
 
 import numpy as np
 
-from mvergo.bounds import GridModel
-from mvergo.circle import PeriodicOrbit, PiecewiseAffineMVSystem, visit_periodic_orbits
-from mvergo.mea import NoCycleError
+from mvergo.bounds import GridModel, OrbitTable
+from mvergo.circle import (
+    PeriodicOrbit,
+    PiecewiseAffineMVSystem,
+    _integer_branches,
+    _visit_words,
+    visit_periodic_orbits,
+)
+from mvergo.mea import HowardSolver, NoCycleError
 from mvergo.measures import (
     Cycle,
     EdgeCirculation,
@@ -408,6 +415,27 @@ def phi_backward_oracle(system: FiniteMVSystem, f_edge, beta, max_len=None):
     return results
 
 
+def per_orbit_orbit_table(system: PiecewiseAffineMVSystem, max_period: int) -> OrbitTable:
+    """Reference for ``bounds.orbit_table``: the orbits of the per-word
+    integer path (``_visit_words``, which shares no code with the batched
+    blocks), one call per orbit, each point divided as Python ints."""
+    letters = bytearray()
+    periods: list[int] = []
+    points: list[float] = []
+
+    def consume(word, numerators, denom):
+        letters.extend(word)
+        periods.append(len(word))
+        points.extend(x / denom for x in numerators)
+
+    unit, rows = _integer_branches(system)
+    for k in range(1, max_period + 1):
+        _visit_words(k, rows, unit, consume)
+    period_arr = np.array(periods)
+    starts = np.concatenate(([0], np.cumsum(period_arr)[:-1]))
+    return OrbitTable(system, bytes(letters), np.array(points), starts, period_arr)
+
+
 def karp_max_mean_cycle_value_float(system: FiniteMVSystem, weights) -> float:
     """Maximum cycle mean by Karp's theorem on a vectorized (n+1) x n table of
     best walk weights: O(n m) time and O(n^2) memory."""
@@ -635,4 +663,4 @@ def fraction_outer_grid_system(system: PiecewiseAffineMVSystem, grid_n: int) -> 
                     edges.add((a, 0))
     fs = FiniteMVSystem.make(g, edges)
     centers = (np.arange(g) + 0.5) / g
-    return GridModel(fs, g, centers, fs.edge_array[:, 0])
+    return GridModel(fs, g, centers, fs.edge_array[:, 0], HowardSolver(fs))

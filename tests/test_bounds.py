@@ -1,5 +1,6 @@
 """bounds: certified sandwich bounds, sweeps, barycentre hulls."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -31,7 +32,8 @@ from mvergo.circle import (
     visit_periodic_orbits,
 )
 from mvergo.geometry import convex_hull, is_convex_polygon, orientation
-from oracles import fraction_outer_grid_system
+from mvergo.mea import HowardSolver
+from oracles import fraction_outer_grid_system, per_orbit_orbit_table
 
 F = Fraction
 
@@ -200,6 +202,110 @@ def test_orbit_table_reconstruction_repeated_least_point():
     for idx in tied:
         word, xs, den = calls[idx]
         assert table.orbit(idx) == PeriodicOrbit(word, tuple(F(x, den) for x in xs))
+
+
+@pytest.mark.parametrize("system, period", [
+    (doubling_map(), 10), (doubling_map(), 12),
+    (three_branch_doubling(), 10), (three_branch_doubling(), 12),
+    (pq_correspondence(2, 3), 7),
+], ids=["doubling-10", "doubling-12", "threebranch-10", "threebranch-12", "pq23-7"])
+def test_block_orbit_table_matches_per_orbit_oracle(system, period):
+    # batched systems hand over whole int64 blocks, pq:2,3 gathered object
+    # blocks; three-branch has rows whose least point repeats
+    table = orbit_table(system, period)
+    ref = per_orbit_orbit_table(system, period)
+    assert table.letters == ref.letters
+    assert table.points.dtype == ref.points.dtype
+    assert table.points.tobytes() == ref.points.tobytes()
+    assert np.array_equal(table.starts, ref.starts)
+    assert np.array_equal(table.periods, ref.periods)
+    assert table.starts.dtype == table.periods.dtype == np.int64
+    for idx in range(0, len(table.periods), max(1, len(table.periods) // 300)):
+        orbit = table.orbit(idx)
+        start, k = int(table.starts[idx]), int(table.periods[idx])
+        assert orbit.itinerary == tuple(table.letters[start:start + k])
+        assert tuple(float(x) for x in orbit.points) == tuple(table.points[start:start + k])
+
+
+def test_block_orbit_table_divides_large_denominators_as_python_ints():
+    # slope 7 takes the batched path at period 19, where the denominator
+    # 7^19 - 1 exceeds 2^53; near 1, the numerators are no floats either,
+    # so those blocks must divide as Python ints
+    system = PiecewiseAffineMVSystem(branches=(
+        Branch(F(7), F(-5), F(5, 7), F(6, 7)),
+        Branch(F(7), F(-6), F(6, 7), F(1)),
+    ))
+    table = orbit_table(system, 19)
+    ref = per_orbit_orbit_table(system, 19)
+    assert table.letters == ref.letters
+    assert table.points.tobytes() == ref.points.tobytes()
+    assert np.array_equal(table.periods, ref.periods)
+    # a float division of the int64 arrays would be off in some last bits
+    calls = []
+    visit_periodic_orbits(system, 19, lambda *call: calls.append(call), blocks=True)
+    big = [(row, d) for _, numerators, dens in calls
+           for row, d in zip(numerators.tolist(), dens.tolist()) if d >= 2 ** 53]
+    assert big
+    exact = [x / d for row, d in big for x in row]
+    assert [float(x) / float(d) for row, d in big for x in row] != exact
+
+
+def test_howard_first_argmax_keeps_the_first_tied_edge():
+    # weights taken at the tail's cell centre tie on all of a state's
+    # out-edges, so a cold start takes each state's first out-edge; doubling
+    # cell 3 of 16 links to cells 5..8, closed cells included
+    model = outer_grid_system(doubling_map(), 16)
+    solver = model.howard
+    heads = [h for t, h in model.system.edges if t == 3]
+    assert heads == [5, 6, 7, 8]
+    weights = make_family("cos", F(1, 8)).values(model.centers)[model.tails]
+    policy, _ = solver._first_argmax(weights)
+    first = [model.system.out_edge_ids[x][0] for x in range(16)]
+    assert policy.tolist() == first
+    # the edges 3 -> 6 and 3 -> 8 tie above the others: 3 -> 6 wins
+    values = np.zeros(len(model.system.edges))
+    ids = model.system.out_edge_ids[3]
+    values[list(ids)] = [0.0, 2.0, 1.0, 2.0]
+    choice, best = solver._first_argmax(values)
+    assert choice[3] == ids[1] and best[3] == 2.0
+    # against a per-state scan, on values with many ties
+    rng = random.Random(11)
+    for system in (doubling_map(), three_branch_doubling(), pq_correspondence(2, 3)):
+        model = outer_grid_system(system, 64)
+        solver = model.howard
+        out = model.system.out_edge_ids
+        for _ in range(20):
+            values = np.array([rng.choice((-np.inf, 0.0, 0.5, 1.0)) for _ in model.system.edges])
+            choice, best = solver._first_argmax(values)
+            for x in range(64):
+                top = max(values[e] for e in out[x])
+                assert best[x] == top
+                assert choice[x] == next(e for e in out[x] if values[e] == top)
+
+
+@pytest.mark.parametrize("grid", [256, 1024])
+def test_warm_started_howard_matches_cold_starts(grid):
+    # a grid's solver starts each solve from the previous one's final policy;
+    # every beta_upper must equal a cold start's bit for bit (observed, not
+    # proved: another optimal policy could move the bound in its last ulps)
+    thetas = [F(k, 16) for k in range(9)]
+    warm_total = cold_total = 0
+    for system in (doubling_map(), three_branch_doubling(), pq_correspondence(2, 3)):
+        for family in ("cos", "negdist"):
+            model = outer_grid_system(system, grid)
+            warm_rows = []
+            for theta in thetas:
+                f = make_family(family, theta, system.metric)
+                warm = beta_upper(system, f, grid, model)
+                warm_total += model.howard.iterations
+                cold_model = dataclasses.replace(model, howard=HowardSolver(model.system))
+                cold = beta_upper(system, f, grid, cold_model)
+                cold_total += cold_model.howard.iterations
+                assert warm.hex() == cold.hex(), (system.name, family, theta)
+                warm_rows.append(warm)
+            rows = theta_sweep([system], family, thetas, 3, grid)[0]
+            assert [row.beta_upper for row in rows] == warm_rows
+    assert warm_total < cold_total
 
 
 def test_hull_doubling_extremal_orbits_in_semicircle():

@@ -3,6 +3,7 @@
 import csv
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from mvergo.io import InputFormatError, dumps_system, loads_system
 from oracles import z4_system
 
 F = Fraction
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_system_document_round_trip():
@@ -204,6 +206,21 @@ def test_cmd_sweep_small(tmp_path):
     assert svg.startswith("<svg") and 'viewBox="0 0 800 600"' in svg
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (["--f", "cos", "--theta-grid", "8", "--max-period", "10", "--grid", "1024"],
+     "sweep_cos_tg8_p10_g1024.csv"),
+    (["--f", "negdist", "--theta-grid", "16", "--max-period", "8", "--grid", "512"],
+     "sweep_negdist_tg16_p8_g512.csv"),
+], ids=["cos-benchmark", "negdist-small"])
+def test_cmd_sweep_matches_golden_csv(tmp_path, argv, golden):
+    # the golden files were written before the sweep's Howard solves were
+    # warm-started and its orbit table built a block at a time; every later
+    # change to the sweep must keep them byte for byte
+    out = tmp_path / "o"
+    assert main(["sweep", *argv, "--out", str(out)]) == 0
+    assert (out / "sweep.csv").read_bytes() == (DATA / golden).read_bytes()
+
+
 def test_cmd_hull_small(tmp_path):
     out = tmp_path / "o"
     assert main(["hull", "--max-period", "6", "--out", str(out)]) == 0
@@ -295,6 +312,45 @@ def test_cli_float_sums_beyond_range_exit_code(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: input too large: float weights up to 1e+308 on 4 states")
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_float_horizon_sums_beyond_range_exit_code(tmp_path, capsys):
+    # 1e306 fits the 4-state cycle sums, but the delta_n segment sums of up
+    # to 201 values reach 2e308; they used to be written as inf
+    out = tmp_path / "o"
+    argv = ["mea", "--builtin", "z4", "--f", "const:1e306", "--horizon", "200"]
+    assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: input too large: float weights up to 1e+306 on 4 states "
+                          "over 200 steps")
+    assert not out.exists()
+    # 2 * 81 * 1e306 is still a finite float
+    assert main(argv[:-1] + ["80", "--out", str(out)]) == 0
+    rows = _read_csv(out / "mea_delta.csv")
+    assert len(rows) == 82 and all(abs(float(d) - 1e306) <= 1e292 for _, d in rows[1:])
+
+
+def test_cli_howard_iteration_limit_exit_code(tmp_path, capsys, monkeypatch):
+    import mvergo.mea as mea_mod
+
+    monkeypatch.setattr(mea_mod, "HOWARD_ITERATION_LIMIT", 1)
+    out = tmp_path / "o"
+    argv = ["sweep", "--theta-grid", "4", "--max-period", "4", "--grid", "64", "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: input too large: Howard policy iteration did not converge in 1 iterations")
+    assert not out.exists()
+
+
+def test_cli_howard_failed_potential_check_is_internal(tmp_path, monkeypatch):
+    # a potential check that fails is a solver fault, not an input error
+    import mvergo.mea as mea_mod
+
+    monkeypatch.setattr(mea_mod, "_cycle_mean_bound", lambda *args: float("inf"))
+    argv = ["sweep", "--theta-grid", "4", "--max-period", "4", "--grid", "64",
+            "--out", str(tmp_path / "o")]
+    with pytest.raises(mea_mod.PolicyIterationError, match="potential check failed"):
+        main(argv)
 
 
 def test_cli_large_floats_within_range(tmp_path, capsys):
