@@ -160,7 +160,7 @@ def orbit_table(system: PiecewiseAffineMVSystem, max_period: int) -> OrbitTable:
         letters.extend(words.astype(np.uint8).tobytes())
         shapes.append(words.shape)
 
-    visit_periodic_orbits(system, max_period, consume, blocks=True)
+    visit_periodic_orbits(system, max_period, consume)
     if not shapes:
         raise ValueError("the system has no periodic orbits up to that period")
     pts = np.frombuffer(flat, dtype=np.float64)

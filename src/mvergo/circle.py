@@ -9,9 +9,8 @@ integer slope s >= 2, none wrapping, where no two branches of equal offset
 have domains that meet, take a batched numpy int64 path instead: there the
 points of an orbit determine its word, so every primitive necklace carries
 at most one orbit and no two coincide.  Both paths give the same orbits in
-the same order, one at a time or, for a caller that works on arrays, a
-block at a time.  The expansion property is certified by exact case
-analysis on branch pairs.
+the same order, a block of rows of one period at a time.  The expansion
+property is certified by exact case analysis on branch pairs.
 """
 
 from __future__ import annotations
@@ -417,7 +416,9 @@ def _batch_slope(system: PiecewiseAffineMVSystem) -> int | None:
 
 
 def _visit_words(k: int, rows, unit: int, consume) -> None:
-    """Period k of ``visit_periodic_orbits`` on the per-word integer path."""
+    """Period k of ``visit_periodic_orbits`` on the per-word integer path:
+    one ``consume(word, numerators, denominator)`` call per orbit, which
+    ``_gather_blocks`` turns into blocks."""
     seen: set = set()
     divisors = [d for d in range(1, k) if k % d == 0]
 
@@ -451,7 +452,7 @@ def _least_rotation(xs: list[int], word) -> tuple[list[int], tuple[int, ...]]:
     return xs[r:] + xs[:r], tuple(word[r:]) + tuple(word[:r])
 
 
-def _visit_batched(k: int, s: int, rows, unit: int, consume, blocks: bool = False) -> bool:
+def _visit_batched(k: int, s: int, rows, unit: int, consume) -> bool:
     """Period k of ``visit_periodic_orbits`` for an eligible system (see
     ``_batch_slope``) in numpy int64 blocks; False, having visited nothing,
     when a bound of that period does not fit in int64.
@@ -463,8 +464,8 @@ def _visit_batched(k: int, s: int, rows, unit: int, consume, blocks: bool = Fals
     N_{j+1} = s N_j + e_{w_j} M; every N_j is a fixed point of a rotated
     composition, so |N_j| <= max|e| M/(s - 1).  Each block's rows are put in
     lowest terms and rotated to their least point; a row whose least point
-    repeats takes ``_least_rotation``.  With ``blocks`` the block goes to
-    ``consume`` whole, else row by row."""
+    repeats takes ``_least_rotation``; then the block goes to ``consume``
+    whole."""
     r = len(rows)
     m = s ** k - 1
     den = unit * m
@@ -511,12 +512,7 @@ def _visit_batched(k: int, s: int, rows, unit: int, consume, blocks: bool = Fals
         letters = np.take_along_axis(letters, order, axis=1)
         for i in np.flatnonzero(ties).tolist():
             pts[i], letters[i] = _least_rotation(pts[i].tolist(), letters[i].tolist())
-        dens = den // g
-        if blocks:
-            consume(letters, pts, dens)
-            continue
-        for word, xs, d in zip(letters.tolist(), pts.tolist(), dens.tolist()):
-            consume(tuple(word), tuple(xs), d)
+        consume(letters, pts, den // g)
     return True
 
 
@@ -542,20 +538,20 @@ def _gather_blocks(consume):
     return gather, flush
 
 
-def visit_periodic_orbits(system: PiecewiseAffineMVSystem, max_period: int, consume,
-                          blocks: bool = False) -> None:
-    """Stream every periodic orbit of period <= max_period, exactly.
+def visit_periodic_orbits(system: PiecewiseAffineMVSystem, max_period: int, consume) -> None:
+    """Stream every periodic orbit of period <= max_period, exactly, a block
+    at a time.
 
-    ``consume(word, numerators, denominator)`` receives the canonical-rotation
-    branch word and the orbit points as integers over a positive common
-    denominator.  One call per distinct point sequence (branch relabellings at
-    domain boundaries are deduplicated); orbits arrive grouped by period,
-    and within a period by word in lexicographic order.  With ``blocks``,
-    ``consume(words, numerators, denominators)`` receives the same orbits in
-    the same order, a block of rows of one period at a time: the words and
-    the numerators as (rows, period) arrays, the denominators as a (rows,)
-    array.  The batched path hands over its int64 blocks as they are; the
-    per-word path's orbits are gathered into object arrays of Python ints.
+    ``consume(words, numerators, denominators)`` receives a non-empty block
+    of rows of one period k: the canonical-rotation branch words and the
+    orbit points as (rows, k) arrays, the points as integers over each row's
+    positive denominator in the (rows,) array ``denominators``.  One row per
+    distinct point sequence (branch relabellings at domain boundaries are
+    deduplicated); blocks arrive by ascending period, and within a period
+    the rows run by word in lexicographic order.  A block holds at most
+    ``_BATCH_CODES`` rows.  The batched path hands over its int64 blocks as
+    they are; the per-word path's orbits are gathered into object arrays of
+    Python ints, exact at any size.
 
     Two paths give the same orbits in the same order.  The per-word path
     takes FKM necklace words in order, each solved by ``_word_orbits`` in
@@ -575,28 +571,26 @@ def visit_periodic_orbits(system: PiecewiseAffineMVSystem, max_period: int, cons
     unit, rows = _integer_branches(system)
     slope = _batch_slope(system)
     for k in range(1, max_period + 1):
-        if slope is not None and _visit_batched(k, slope, rows, unit, consume, blocks):
+        if slope is not None and _visit_batched(k, slope, rows, unit, consume):
             continue
-        if blocks:
-            gather, flush = _gather_blocks(consume)
-            _visit_words(k, rows, unit, gather)
-            flush()
-        else:
-            _visit_words(k, rows, unit, consume)
+        gather, flush = _gather_blocks(consume)
+        _visit_words(k, rows, unit, gather)
+        flush()
 
 
 def enumerate_periodic_orbits(system: PiecewiseAffineMVSystem, max_period: int) -> list[PeriodicOrbit]:
     """All periodic orbits of period up to max_period, exactly.
 
     One representative per distinct point sequence; sorted by (period,
-    points).  For large orbit sets prefer the streaming visitor.
+    points).  For large orbit sets prefer the streaming visitor, whose
+    blocks this reads.
 
     The sort runs on integers: within one period every orbit's numerators
     are scaled to the lcm of that period's denominators, which orders them
     exactly as their points.  The Fraction points are built after the sort.
     """
     found: list[PeriodicOrbit] = []
-    group: list = []  # (word, numerators, denominator) of the current period
+    group: list = []  # (word, numerators, denominator) rows of the current period
 
     def place_group():
         unit = math.lcm(*{t[2] for t in group})
@@ -608,14 +602,14 @@ def enumerate_periodic_orbits(system: PiecewiseAffineMVSystem, max_period: int) 
         group.sort(key=scaled)
         # tuple([...]) allocates the final size, so the points reuse the key
         # tuples that the sort freed to CPython's tuple free list
-        found.extend(PeriodicOrbit(word, tuple([Fraction(x, denom) for x in numerators]))
+        found.extend(PeriodicOrbit(tuple(word), tuple([Fraction(x, denom) for x in numerators]))
                      for word, numerators, denom in group)
         group.clear()
 
-    def consume(word, numerators, denom):
-        if group and len(group[0][0]) != len(word):
+    def consume(words, numerators, denominators):
+        if group and len(group[0][0]) != words.shape[1]:
             place_group()
-        group.append((word, numerators, denom))
+        group.extend(zip(words.tolist(), numerators.tolist(), denominators.tolist()))
 
     visit_periodic_orbits(system, max_period, consume)
     if group:

@@ -3,9 +3,9 @@
 Subcommands: mea, measures, subaction, sweep, hull, verify.  Exit codes:
 0 success, 2 validation failure (slack violation, oracle mismatch), 3 input
 error (an infinite or NaN number, a float too large for the sums of a pass,
-too many simple cycles and a grid that Howard policy iteration does not
-solve within its iteration limit included).  Identical flags and seed
-produce byte-identical output files.
+too many simple cycles or distinct cycle supports and a grid that Howard
+policy iteration does not solve within its iteration limit included).
+Identical flags and seed produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .circle import (
 from .geometry import convex_hull
 from .io import InputFormatError, load_system, measure_row
 from .mea import NoCycleError, NoPathError, PolicyIterationLimitError, mea_report
-from .measures import extreme_invariant_measures
+from .measures import TooManySupportsError, extreme_invariant_measures
 from .subaction import PositiveCycleError, ViolatedEdgeError, subaction_for_state_function
 from .svg import hull_chart, line_chart
 from .system import FiniteMVSystem, TooManyCyclesError, lift_function
@@ -377,7 +377,8 @@ def main(argv=None) -> int:
     except NoPathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (TooManyCyclesError, FloatRangeError, PolicyIterationLimitError) as exc:
+    except (TooManyCyclesError, TooManySupportsError, FloatRangeError,
+            PolicyIterationLimitError) as exc:
         print(f"error: input too large: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

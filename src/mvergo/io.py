@@ -4,7 +4,10 @@ A system document is a single JSON object with fields ``n_states`` (integer)
 and ``edges`` (list of [tail, head] pairs), plus optional ``f_state`` /
 ``f_edge`` value lists parallel to states / sorted edges.  Number tokens may
 be "p/q" strings (exact) or decimals (binary floats); infinite and NaN
-values (JSON ``Infinity``/``NaN`` tokens, "inf" strings) are rejected.
+values (JSON ``Infinity``/``NaN`` tokens, "inf" strings) are rejected.  A
+file must be UTF-8 text; a document that is not well formed (a JSON syntax
+error, nesting deeper than the decoder reads, an integer token past the
+digit limit of ``int`` conversion) raises ``InputFormatError``.
 """
 
 from __future__ import annotations
@@ -54,6 +57,10 @@ def loads_system(text: str) -> SystemDocument:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise InputFormatError("the document nests deeper than the JSON decoder reads") from exc
+    except ValueError as exc:  # int() refuses a token past its digit limit
+        raise InputFormatError("an integer token has more digits than int() converts") from exc
     if not isinstance(doc, dict):
         raise InputFormatError("the system document must be a JSON object")
     try:
@@ -82,7 +89,11 @@ def loads_system(text: str) -> SystemDocument:
 
 def load_system(path) -> SystemDocument:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_system(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    return loads_system(text)
 
 
 def dumps_system(system: FiniteMVSystem, f_state=None, f_edge=None) -> str:

@@ -9,7 +9,8 @@ from explicit backward-walk enumeration, float cycle means from Karp's walk
 table, periodic orbits of circle systems from a rational lift search, and orbit
 tables from the per-word orbit path, divided as Python ints.
 Convex hulls, Sturmian arcs and the orbit order are decided in ``Fraction``
-arithmetic, where the package works in integers.
+arithmetic, where the package works in integers.  ``flatten_blocks`` turns
+the orbit visitor's blocks into the rows the orbit oracle produces.
 """
 
 from __future__ import annotations
@@ -615,15 +616,27 @@ def fraction_is_sturmian(orbit_or_points, arc_length) -> bool:
     return largest_gap >= 1 - arc
 
 
+def flatten_blocks(blocks) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """The rows of ``visit_periodic_orbits`` blocks, in order, as the calls
+    of ``fraction_periodic_orbits``: (word, numerators, denominator) in
+    Python ints."""
+    return [(tuple(word), tuple(xs), d)
+            for words, numerators, dens in blocks
+            for word, xs, d in zip(words.tolist(), numerators.tolist(), dens.tolist())]
+
+
+def visited_orbits(system: PiecewiseAffineMVSystem, max_period: int):
+    """Every row ``visit_periodic_orbits`` hands over, flattened."""
+    blocks: list = []
+    visit_periodic_orbits(system, max_period, lambda *block: blocks.append(block))
+    return flatten_blocks(blocks)
+
+
 def fraction_sorted_orbits(system: PiecewiseAffineMVSystem, max_period: int) -> list[PeriodicOrbit]:
     """Reference for ``circle.enumerate_periodic_orbits``: the visitor's
     orbits as Fraction points, sorted by (period, points)."""
-    found: list[PeriodicOrbit] = []
-
-    def consume(word, numerators, denom):
-        found.append(PeriodicOrbit(word, tuple(Fraction(x, denom) for x in numerators)))
-
-    visit_periodic_orbits(system, max_period, consume)
+    found = [PeriodicOrbit(word, tuple(Fraction(x, denom) for x in numerators))
+             for word, numerators, denom in visited_orbits(system, max_period)]
     return sorted(found, key=lambda o: (o.period, o.points))
 
 

@@ -29,11 +29,10 @@ from mvergo.circle import (
     is_sturmian,
     pq_correspondence,
     three_branch_doubling,
-    visit_periodic_orbits,
 )
 from mvergo.geometry import convex_hull, is_convex_polygon, orientation
 from mvergo.mea import HowardSolver
-from oracles import fraction_outer_grid_system, per_orbit_orbit_table
+from oracles import fraction_outer_grid_system, per_orbit_orbit_table, visited_orbits
 
 F = Fraction
 
@@ -193,8 +192,7 @@ def test_orbit_table_reconstruction_repeated_least_point():
     # three-branch rows whose least point repeats take the batched path's
     # per-row tie-break; each must rebuild to the visitor's exact orbit
     system = three_branch_doubling()
-    calls = []
-    visit_periodic_orbits(system, 10, lambda *call: calls.append(call))
+    calls = visited_orbits(system, 10)
     table = orbit_table(system, 10)
     tied = [i for i, (_, xs, _) in enumerate(calls) if xs.count(min(xs)) > 1]
     assert len(tied) == 46
@@ -241,10 +239,7 @@ def test_block_orbit_table_divides_large_denominators_as_python_ints():
     assert table.points.tobytes() == ref.points.tobytes()
     assert np.array_equal(table.periods, ref.periods)
     # a float division of the int64 arrays would be off in some last bits
-    calls = []
-    visit_periodic_orbits(system, 19, lambda *call: calls.append(call), blocks=True)
-    big = [(row, d) for _, numerators, dens in calls
-           for row, d in zip(numerators.tolist(), dens.tolist()) if d >= 2 ** 53]
+    big = [(row, d) for _, row, d in visited_orbits(system, 19) if d >= 2 ** 53]
     assert big
     exact = [x / d for row, d in big for x in row]
     assert [float(x) / float(d) for row, d in big for x in row] != exact

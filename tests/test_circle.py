@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,13 @@ from mvergo.circle import (
     visit_periodic_orbits,
 )
 from mvergo.circle import _batch_slope, _integer_branches, _visit_batched, _visit_words
-from oracles import fraction_is_sturmian, fraction_periodic_orbits, fraction_sorted_orbits
+from oracles import (
+    flatten_blocks,
+    fraction_is_sturmian,
+    fraction_periodic_orbits,
+    fraction_sorted_orbits,
+    visited_orbits,
+)
 
 F = Fraction
 
@@ -160,9 +167,8 @@ NEGATIVE_WRAP = PiecewiseAffineMVSystem(
     (NEGATIVE_WRAP, 7),
 ], ids=lambda v: v.name if isinstance(v, PiecewiseAffineMVSystem) else str(v))
 def test_visit_periodic_orbits_matches_fraction_oracle(system, max_period):
-    # the whole consume sequence, order included, against the rational lift search
-    got, expected = [], []
-    visit_periodic_orbits(system, max_period, lambda *call: got.append(call))
+    # every row of every block, order included, against the rational lift search
+    got, expected = visited_orbits(system, max_period), []
     fraction_periodic_orbits(system, max_period, lambda *call: expected.append(call))
     assert got
     assert got == expected
@@ -174,12 +180,6 @@ def _per_word_calls(system, max_period):
     calls = []
     for k in range(1, max_period + 1):
         _visit_words(k, rows, unit, lambda *call: calls.append(call))
-    return calls
-
-
-def _visit_calls(system, max_period):
-    calls = []
-    visit_periodic_orbits(system, max_period, lambda *call: calls.append(call))
     return calls
 
 
@@ -216,15 +216,16 @@ def test_batch_eligibility():
 
 
 def test_shared_image_system_keeps_per_word_dedup():
-    calls = _visit_calls(SHARED_IMAGE, 6)
+    calls = visited_orbits(SHARED_IMAGE, 6)
     assert len(calls) == 23
     assert calls.count(((0, 2), (1, 2), 3)) == 1
     # the batched path, which skips the dedup and the primitivity test,
     # would emit 48 calls: 44 primitive point sequences, 23 of them distinct
     unit, rows = _integer_branches(SHARED_IMAGE)
-    batched = []
+    blocks = []
     for k in range(1, 7):
-        assert _visit_batched(k, 2, rows, unit, lambda *call: batched.append(call))
+        assert _visit_batched(k, 2, rows, unit, lambda *block: blocks.append(block))
+    batched = flatten_blocks(blocks)
     primitive = [(xs, d) for _, xs, d in batched
                  if all(xs[p:] + xs[:p] != xs for p in range(1, len(xs)))]
     assert (len(batched), len(primitive), len(set(primitive))) == (48, 44, 23)
@@ -233,12 +234,53 @@ def test_shared_image_system_keeps_per_word_dedup():
     assert calls == expected
 
 
+def _check_blocks(blocks, cap):
+    """The visitor's block contract: (rows, k) words and numerators, (rows,)
+    denominators, no empty block, periods never decreasing, at most ``cap``
+    rows per block."""
+    periods = []
+    for words, numerators, dens in blocks:
+        rows, k = words.shape
+        assert 1 <= rows <= cap
+        assert numerators.shape == (rows, k) and dens.shape == (rows,)
+        assert numerators.dtype == dens.dtype and numerators.dtype in (np.int64, object)
+        periods.append(k)
+    assert periods == sorted(periods)
+
+
+@pytest.mark.parametrize("system, max_period", [
+    (doubling_map(), 10),
+    (three_branch_doubling(), 9),
+    (pq_correspondence(2, 3), 7),
+    (MIXED, 6),
+    (NEGATIVE_WRAP, 6),
+    (SHARED_IMAGE, 6),
+], ids=lambda v: v.name if isinstance(v, PiecewiseAffineMVSystem) else str(v))
+def test_visit_periodic_orbits_block_contract(system, max_period, monkeypatch):
+    blocks = []
+    visit_periodic_orbits(system, max_period, lambda *block: blocks.append(block))
+    _check_blocks(blocks, circle._BATCH_CODES)
+    rows = flatten_blocks(blocks)
+    # a small cap splits the larger periods over several blocks, each still
+    # of one period, and hands over the same rows in the same order
+    monkeypatch.setattr(circle, "_BATCH_CODES", 4)
+    small = []
+    visit_periodic_orbits(system, max_period, lambda *block: small.append(block))
+    _check_blocks(small, 4)
+    assert len(small) > len(blocks)
+    assert flatten_blocks(small) == rows
+    expected = []
+    fraction_periodic_orbits(system, min(max_period, 6), lambda *call: expected.append(call))
+    assert rows[:len(expected)] == expected
+    assert all(len(w) > 6 for w, _, _ in rows[len(expected):])
+
+
 @pytest.mark.parametrize("system", [doubling_map(), three_branch_doubling()],
                          ids=lambda s: s.name)
 def test_batched_orbits_match_per_word_path(system):
     unit, rows = _integer_branches(system)
     assert all(_visit_batched(k, 2, rows, unit, lambda *call: None) for k in range(1, 13))
-    calls = _visit_calls(system, 12)
+    calls = visited_orbits(system, 12)
     assert calls == _per_word_calls(system, 12)
     assert all(type(x) is int for _, xs, d in calls[::97] for x in xs + (d,))
 
@@ -265,12 +307,12 @@ def test_batched_orbits_match_references_on_random_systems():
     for trial in range(40):
         system = _random_eligible_system(rng)
         period = {1: 10, 2: 9, 3: 7, 4: 6}[len(system.branches)]
-        calls = _visit_calls(system, period)
+        calls = visited_orbits(system, period)
         assert calls == _per_word_calls(system, period)
         if trial < 8:
             expected = []
             fraction_periodic_orbits(system, min(period, 6), lambda *call: expected.append(call))
-            assert _visit_calls(system, min(period, 6)) == expected
+            assert visited_orbits(system, min(period, 6)) == expected
         total += len(calls)
     assert total > 1000
 
@@ -284,7 +326,7 @@ def test_batched_path_falls_back_per_period_past_int64(monkeypatch):
     monkeypatch.setattr(circle, "_INT64_SAFE", 1 << 12)
     fits = [_visit_batched(k, 2, rows, unit, lambda *call: None) for k in range(1, 10)]
     assert fits == [True] * 7 + [False] * 2
-    assert _visit_calls(system, 9) == reference
+    assert visited_orbits(system, 9) == reference
     monkeypatch.undo()
     # a domain denominator of 2^62 fails the bound at every period
     fine = PiecewiseAffineMVSystem(branches=(
@@ -296,7 +338,7 @@ def test_batched_path_falls_back_per_period_past_int64(monkeypatch):
     assert not _visit_batched(1, 2, rows, unit, lambda *call: None)
     expected = []
     fraction_periodic_orbits(fine, 6, lambda *call: expected.append(call))
-    assert _visit_calls(fine, 6) == expected
+    assert visited_orbits(fine, 6) == expected
 
 
 def test_pq23_orbit_counts():
@@ -526,8 +568,8 @@ def test_enumerate_periodic_orbits_integer_sort_matches_fraction_sort(system, pe
 def test_pq23_mixes_denominators_within_one_period():
     # the integer sort scales numerators over several denominators per period
     dens: dict[int, set] = {}
-    visit_periodic_orbits(pq_correspondence(2, 3), 8,
-                          lambda w, xs, d: dens.setdefault(len(w), set()).add(d))
+    for w, _, d in visited_orbits(pq_correspondence(2, 3), 8):
+        dens.setdefault(len(w), set()).add(d)
     assert max(len(v) for v in dens.values()) == 5
 
 

@@ -96,11 +96,29 @@ def test_cmd_mea_acyclic_exit_code(tmp_path):
     assert code == 2
 
 
-def test_cmd_mea_bad_input_exit_code(tmp_path):
+def test_cmd_mea_bad_input_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["mea", "--input", str(path), "--out", str(tmp_path / "o")]) == 3
     assert main(["mea", "--out", str(tmp_path / "o")]) == 3
+    # documents that are not well formed: bytes that are not UTF-8, nesting
+    # deeper than the JSON decoder recurses, an integer past the digit limit
+    # of int-from-string conversion
+    bad = {
+        "utf8.json": b"\xff\xfe",
+        "deep.json": b"[" * 100000,
+        "digits.json": b'{"n_states": 4, "edges": [[0, 0]], "f_state": ['
+                       + b"7" * 5000 + b", 0, 0, 0]}",
+    }
+    capsys.readouterr()
+    for name, content in bad.items():
+        doc = tmp_path / name
+        doc.write_bytes(content)
+        for argv in (["--input", str(doc)], ["--builtin", "z4", "--f", f"file:{doc}"]):
+            assert main(["mea", *argv, "--out", str(tmp_path / "o")]) == 3, (name, argv)
+            err = capsys.readouterr().err
+            assert "error: " in err and len(err.splitlines()) == 1, (name, err)
+    assert not (tmp_path / "o").exists()
 
 
 def test_cmd_measures(tmp_path):
@@ -122,6 +140,18 @@ def test_cmd_measures_too_many_cycles_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["measures", "--input", str(path), "--out", str(tmp_path / "o")]) == 3
     assert "simple cycles" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cmd_measures_too_many_supports_exit_code(tmp_path, capsys):
+    petals = 600  # 1201 distinct cycle supports, 1201 simple cycles
+    edges = ([[0, i] for i in range(1, petals + 1)] + [[i, 0] for i in range(1, petals + 1)]
+             + [[x, x] for x in range(petals + 1)])
+    path = tmp_path / "flower.json"
+    path.write_text(json.dumps({"n_states": petals + 1, "edges": edges}))
+    assert main(["measures", "--input", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: input too large: ") and "cycle supports" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -219,6 +249,20 @@ def test_cmd_sweep_matches_golden_csv(tmp_path, argv, golden):
     out = tmp_path / "o"
     assert main(["sweep", *argv, "--out", str(out)]) == 0
     assert (out / "sweep.csv").read_bytes() == (DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize("builtin, golden", [
+    ("pq:2,3", "hull_pq23_p8"),
+    ("threebranch", "hull_threebranch_p8"),
+], ids=["pq23", "threebranch"])
+def test_cmd_hull_matches_golden_files(tmp_path, builtin, golden):
+    # the golden files were written before enumerate_periodic_orbits read the
+    # visitor's blocks; pq:2,3 takes the per-word path's gathered object
+    # blocks, three-branch the batched int64 blocks
+    out = tmp_path / "o"
+    assert main(["hull", "--builtin", builtin, "--max-period", "8", "--out", str(out)]) == 0
+    assert (out / "hull.csv").read_bytes() == (DATA / f"{golden}.csv").read_bytes()
+    assert (out / "hull.svg").read_bytes() == (DATA / f"{golden}.svg").read_bytes()
 
 
 def test_cmd_hull_small(tmp_path):

@@ -10,8 +10,10 @@ import pytest
 
 import mvergo.measures
 from mvergo.measures import (
+    MEASURE_SUPPORT_LIMIT,
     Cycle,
     EdgeCirculation,
+    TooManySupportsError,
     VertexMeasure,
     convex_combination,
     cycle_measure,
@@ -382,6 +384,29 @@ def test_extreme_measures_no_lp_without_a_covering_sub_support(monkeypatch):
     # z4: only the full support holds other supports, so one LP runs
     assert len(extreme_invariant_measures(z4_system())) == 4
     assert len(calls) == 1 and calls[0][0] == [F(1, 4)] * 4
+
+
+def _flower(petals):
+    """Hub 0 with the 2-cycles 0 <-> i and a self-loop at every state:
+    2 * petals + 1 distinct cycle supports."""
+    edges = [(0, i) for i in range(1, petals + 1)] + [(i, 0) for i in range(1, petals + 1)]
+    return FiniteMVSystem.make(petals + 1, edges + [(x, x) for x in range(petals + 1)])
+
+
+def test_extreme_measures_support_limit_fails_fast(monkeypatch):
+    calls = counting_convex_combination(monkeypatch)
+    petals = MEASURE_SUPPORT_LIMIT // 2
+    with pytest.raises(TooManySupportsError) as info:
+        extreme_invariant_measures(_flower(petals))
+    assert info.value.limit == MEASURE_SUPPORT_LIMIT
+    assert str(MEASURE_SUPPORT_LIMIT) in str(info.value)
+    assert calls == []  # raised before any elimination LP
+    # z4 has 5 distinct supports: a limit of 5 lets it through, 4 does not
+    monkeypatch.setattr(mvergo.measures, "MEASURE_SUPPORT_LIMIT", 5)
+    assert len(extreme_invariant_measures(z4_system())) == 4
+    monkeypatch.setattr(mvergo.measures, "MEASURE_SUPPORT_LIMIT", 4)
+    with pytest.raises(TooManySupportsError):
+        extreme_invariant_measures(z4_system())
 
 
 def random_lp(rng):
