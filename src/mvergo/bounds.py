@@ -252,7 +252,7 @@ def beta_upper(system: PiecewiseAffineMVSystem, f, grid_n: int,
     the upper bound on every grid cycle mean given by its potential check
     (it raises instead when that bound exceeds the policy's value by more
     than ``float_tolerance`` of the weights); the bound holds up to float
-    rounding, as Karp's did, wherever the iteration started."""
+    rounding, wherever the iteration started."""
     lipschitz = getattr(f, "lipschitz", None)
     if lipschitz is None:
         raise ValueError("beta_upper needs a function with a Lipschitz constant")

@@ -3,7 +3,7 @@
 Subcommands: mea, measures, subaction, sweep, hull, verify.  Exit codes:
 0 success, 2 validation failure (slack violation, oracle mismatch), 3 input
 error (an infinite or NaN number, a float too large for the sums of a pass,
-too many simple cycles or distinct cycle supports and a grid that Howard
+too many simple cycles or distinct cycle supports and a graph that Howard
 policy iteration does not solve within its iteration limit included).
 Identical flags and seed produce byte-identical output files.
 """
@@ -28,7 +28,13 @@ from .circle import (
 )
 from .geometry import convex_hull
 from .io import InputFormatError, load_system, measure_row
-from .mea import NoCycleError, NoPathError, PolicyIterationLimitError, mea_report
+from .mea import (
+    BRUTE_FORCE_STATE_LIMIT,
+    NoCycleError,
+    NoPathError,
+    PolicyIterationLimitError,
+    mea_report,
+)
 from .measures import TooManySupportsError, extreme_invariant_measures
 from .subaction import PositiveCycleError, ViolatedEdgeError, subaction_for_state_function
 from .svg import hull_chart, line_chart
@@ -297,8 +303,8 @@ def cmd_hull(args) -> int:
 def cmd_verify(args) -> int:
     if args.count < 1:
         raise CliError("--count must be at least 1", EXIT_INPUT)
-    if args.max_states < 2:
-        raise CliError("--max-states must be at least 2", EXIT_INPUT)
+    if not 2 <= args.max_states <= BRUTE_FORCE_STATE_LIMIT:
+        raise CliError(f"--max-states must be between 2 and {BRUTE_FORCE_STATE_LIMIT}", EXIT_INPUT)
     report = run_verify(args.seed, count=args.count, max_states=args.max_states)
     _write(Path(args.out) / "verify.txt", report.text())
     print(report.text(), end="")

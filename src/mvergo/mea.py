@@ -1,23 +1,26 @@
 """Maximum ergodic averages on finite systems.
 
-The maximum average equals the best mean weight over directed cycles.  It is
-computed exactly with Karp's maximum mean cycle algorithm, and for float
-weights on large grids with Howard's policy iteration (``HowardSolver``,
-prepared once per graph and warm-started from its last policy), whose value
-is checked by a potential that bounds every cycle mean.  Karp's table, the
-tight-edge potentials, the finite-horizon path maxima and ``subaction``'s
-potential all run one max-plus relaxation step (``_relax``).  They take the
-number format and the tolerance of the finite layer from ``_numbers``:
-rational inputs run as Python ints over one denominator (``scaled``), and
-equality decisions allow ``tie_tolerance``, which is 0 unless an input is
-a float.  Alongside come a prefix-sum rotation witness and a brute-force
-oracle.
+The maximum average equals the best mean weight over directed cycles.  One
+algorithm computes it, Howard's policy iteration.  ``max_mean_cycle_value``
+runs it exactly, on Python ints in the format of ``_numbers.scaled`` (a
+float weight counts as its exact binary rational, and only the result is
+rounded).  ``HowardSolver`` runs it in floats for the weights of large
+grids, prepared once per graph and warm-started from its last policy.  Both
+return a value only once a potential shows that it bounds every cycle mean.
+The tight-edge potentials, the finite-horizon path maxima and
+``subaction``'s potential all run one max-plus relaxation step (``_relax``).
+They take the number format and the tolerance of the finite layer from
+``_numbers``: rational inputs run as Python ints over one denominator
+(``scaled``), and equality decisions allow ``tie_tolerance``, which is 0
+unless an input is a float.  Alongside come a prefix-sum rotation witness
+and a brute-force oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -68,45 +71,151 @@ def _relax(edges, weights, values, out, shift=0) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Karp's maximum mean cycle
+# Howard's policy iteration, exact and in floats
+
+
+def _policy_walk(succ: list[int], states: list[int]) -> tuple[list[list[int]], list[int]]:
+    """The cycles of a policy's functional graph on ``states``, each from its
+    smallest state, and the other states in an order that puts each after
+    its successor, from one walk of the graph."""
+    walk_of = [-1] * len(succ)
+    cycles, order = [], []
+    for s in states:
+        if walk_of[s] >= 0:
+            continue
+        path = []
+        x = s
+        while walk_of[x] < 0:
+            walk_of[x] = s
+            path.append(x)
+            x = succ[x]
+        if walk_of[x] == s:  # the walk closed a new policy cycle at x
+            i = path.index(x)
+            cycle = path[i:]
+            del path[i:]
+            j = cycle.index(min(cycle))
+            cycles.append(cycle[j:] + cycle[:j])
+        order.extend(reversed(path))
+    return cycles, order
+
+
+def _evaluate_policy_exact(succ: list[int], cost: list[int],
+                           states: list[int]) -> tuple[list[int], list[int], int]:
+    """Exact cycle value eta and bias v of a policy with integer costs on
+    ``states``, as ``_evaluate_policy`` defines them: integers over L, the
+    lcm of the policy's cycle lengths, and L."""
+    cycles, order = _policy_walk(succ, states)
+    scale = math.lcm(*[len(cycle) for cycle in cycles])
+    cost = [c * scale for c in cost]
+    eta = [0] * len(succ)
+    v = [0] * len(succ)
+    for cycle in cycles:
+        mean = sum([cost[y] for y in cycle]) // len(cycle)
+        eta[cycle[0]] = mean
+        for y in reversed(cycle[1:]):
+            eta[y] = mean
+            v[y] = cost[y] - mean + v[succ[y]]
+    for y in order:
+        eta[y] = eta[succ[y]]
+        v[y] = cost[y] - eta[y] + v[succ[y]]
+    return eta, v, scale
+
+
+def _certified(live, outs, head, w, eta, v, scale) -> bool:
+    """Whether eta and v over L bound every cycle mean by the largest eta,
+    in integers: eta never rises along an edge, so a cycle keeps one eta;
+    and no reduced weight w L - eta + v(head) - v(tail) inside an eta class
+    is positive, while those weights sum around a cycle to L times its
+    weight minus its length times eta."""
+    for x in live:
+        ex, vx = eta[x], v[x]
+        for k in outs[x]:
+            h = head[k]
+            if eta[h] > ex or eta[h] == ex and w[k] * scale - ex + v[h] > vx:
+                return False
+    return True
+
+
+def _howard_exact(system: FiniteMVSystem, w: list[int]) -> tuple[int, int]:
+    """The maximum cycle mean for integer edge weights, as (num, L) standing
+    for num / L, by Howard's policy iteration in integers; see
+    ``max_mean_cycle_value``."""
+    live = sorted(eventual_domain(system))
+    if not live:
+        raise NoCycleError("the system has no directed cycle")
+    alive = [False] * system.n_states
+    for x in live:
+        alive[x] = True
+    head = [h for _t, h in system.edges]
+    # a policy is an out-edge id per live state, between live states; the
+    # walk never reaches the -1 held by a state off the domain
+    outs = [[k for k in ids if alive[head[k]]] if alive[x] else []
+            for x, ids in enumerate(system.out_edge_ids)]
+    policy = [max(ks, key=w.__getitem__) if ks else -1 for ks in outs]
+    for _ in range(HOWARD_ITERATION_LIMIT):
+        eta, v, scale = _evaluate_policy_exact([head[k] for k in policy],
+                                               [w[k] for k in policy], live)
+        # the largest eta is the mean of a policy cycle, and the certificate
+        # bounds every cycle mean by it: the iteration itself is not trusted
+        if _certified(live, outs, head, w, eta, v, scale):
+            return max([eta[x] for x in live]), scale
+        # a strict gain moves a state to its first best edge: first towards a
+        # larger eta of the head, then, when no eta can rise, towards a larger
+        # w - eta + v(head) among heads with the state's own eta
+        switched = False
+        for x in live:
+            best, pick = eta[x], -1
+            for k in outs[x]:
+                if eta[head[k]] > best:
+                    best, pick = eta[head[k]], k
+            if pick >= 0:
+                policy[x] = pick
+                switched = True
+        if not switched:
+            for x in live:
+                ex = eta[x]
+                best, pick = v[x], -1
+                for k in outs[x]:
+                    h = head[k]
+                    if eta[h] == ex:
+                        gain = w[k] * scale - ex + v[h]
+                        if gain > best:
+                            best, pick = gain, k
+                if pick >= 0:
+                    policy[x] = pick
+    raise PolicyIterationLimitError(
+        f"Howard policy iteration did not converge in {HOWARD_ITERATION_LIMIT} iterations"
+    )
 
 
 def max_mean_cycle_value(system: FiniteMVSystem, weights: Sequence):
-    """Maximum cycle mean weight (Karp).  Exact for rational weights; float
-    weights must pass ``check_float_range``, which also covers the
-    potentials of ``tight_edges`` at the returned mean."""
+    """Maximum cycle mean weight, exactly, by Howard's policy iteration
+    (Cochet-Terrasson, Cohen, Gaubert, McGettrick and Quadrat, 1998) on the
+    weights in the format of ``_numbers.scaled``.
+
+    Float weights must pass ``check_float_range``, which also covers the
+    potentials of ``tight_edges`` at the returned mean; they are then solved
+    as their exact binary rationals, and the result is the exact maximum
+    rounded to the nearest float.
+
+    The iteration is that of ``HowardSolver`` on the states of
+    ``eventual_domain``, in integers: a cold start takes each state's
+    heaviest edge, the first on ties; eta and the bias v are Python ints
+    over L, the lcm of the policy's cycle lengths, so every comparison is
+    exact.  It stops when a check that does not trust it holds, in
+    integers: eta never increases along an edge, and no reduced edge weight
+    inside an eta class is positive (``_certified``).  Raises
+    PolicyIterationLimitError when ``HOWARD_ITERATION_LIMIT`` is reached,
+    NoCycleError on acyclic systems.
+    """
     if len(weights) != len(system.edges):
         raise ValueError("weight vector length must equal the edge count")
-    n = system.n_states
     (w,), d = scaled(weights)
-    if d is None:
-        check_float_range(w, n)
-    # rows[j][v]: the best weight of a walk with exactly j edges ending at v,
-    # from a virtual source joined to every state; 0.0 in float mode keeps
-    # every sum a float sum, as in plain float code
-    rows = [[0 if d else 0.0] * n]
-    for _ in range(n):
-        rows.append([None] * n)
-        _relax(system.edges, w, rows[-2], rows[-1])
-    # means are pairs (num, k) standing for num / k, compared by cross
-    # multiplication; a float mean is divided out at once and has k = 1
-    best = None
-    for v, top in enumerate(rows[n]):
-        if top is None:
-            continue
-        worst = None
-        for j in range(n):
-            prev = rows[j][v]
-            if prev is None:
-                continue
-            mean = (top - prev, n - j) if d else ((top - prev) / (n - j), 1)
-            if worst is None or mean[0] * worst[1] < worst[0] * mean[1]:
-                worst = mean
-        if best is None or worst[0] * best[1] > best[0] * worst[1]:
-            best = worst
-    if best is None:
-        raise NoCycleError("the system has no directed cycle")
-    return divide(best[0], best[1], d)
+    if d is not None:
+        return divide(*_howard_exact(system, w), d)
+    check_float_range(w, system.n_states)
+    (w,), d = scaled([Fraction(x) for x in weights])
+    return float(divide(*_howard_exact(system, w), d))
 
 
 def _evaluate_policy(succ: list[int], cost: list[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -273,7 +382,7 @@ def max_mean_cycle_value_float(system: FiniteMVSystem, weights: np.ndarray,
     returned when it exceeds the value by more than its own rounding error
     (the iteration stopped within the tolerance of the maximum), the value
     otherwise, so the result dominates every cycle mean up to float
-    rounding, as Karp's did.  A warm and a cold start have given
+    rounding.  A warm and a cold start have given
     bit-identical results on every outer grid tested, but another optimal
     policy could move the bound in its last ulps.
 

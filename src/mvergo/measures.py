@@ -370,22 +370,32 @@ def extreme_invariant_measures(system: FiniteMVSystem) -> list[VertexMeasure]:
     state_sets = {frozenset(c) for c in simple_cycles(system)}
     if len(state_sets) > MEASURE_SUPPORT_LIMIT:
         raise TooManySupportsError(MEASURE_SUPPORT_LIMIT)
-    supports = sorted(
-        (tuple(Fraction(1, len(states)) if x in states else Fraction(0) for x in range(n)),
-         sum(1 << x for x in states))
-        for states in state_sets
-    )
+    # the candidates in the order of their weight vectors, by the integer
+    # key of ``_support_key``; Fractions only for the LPs and the survivors
+    share = [Fraction(0)] + [Fraction(1, k) for k in range(1, n + 1)]
+
+    def weights(size: int, support: int, coords) -> list[Fraction]:
+        return [share[size] if support >> x & 1 else share[0] for x in coords]
+
+    supports = [(len(states), sum(1 << x for x in states))
+                for states in sorted(state_sets, key=lambda states: _support_key(states, n))]
     survivors = []
-    for weights, support in supports:
-        inside = [(w, s) for w, s in supports if s != support and s & support == s]
+    for size, support in supports:
+        inside = [(k, s) for k, s in supports if s != support and s & support == s]
         covered = 0
         for _, s in inside:
             covered |= s
         if covered == support:
             coords = [x for x in range(n) if support >> x & 1]
-            target = [weights[x] for x in coords]
-            columns = [[w[x] for x in coords] for w, _ in inside]
-            if convex_combination(target, columns) is not None:
+            columns = [weights(k, s, coords) for k, s in inside]
+            if convex_combination(weights(size, support, coords), columns) is not None:
                 continue
-        survivors.append(VertexMeasure(weights))
+        survivors.append(VertexMeasure(tuple(weights(size, support, range(n)))))
     return survivors
+
+
+def _support_key(states, n: int) -> tuple[int, ...]:
+    """An integer key that orders cycle supports S as their measures'
+    weight vectors (1/|S| on S, 0 elsewhere) order: n + 1 - |S| on S, 0
+    elsewhere, a positive value that falls as 1/|S| does."""
+    return tuple([n + 1 - len(states) if x in states else 0 for x in range(n)])

@@ -2,12 +2,12 @@
 
 These deliberately avoid the package's algorithmic paths: cycles come from a
 plain DFS, invariance from the subset characterization and from a max flow
-in ``Fraction`` arithmetic, extreme measures from
-active-set vertex enumeration of the inequality polytope and from the
-elimination LP over every other candidate (a ``Fraction`` simplex), the potential
-from explicit backward-walk enumeration, float cycle means from Karp's walk
-table, periodic orbits of circle systems from a rational lift search, and orbit
-tables from the per-word orbit path, divided as Python ints.
+in ``Fraction`` arithmetic, extreme measures from active-set vertex
+enumeration of the inequality polytope and from the elimination LP over
+every other candidate (a ``Fraction`` simplex), the potential from explicit
+backward-walk enumeration, exact and float cycle means from Karp's walk
+table, periodic orbits of circle systems from a rational lift search, and
+orbit tables from the per-word orbit path, divided as Python ints.
 Convex hulls, Sturmian arcs and the orbit order are decided in ``Fraction``
 arithmetic, where the package works in integers.  ``flatten_blocks`` turns
 the orbit visitor's blocks into the rows the orbit oracle produces.
@@ -435,6 +435,41 @@ def per_orbit_orbit_table(system: PiecewiseAffineMVSystem, max_period: int) -> O
     period_arr = np.array(periods)
     starts = np.concatenate(([0], np.cumsum(period_arr)[:-1]))
     return OrbitTable(system, bytes(letters), np.array(points), starts, period_arr)
+
+
+def karp_max_mean_cycle_value(system: FiniteMVSystem, weights) -> Fraction:
+    """Maximum cycle mean by Karp's theorem, exactly: an (n+1) x n table of
+    best walk weights from a virtual source joined to every state, in
+    integers over the weights' common denominator (a float weight counts as
+    its exact binary rational).  O(n m) time and O(n^2) memory."""
+    exact = [Fraction(x) for x in weights]
+    d = math.lcm(*[x.denominator for x in exact])
+    w = [x.numerator * (d // x.denominator) for x in exact]
+    n = system.n_states
+    rows = [[0] * n]
+    for _ in range(n):
+        prev, cur = rows[-1], [None] * n
+        for (t, h), wk in zip(system.edges, w):
+            if prev[t] is not None and (cur[h] is None or prev[t] + wk > cur[h]):
+                cur[h] = prev[t] + wk
+        rows.append(cur)
+    # means as pairs (num, k) standing for num / k, compared by cross
+    # multiplication
+    best = None
+    for v, top in enumerate(rows[n]):
+        if top is None:
+            continue
+        worst = None
+        for j in range(n):
+            if rows[j][v] is not None:
+                mean = (top - rows[j][v], n - j)
+                if worst is None or mean[0] * worst[1] < worst[0] * mean[1]:
+                    worst = mean
+        if best is None or worst[0] * best[1] > best[0] * worst[1]:
+            best = worst
+    if best is None:
+        raise NoCycleError("the system has no directed cycle")
+    return Fraction(best[0], best[1] * d)
 
 
 def karp_max_mean_cycle_value_float(system: FiniteMVSystem, weights) -> float:

@@ -265,6 +265,25 @@ def test_cmd_hull_matches_golden_files(tmp_path, builtin, golden):
     assert (out / "hull.svg").read_bytes() == (DATA / f"{golden}.svg").read_bytes()
 
 
+@pytest.mark.parametrize("argv, golden, files", [
+    (["mea", "--input", "ring_n128_m512/input.json"], "ring_n128_m512",
+     ["mea_report.txt", "mea_delta.csv"]),
+    (["subaction", "--input", "ring_n128_m512/input.json"], "ring_n128_m512",
+     ["subaction_states.csv", "subaction_edges.csv"]),
+    (["measures", "--input", "ring_n9_m22/input.json"], "ring_n9_m22", ["measures.csv"]),
+    (["verify", "--seed", "0", "--count", "200"], "verify_seed0_count200", ["verify.txt"]),
+], ids=["mea", "subaction", "measures", "verify"])
+def test_finite_commands_match_golden_files(tmp_path, argv, golden, files):
+    # the golden files were written while the finite maximum cycle mean was
+    # still solved by Karp's walk table; the inputs are a seeded ring graph
+    # of 128 states and 512 edges and a 9-state graph with 28 cycle supports
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 0
+    for name in files:
+        assert (out / name).read_bytes() == (DATA / golden / name).read_bytes(), name
+
+
 def test_cmd_hull_small(tmp_path):
     out = tmp_path / "o"
     assert main(["hull", "--max-period", "6", "--out", str(out)]) == 0
@@ -327,6 +346,7 @@ def test_cmd_sweep_max_period_over_limit_exit_code(tmp_path, capsys):
     ["hull", "--max-period", "30"],
     ["verify", "--max-states", "1"],
     ["verify", "--max-states", "0"],
+    ["verify", "--max-states", "13"],
     ["verify", "--count", "-2"],
     ["mea", "--builtin", "z4", "--f", "indicator:0", "--horizon", "-1"],
     ["subaction", "--builtin", "z4", "--f", "indicator:0", "--beta-override", "abc"],

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from mvergo.mea import (
     NoCycleError,
     NoPathError,
     PolicyIterationError,
+    PolicyIterationLimitError,
     alpha_state,
     brute_force_alpha,
     delta_finite_horizon,
@@ -27,11 +29,18 @@ from mvergo.mea import (
     maximizing_measures,
     mea_report,
 )
+from mvergo.cli import main
+from mvergo.io import dumps_system
 from mvergo.measures import Cycle, is_invariant
 from mvergo.subaction import subaction_for_state_function
-from mvergo.system import FiniteMVSystem, graph_system, lift_function
+from mvergo.system import FiniteMVSystem, eventual_domain, graph_system, lift_function
 from mvergo.verify import make_instances
-from oracles import dfs_simple_cycles, karp_max_mean_cycle_value_float, z4_system
+from oracles import (
+    dfs_simple_cycles,
+    karp_max_mean_cycle_value,
+    karp_max_mean_cycle_value_float,
+    z4_system,
+)
 
 F = Fraction
 
@@ -60,6 +69,8 @@ def test_max_mean_cycle_acyclic_raises():
     chain = FiniteMVSystem.make(3, [(0, 1), (1, 2)])
     with pytest.raises(NoCycleError):
         max_mean_cycle(chain, (F(0), F(0)))
+    with pytest.raises(NoCycleError):
+        max_mean_cycle_value(chain, (0.5, 0.5))
     assert brute_force_alpha(chain, (F(1), F(2), F(3))) is NEG_INF
 
 
@@ -287,6 +298,123 @@ def test_float_karp_agrees_with_exact():
         )
         assert abs(float(value) - value_float) < 1e-9
     del rng
+
+
+def ring_graph(rng, n, m):
+    """A ring through a random permutation of n states plus uniform extra
+    edges up to m distinct edges, and a state function p/q with p in
+    [-20, 20] and q in [1, 10]."""
+    perm = rng.sample(range(n), n)
+    edges = {(perm[i], perm[(i + 1) % n]) for i in range(n)}
+    while len(edges) < m:
+        edges.add((rng.randrange(n), rng.randrange(n)))
+    f = tuple(F(rng.randint(-20, 20), rng.randint(1, 10)) for _ in range(n))
+    return FiniteMVSystem.make(n, edges), f
+
+
+def test_exact_howard_matches_karp_and_brute_force_on_the_acceptance_suite():
+    # the 1000 systems of the acceptance suite (test_acceptance.py)
+    for inst in make_instances(2026, 1000, max_states=8):
+        w = lift_function(inst.f, inst.system)
+        value = max_mean_cycle_value(inst.system, w)
+        assert value == karp_max_mean_cycle_value(inst.system, w)
+        assert value == brute_force_alpha(inst.system, inst.f)
+
+
+@pytest.mark.parametrize("n", [10, 64, 200, 500])
+def test_exact_howard_matches_karp_on_ring_graphs(n):
+    rng = random.Random(n)
+    for _ in range(1 if n == 500 else 3):
+        s, f = ring_graph(rng, n, 4 * n)
+        w = lift_function(f, s)
+        value = max_mean_cycle_value(s, w)
+        assert type(value) is F and value == karp_max_mean_cycle_value(s, w)
+        if n <= 12:
+            assert value == brute_force_alpha(s, f)
+
+
+def test_exact_howard_rounds_the_exact_maximum_of_float_weights():
+    # float weights are solved as their exact binary rationals; f / 7 as a
+    # float makes the cycle sums inexact, so float arithmetic could differ
+    rng = random.Random(30)
+    cases = [(inst.system, [float(x / 7) for x in inst.f]) for inst in make_instances(30, 300)]
+    cases += [(s, [float(x) / 3 for x in f]) for s, f in (ring_graph(rng, 64, 256) for _ in range(3))]
+    for s, f in cases:
+        w = lift_function(f, s)
+        value = max_mean_cycle_value(s, w)
+        assert type(value) is float
+        assert value == float(karp_max_mean_cycle_value(s, w))
+
+
+def test_exact_howard_ties_policy_cycles_of_lengths_one_two_and_three(monkeypatch):
+    # the loop at 0 and the cycles 1 -> 2 -> 1 and 3 -> 4 -> 5 -> 3 all have
+    # mean 1, and the cold start (each state's heaviest edge) holds all
+    # three, so eta and v run over L = lcm(1, 2, 3) = 6
+    s = FiniteMVSystem.make(6, [(0, 0), (0, 1), (1, 2), (2, 1), (2, 3), (3, 4), (4, 5),
+                                (5, 0), (5, 3)])
+    w = tuple(F(x) for x in (1, -5, 0, 2, -5, 3, 0, -5, 0))
+    scales = []
+    evaluate = mea_mod._evaluate_policy_exact
+
+    def recording(*args):
+        eta, v, scale = evaluate(*args)
+        scales.append(scale)
+        return eta, v, scale
+
+    monkeypatch.setattr(mea_mod, "_evaluate_policy_exact", recording)
+    assert max_mean_cycle_value(s, w) == 1 == karp_max_mean_cycle_value(s, w)
+    assert scales == [6]
+    assert mea_mod.tight_edges(s, w, F(1)) == [0, 2, 3, 5, 6, 8]
+    assert max_mean_cycle(s, w) == (1, Cycle((0,)))
+
+
+def test_exact_howard_ignores_states_off_the_eventual_domain():
+    # 0 is a source, 3 a sink and 4 feeds the sink: only 1 <-> 2 lies on a
+    # cycle, and the heavy edges into and out of it lead nowhere
+    s = FiniteMVSystem.make(5, [(0, 1), (1, 2), (2, 1), (2, 3), (4, 3)])
+    w = (F(100), F(1), F(2), F(50), F(70))
+    assert eventual_domain(s) == {1, 2}
+    assert max_mean_cycle_value(s, w) == F(3, 2) == karp_max_mean_cycle_value(s, w)
+    assert max_mean_cycle_value(s, [float(x) for x in w]) == 1.5
+
+
+def test_exact_howard_iteration_limit(monkeypatch, tmp_path, capsys):
+    # the cold start keeps the loop at 0, the first of its two edges of
+    # weight 1; the loop at 1 is better, so a second iteration is needed
+    s = FiniteMVSystem.make(2, [(0, 0), (0, 1), (1, 1)])
+    f = (F(1), F(5))
+    assert alpha_state(s, f)[0] == 5
+    monkeypatch.setattr(mea_mod, "HOWARD_ITERATION_LIMIT", 1)
+    with pytest.raises(PolicyIterationLimitError, match="did not converge in 1 iterations"):
+        max_mean_cycle_value(s, lift_function(f, s))
+    path = tmp_path / "two_loops.json"
+    path.write_text(dumps_system(s, f_state=f))
+    assert main(["mea", "--input", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: input too large: Howard policy iteration did not converge in 1 iterations")
+    assert not (tmp_path / "o").exists()
+
+
+def test_exact_certificate_rejects_wrong_values():
+    # loops 0 -> 0 (weight 1) and 1 -> 1 (weight 2), joined both ways (weight 0)
+    live, outs, head, w = [0, 1], [[0, 1], [2, 3]], [0, 1, 0, 1], [1, 0, 0, 2]
+    certified = mea_mod._certified
+    assert certified(live, outs, head, w, [2, 2], [-2, 0], 1)
+    assert certified(live, outs, head, w, [4, 4], [-4, 0], 2)  # the same over L = 2
+    assert not certified(live, outs, head, w, [1, 1], [0, 0], 1)  # the loop at 1 gains
+    assert not certified(live, outs, head, w, [1, 2], [0, 0], 1)  # eta rises along 0 -> 1
+
+
+def test_mea_report_on_5000_states_within_a_time_bound():
+    # Karp's walk table alone would hold 25 million entries here; the whole
+    # report took 1.6 s on a 2-core x86 host
+    s, f = ring_graph(random.Random(5000), 5000, 20000)
+    start = time.perf_counter()
+    rep = mea_report(s, f)
+    elapsed = time.perf_counter() - start
+    assert F(sum(f[x] for x in rep.maximizing_cycle.states), len(rep.maximizing_cycle)) == rep.alpha
+    assert rep.delta_seq[-1][1] >= rep.alpha
+    assert elapsed < 60, f"mea_report took {elapsed:.1f} s"
 
 
 @pytest.mark.parametrize("grid", [64, 256, 1024])

@@ -15,6 +15,7 @@ from mvergo.measures import (
     EdgeCirculation,
     TooManySupportsError,
     VertexMeasure,
+    _support_key,
     convex_combination,
     cycle_measure,
     extreme_invariant_measures,
@@ -348,6 +349,40 @@ def test_extreme_measures_match_unfiltered_oracle(tmp_path, monkeypatch):
         got = extreme_invariant_measures(s)
         want = unfiltered_extreme_measures(s)
         assert [e.weights for e in got] == [e.weights for e in want]
+
+
+def _hub(n):
+    """Hub 0 with the 2-cycles 0 <-> i for every i, and i <-> i + 1 for odd
+    i: the 3-cycles through 0, i and i + 1 are mixtures of 2-cycles."""
+    edges = [(0, i) for i in range(1, n)] + [(i, 0) for i in range(1, n)]
+    edges += [(i, i + 1) for i in range(1, n - 1, 2)] + [(i + 1, i) for i in range(1, n - 1, 2)]
+    return FiniteMVSystem.make(n, edges)
+
+
+def test_extreme_measures_integer_key_orders_as_the_fraction_weights():
+    # candidates are sorted by an integer key, not by their Fraction weight
+    # vectors; the order of the candidates, and so of the survivors, is the same
+    rng = random.Random(19)
+    systems = [random_cyclic_system(rng, max_states=9) for _ in range(200)] + [_hub(41)]
+    for s in systems:
+        n = s.n_states
+        state_sets = {frozenset(c) for c in simple_cycles(s)}
+        by_weights = sorted(state_sets, key=lambda states: tuple(
+            F(1, len(states)) if x in states else F(0) for x in range(n)))
+        assert sorted(state_sets, key=lambda states: _support_key(states, n)) == by_weights
+        weights = [tuple(F(1, len(states)) if x in states else F(0) for x in range(n))
+                   for states in by_weights]
+        got = [e.weights for e in extreme_invariant_measures(s)]
+        assert got == [w for w in weights if w in set(got)]
+
+
+def test_extreme_measures_of_a_hub_with_a_thousand_supports():
+    # 500 + 250 2-cycles survive, the 250 3-cycles do not; sorting the
+    # candidates by Fraction weight vectors alone took about 4 s here
+    s = _hub(501)
+    extremes = [e.weights for e in extreme_invariant_measures(s)]
+    assert len(extremes) == 750
+    assert all(sorted(set(w)) == [0, F(1, 2)] for w in extremes)
 
 
 def counting_convex_combination(monkeypatch):
