@@ -84,10 +84,11 @@ def _policy_walk(succ: list[int], states: list[int]) -> tuple[list[list[int]], l
         if walk_of[s] >= 0:
             continue
         path = []
+        append = path.append
         x = s
         while walk_of[x] < 0:
             walk_of[x] = s
-            path.append(x)
+            append(x)
             x = succ[x]
         if walk_of[x] == s:  # the walk closed a new policy cycle at x
             i = path.index(x)
@@ -95,29 +96,40 @@ def _policy_walk(succ: list[int], states: list[int]) -> tuple[list[list[int]], l
             del path[i:]
             j = cycle.index(min(cycle))
             cycles.append(cycle[j:] + cycle[:j])
-        order.extend(reversed(path))
+        path.reverse()
+        order += path
     return cycles, order
 
 
-def _evaluate_policy_exact(succ: list[int], cost: list[int],
-                           states: list[int]) -> tuple[list[int], list[int], int]:
-    """Exact cycle value eta and bias v of a policy with integer costs on
-    ``states``, as ``_evaluate_policy`` defines them: integers over L, the
-    lcm of the policy's cycle lengths, and L."""
-    cycles, order = _policy_walk(succ, states)
-    scale = math.lcm(*[len(cycle) for cycle in cycles])
-    cost = [c * scale for c in cost]
-    eta = [0] * len(succ)
-    v = [0] * len(succ)
-    for cycle in cycles:
-        mean = sum([cost[y] for y in cycle]) // len(cycle)
+def _policy_values(succ, cost, cycles, means, order, zero):
+    """Cycle value eta and bias v of a policy, from its ``_policy_walk``
+    and the mean cost of each of its cycles: eta is the mean of the policy
+    cycle a state runs into, v is 0 at the smallest state of each policy
+    cycle and v(x) = cost(x) - eta(x) + v(succ(x)) everywhere else."""
+    eta = [zero] * len(succ)
+    v = [zero] * len(succ)
+    for cycle, mean in zip(cycles, means):
         eta[cycle[0]] = mean
         for y in reversed(cycle[1:]):
             eta[y] = mean
             v[y] = cost[y] - mean + v[succ[y]]
     for y in order:
-        eta[y] = eta[succ[y]]
-        v[y] = cost[y] - eta[y] + v[succ[y]]
+        z = succ[y]
+        eta[y] = e = eta[z]
+        v[y] = cost[y] - e + v[z]
+    return eta, v
+
+
+def _evaluate_policy_exact(succ: list[int], cost: list[int],
+                           states: list[int]) -> tuple[list[int], list[int], int]:
+    """Exact eta and v (``_policy_values``) of a policy with integer costs on
+    ``states``: integers over L, the lcm of the policy's cycle lengths, and
+    L."""
+    cycles, order = _policy_walk(succ, states)
+    scale = math.lcm(*[len(cycle) for cycle in cycles])
+    cost = [c * scale for c in cost]
+    means = [sum([cost[y] for y in cycle]) // len(cycle) for cycle in cycles]
+    eta, v = _policy_values(succ, cost, cycles, means, order, 0)
     return eta, v, scale
 
 
@@ -219,37 +231,11 @@ def max_mean_cycle_value(system: FiniteMVSystem, weights: Sequence):
 
 
 def _evaluate_policy(succ: list[int], cost: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Cycle value eta and bias v of a policy, one walk of its functional
-    graph: eta is the mean of the policy cycle a state runs into, v is 0 at
-    the smallest state of each policy cycle and v(x) = cost(x) - eta(x) +
-    v(succ(x)) everywhere else."""
-    n = len(succ)
-    eta = [0.0] * n
-    v = [0.0] * n
-    walk_of = [-1] * n
-    for s in range(n):
-        if walk_of[s] >= 0:
-            continue
-        path = []
-        x = s
-        while walk_of[x] < 0:
-            walk_of[x] = s
-            path.append(x)
-            x = succ[x]
-        if walk_of[x] == s:  # the walk closed a new policy cycle at x
-            i = path.index(x)
-            cycle = path[i:]
-            del path[i:]
-            mean = math.fsum(cost[y] for y in cycle) / len(cycle)
-            j = cycle.index(min(cycle))
-            cycle = cycle[j:] + cycle[:j]
-            eta[cycle[0]] = mean
-            for y in reversed(cycle[1:]):
-                eta[y] = mean
-                v[y] = cost[y] - mean + v[succ[y]]
-        for y in reversed(path):
-            eta[y] = eta[succ[y]]
-            v[y] = cost[y] - eta[y] + v[succ[y]]
+    """Float eta and v (``_policy_values``) of a policy on all states; a
+    cycle's mean is math.fsum of its costs over its length."""
+    cycles, order = _policy_walk(succ, range(len(succ)))
+    means = [math.fsum([cost[y] for y in cycle]) / len(cycle) for cycle in cycles]
+    eta, v = _policy_values(succ, cost, cycles, means, order, 0.0)
     return np.array(eta), np.array(v)
 
 

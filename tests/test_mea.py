@@ -339,6 +339,9 @@ def test_exact_howard_rounds_the_exact_maximum_of_float_weights():
     rng = random.Random(30)
     cases = [(inst.system, [float(x / 7) for x in inst.f]) for inst in make_instances(30, 300)]
     cases += [(s, [float(x) / 3 for x in f]) for s, f in (ring_graph(rng, 64, 256) for _ in range(3))]
+    # exponents from -300 to 3: the weights' common denominator nears 2^1050
+    cases += [(s, wide_float_function(rng, s.n_states)) for s, _f in
+              (ring_graph(rng, 64, 256) for _ in range(3))]
     for s, f in cases:
         w = lift_function(f, s)
         value = max_mean_cycle_value(s, w)
@@ -405,16 +408,41 @@ def test_exact_certificate_rejects_wrong_values():
     assert not certified(live, outs, head, w, [1, 2], [0, 0], 1)  # eta rises along 0 -> 1
 
 
-def test_mea_report_on_5000_states_within_a_time_bound():
+def wide_float_function(rng, n):
+    """A float state function with half its values in [1, 1000] and half in
+    [1e-300, 9e-300]."""
+    return [rng.uniform(1, 1e3) if rng.random() < 0.5 else rng.uniform(1, 9) * 1e-300
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["fraction", "float"])
+def test_mea_report_on_5000_states_within_a_time_bound(kind):
     # Karp's walk table alone would hold 25 million entries here; the whole
-    # report took 1.6 s on a 2-core x86 host
+    # report took 0.9-1.6 s with f as fractions, 0.8 s with f / 7 as floats,
+    # on a 2-core x86 host
     s, f = ring_graph(random.Random(5000), 5000, 20000)
+    if kind == "float":
+        f = tuple(float(x) / 7 for x in f)
     start = time.perf_counter()
     rep = mea_report(s, f)
     elapsed = time.perf_counter() - start
-    assert F(sum(f[x] for x in rep.maximizing_cycle.states), len(rep.maximizing_cycle)) == rep.alpha
+    cycle = rep.maximizing_cycle.states
+    mean = F(sum([F(f[x]) for x in cycle]), len(cycle))
+    assert rep.alpha == (mean if kind == "fraction" else float(mean))
     assert rep.delta_seq[-1][1] >= rep.alpha
     assert elapsed < 60, f"mea_report took {elapsed:.1f} s"
+
+
+def test_exact_howard_on_wide_float_exponents_within_a_time_bound():
+    # the solve runs on Python ints over a denominator near 2^1050; it took
+    # 0.35 s, against 0.23 s for f / 7 as floats, on a 2-core x86 host
+    s, _f = ring_graph(random.Random(5000), 5000, 20000)
+    w = lift_function(wide_float_function(random.Random(1), 5000), s)
+    start = time.perf_counter()
+    value = max_mean_cycle_value(s, w)
+    elapsed = time.perf_counter() - start
+    assert value == float(max_mean_cycle_value(s, [F(x) for x in w]))
+    assert elapsed < 30, f"the solve took {elapsed:.1f} s"
 
 
 @pytest.mark.parametrize("grid", [64, 256, 1024])
