@@ -40,18 +40,35 @@ class TooManySupportsError(Exception):
         self.limit = limit
 
 
+def _check_total(nums, d, tol, what: str) -> None:
+    """ValueError unless weights in the format of ``scaled`` (D = d) sum to
+    1 within tol; rational weights sum as integers to D, an exact test."""
+    total = sum(nums)
+    if abs(total - (d or 1)) > tol:
+        raise ValueError(f"{what} must sum to 1, got {divide(total, 1, d)}")
+
+
 def _check_mass(weights, what: str) -> tuple:
     """ValueError unless the weights sum to 1 up to their ``tie_tolerance``;
-    else the weights in the format of ``scaled``, and D.  Rational weights
-    are summed as integers over D, an exact test of the same sum."""
+    else the weights in the format of ``scaled``, and D."""
     (nums,), d = scaled(weights)
-    total = sum(nums)
-    if d is None:
-        if abs(total - 1) > tie_tolerance(weights):
-            raise ValueError(f"{what} must sum to 1, got {total}")
-    elif total != d:
-        raise ValueError(f"{what} must sum to 1, got {Fraction(total, d)}")
+    _check_total(nums, d, tie_tolerance(weights), what)
     return nums, d
+
+
+def _check_circulation(system: FiniteMVSystem, nums, d, tol) -> None:
+    """ValueError unless edge weights in the format of ``scaled`` (D = d)
+    are one per edge, non-negative, sum to 1 and have equal tail and head
+    marginals, the last two within tol (0 for rational weights)."""
+    if len(nums) != len(system.edges):
+        raise ValueError("circulation length must equal the edge count")
+    if any(v < 0 for v in nums):
+        raise ValueError("circulation weights must be non-negative")
+    _check_total(nums, d, tol, "circulation weights")
+    tail, head = _raw_marginals(system, nums)
+    for x in range(system.n_states):
+        if abs(tail[x] - head[x]) > tol:
+            raise ValueError(f"circulation is unbalanced at state {x}")
 
 
 @dataclass(frozen=True)
@@ -78,16 +95,8 @@ class EdgeCirculation:
     @classmethod
     def make(cls, system: FiniteMVSystem, weights: Sequence) -> "EdgeCirculation":
         w = tuple(weights)
-        if len(w) != len(system.edges):
-            raise ValueError("circulation length must equal the edge count")
-        if any(v < 0 for v in w):
-            raise ValueError("circulation weights must be non-negative")
-        nums, _ = _check_mass(w, "circulation weights")
-        tol = tie_tolerance(w)
-        tail, head = _raw_marginals(system, nums)
-        for x in range(system.n_states):
-            if abs(tail[x] - head[x]) > tol:
-                raise ValueError(f"circulation is unbalanced at state {x}")
+        (nums,), d = scaled(w)
+        _check_circulation(system, nums, d, tie_tolerance(w))
         return cls(w)
 
 
@@ -201,7 +210,9 @@ def is_invariant(system: FiniteMVSystem, mu: VertexMeasure) -> tuple[bool, EdgeC
     capacity on the edges of the system.  Feasible iff the max flow moves the
     whole unit of mass, up to ``tie_tolerance`` of the weights.  Rational
     weights run as integers over their common denominator D, so the flow is
-    exact and the witness is the flow over D.
+    exact and the witness is the flow over D: the flow passes the checks of
+    ``EdgeCirculation.make`` in its own integers, then each edge is divided
+    once.
     """
     w = mu.weights
     if len(w) != system.n_states:
@@ -225,8 +236,9 @@ def is_invariant(system: FiniteMVSystem, mu: VertexMeasure) -> tuple[bool, EdgeC
     # the tolerance is nonzero only for float weights, whose unit is 1.0
     if abs(unit - value) > tie_tolerance(w):
         return False, None
-    edge_w = [divide(x, 1, d) for x in flows[inner_start:inner_start + len(system.edges)]]
-    return True, EdgeCirculation.make(system, edge_w)
+    inner = flows[inner_start:inner_start + len(system.edges)]
+    _check_circulation(system, inner, d, tie_tolerance(inner))
+    return True, EdgeCirculation(tuple([divide(x, 1, d) for x in inner]))
 
 
 def invariant_by_subsets(system: FiniteMVSystem, mu: VertexMeasure) -> bool:

@@ -5,6 +5,13 @@ rational state functions: the cycle-mean value against brute force, the
 finite-horizon bounds, the rotation witness, the edge-system lift, the
 subaction slack certificate, and the invariance tests.  All randomness comes
 from one seed, so reports are byte-identical across runs.
+
+The suites share one exact solve per instance (``Instance.alpha``) and
+``check_delta_bounds`` makes one horizon pass for all its horizons.  Two
+checks of that solve do not trust it: brute force over the simple cycles,
+and the Mañé slack certificate, which takes the shared alpha as beta and
+accepts it from the slacks alone.  ``check_graph_lift`` solves the edge
+system itself, since comparing that solve is its check.
 """
 
 from __future__ import annotations
@@ -12,13 +19,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from ._numbers import NEG_INF
 from .io import dumps_system
 from .mea import (
     alpha_state,
     brute_force_alpha,
-    delta_finite_horizon,
+    delta_sequence,
     epsilon_witness,
 )
 from .measures import (
@@ -28,7 +36,7 @@ from .measures import (
     invariant_by_subsets,
     is_invariant,
 )
-from .subaction import subaction_for_state_function
+from .subaction import PositiveCycleError, ViolatedEdgeError, subaction_for_state_function
 from .system import FiniteMVSystem, graph_system, lift_function, simple_cycles
 
 SINGLE_VALUED_EVERY = 5
@@ -38,6 +46,11 @@ SINGLE_VALUED_EVERY = 5
 class Instance:
     system: FiniteMVSystem
     f: tuple
+
+    @cached_property
+    def alpha(self) -> tuple:
+        """``alpha_state(system, f)``, solved once and read by every suite."""
+        return alpha_state(self.system, self.f)
 
     def dump(self) -> str:
         return dumps_system(self.system, f_state=self.f)
@@ -82,7 +95,7 @@ def make_instances(seed: int, count: int, max_states: int = 8) -> list[Instance]
 
 
 def check_alpha_oracle(inst: Instance):
-    alpha, cycle = alpha_state(inst.system, inst.f)
+    alpha, cycle = inst.alpha
     oracle = brute_force_alpha(inst.system, inst.f)
     if alpha != oracle:
         return f"alpha {alpha} != brute force {oracle}"
@@ -94,10 +107,11 @@ def check_alpha_oracle(inst: Instance):
 
 
 def check_delta_bounds(inst: Instance, horizons=(8, 16, 32, 64)):
-    alpha, _ = alpha_state(inst.system, inst.f)
+    alpha, _ = inst.alpha
     bound_scale = 2 * inst.system.n_states * max(abs(v) for v in inst.f)
+    deltas = dict(delta_sequence(inst.system, inst.f, max(horizons)))
     for n in horizons:
-        delta_n = delta_finite_horizon(inst.system, inst.f, n)
+        delta_n = deltas[n]
         gap = delta_n - alpha
         if abs(gap) * (n + 1) > bound_scale:
             return f"delta_{n} = {delta_n} is {gap} away from alpha {alpha}"
@@ -105,7 +119,7 @@ def check_delta_bounds(inst: Instance, horizons=(8, 16, 32, 64)):
 
 
 def check_epsilon(inst: Instance, spans: int = 4):
-    alpha, cycle = alpha_state(inst.system, inst.f)
+    alpha, cycle = inst.alpha
     rot = epsilon_witness(cycle, inst.f)
     k = len(cycle)
     states = cycle.states[rot:] + cycle.states[:rot]
@@ -120,7 +134,7 @@ def check_epsilon(inst: Instance, spans: int = 4):
 def check_graph_lift(inst: Instance):
     lifted_sys = graph_system(inst.system)
     f_hat = lift_function(inst.f, inst.system)
-    alpha, cycle = alpha_state(inst.system, inst.f)
+    alpha, cycle = inst.alpha
     alpha_hat, cycle_hat = alpha_state(lifted_sys, f_hat)
     if alpha != alpha_hat:
         return f"alpha {alpha} != lifted alpha {alpha_hat}"
@@ -133,7 +147,13 @@ def check_graph_lift(inst: Instance):
 
 
 def check_mane(inst: Instance):
-    result = subaction_for_state_function(inst.system, inst.f)
+    # beta is the shared alpha: the slacks certify it, or the pipeline raises
+    try:
+        result = subaction_for_state_function(inst.system, inst.f, inst.alpha[0])
+    except PositiveCycleError as exc:
+        return f"positive reduced cycle: {exc}"
+    except (ViolatedEdgeError, ValueError) as exc:
+        return f"subaction verification failed: {exc}"
     if min(result.slack) < 0:
         return f"negative slack {min(result.slack)}"
     tight = set(result.tight_edge_ids)
@@ -224,6 +244,11 @@ class VerifyReport:
 
 
 def run_verify(seed: int, count: int = 200, max_states: int = 8) -> VerifyReport:
+    """Run every suite on ``count`` instances from ``seed``: a PASS or FAIL
+    line per suite, with the first counterexample dumped on FAIL.  The
+    suites share each instance's one exact solve and one horizon pass;
+    brute force and the Mañé slack certificate check that solve
+    independently."""
     instances = make_instances(seed, count, max_states)
     lines = [f"verification suites: seed={seed} instances={count} max_states={max_states}"]
     all_ok = True
