@@ -36,7 +36,7 @@ from .mea import (
     mea_report,
 )
 from .measures import TooManySupportsError, extreme_invariant_measures
-from .subaction import PositiveCycleError, ViolatedEdgeError, subaction_for_state_function
+from .subaction import PIPELINE_ERRORS, failure_message, subaction_for_state_function
 from .svg import hull_chart, line_chart
 from .system import FiniteMVSystem, TooManyCyclesError, lift_function
 from .verify import run_verify
@@ -207,12 +207,8 @@ def cmd_subaction(args) -> int:
         beta = _parse_arg("--beta-override", args.beta_override, parse_number)
     try:
         result = subaction_for_state_function(system, f, beta)
-    except NoCycleError as exc:
-        raise CliError(f"no cycle: {exc}", EXIT_VALIDATION) from exc
-    except PositiveCycleError as exc:
-        raise CliError(f"positive reduced cycle: {exc}", EXIT_VALIDATION) from exc
-    except (ViolatedEdgeError, ValueError) as exc:
-        raise CliError(f"subaction verification failed: {exc}", EXIT_VALIDATION) from exc
+    except PIPELINE_ERRORS as exc:
+        raise CliError(failure_message(exc), EXIT_VALIDATION) from exc
     out = Path(args.out)
     state_rows = [
         [x, format_number(result.phi[x]), format_number(result.v[x])]

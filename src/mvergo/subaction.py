@@ -143,3 +143,18 @@ def subaction_for_state_function(system: FiniteMVSystem, f: Sequence, beta=None)
     phi = compute_phi(system, f_edge, beta)
     v = compute_v(phi, f_edge, beta)
     return verify_mane(system, f_edge, v, beta, phi=phi)
+
+
+# what the pipeline raises when beta cannot be certified
+PIPELINE_ERRORS = (NoCycleError, PositiveCycleError, ViolatedEdgeError, ValueError)
+
+
+def failure_message(exc: Exception) -> str:
+    """One line saying why the pipeline failed, for an exception in
+    ``PIPELINE_ERRORS``; the ``subaction`` command and ``verify``'s Mañé
+    suite report failures in these words."""
+    if isinstance(exc, NoCycleError):
+        return f"no cycle: {exc}"
+    if isinstance(exc, PositiveCycleError):
+        return f"positive reduced cycle: {exc}"
+    return f"subaction verification failed: {exc}"

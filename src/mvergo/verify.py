@@ -6,8 +6,7 @@ finite-horizon bounds, the rotation witness, the edge-system lift, the
 subaction slack certificate, and the invariance tests.  All randomness comes
 from one seed, so reports are byte-identical across runs.
 
-The suites share one exact solve per instance (``Instance.alpha``) and
-``check_delta_bounds`` makes one horizon pass for all its horizons.  Two
+The suites share one exact solve per instance (``Instance.alpha``).  Two
 checks of that solve do not trust it: brute force over the simple cycles,
 and the Mañé slack certificate, which takes the shared alpha as beta and
 accepts it from the slacks alone.  ``check_graph_lift`` solves the edge
@@ -26,7 +25,7 @@ from .io import dumps_system
 from .mea import (
     alpha_state,
     brute_force_alpha,
-    delta_sequence,
+    delta_finite_horizon,
     epsilon_witness,
 )
 from .measures import (
@@ -36,7 +35,7 @@ from .measures import (
     invariant_by_subsets,
     is_invariant,
 )
-from .subaction import PositiveCycleError, ViolatedEdgeError, subaction_for_state_function
+from .subaction import PIPELINE_ERRORS, failure_message, subaction_for_state_function
 from .system import FiniteMVSystem, graph_system, lift_function, simple_cycles
 
 SINGLE_VALUED_EVERY = 5
@@ -109,9 +108,8 @@ def check_alpha_oracle(inst: Instance):
 def check_delta_bounds(inst: Instance, horizons=(8, 16, 32, 64)):
     alpha, _ = inst.alpha
     bound_scale = 2 * inst.system.n_states * max(abs(v) for v in inst.f)
-    deltas = dict(delta_sequence(inst.system, inst.f, max(horizons)))
     for n in horizons:
-        delta_n = deltas[n]
+        delta_n = delta_finite_horizon(inst.system, inst.f, n)
         gap = delta_n - alpha
         if abs(gap) * (n + 1) > bound_scale:
             return f"delta_{n} = {delta_n} is {gap} away from alpha {alpha}"
@@ -150,10 +148,8 @@ def check_mane(inst: Instance):
     # beta is the shared alpha: the slacks certify it, or the pipeline raises
     try:
         result = subaction_for_state_function(inst.system, inst.f, inst.alpha[0])
-    except PositiveCycleError as exc:
-        return f"positive reduced cycle: {exc}"
-    except (ViolatedEdgeError, ValueError) as exc:
-        return f"subaction verification failed: {exc}"
+    except PIPELINE_ERRORS as exc:
+        return failure_message(exc)
     if min(result.slack) < 0:
         return f"negative slack {min(result.slack)}"
     tight = set(result.tight_edge_ids)
@@ -246,9 +242,8 @@ class VerifyReport:
 def run_verify(seed: int, count: int = 200, max_states: int = 8) -> VerifyReport:
     """Run every suite on ``count`` instances from ``seed``: a PASS or FAIL
     line per suite, with the first counterexample dumped on FAIL.  The
-    suites share each instance's one exact solve and one horizon pass;
-    brute force and the Mañé slack certificate check that solve
-    independently."""
+    suites share each instance's one exact solve; brute force and the Mañé
+    slack certificate check that solve independently."""
     instances = make_instances(seed, count, max_states)
     lines = [f"verification suites: seed={seed} instances={count} max_states={max_states}"]
     all_ok = True
