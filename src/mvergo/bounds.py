@@ -44,10 +44,11 @@ _FLOAT_EXACT = 1 << 53  # every integer below it is a float
 
 
 class CosWave:
-    """f_theta(x) = cos(2 pi (x - theta)); Lipschitz constant 2 pi."""
+    """f_theta(x) = cos(2 pi (x - theta)); Lipschitz constant 2 pi; theta
+    is reduced mod 1 exactly before it becomes a float."""
 
     def __init__(self, theta):
-        self.theta = Fraction(theta)
+        self.theta = Fraction(theta) % 1
         self.lipschitz = 2 * math.pi
 
     def __call__(self, x: float) -> float:
@@ -61,10 +62,11 @@ class CosWave:
 
 
 class NegDistance:
-    """g_theta(x) = -d(x, theta); Euclidean on [0, 1] or intrinsic circle."""
+    """g_theta(x) = -d(x, theta); Euclidean on [0, 1] or intrinsic circle,
+    where theta is reduced mod 1 exactly, as in ``CosWave``."""
 
     def __init__(self, theta, metric: str = "interval"):
-        self.theta = Fraction(theta)
+        self.theta = Fraction(theta) % 1 if metric == "circle" else Fraction(theta)
         self.metric = metric
         self.lipschitz = 1.0
 

@@ -1,8 +1,8 @@
 """Text formats: the JSON system document and CSV/report writers.
 
 A system document is a single JSON object with fields ``n_states`` (integer)
-and ``edges`` (list of [tail, head] pairs), plus optional ``f_state`` /
-``f_edge`` value lists parallel to states / sorted edges.  Number tokens may
+and ``edges`` (list of [tail, head] pairs), plus an optional ``f_state``
+value list parallel to the states; other keys are ignored.  Number tokens may
 be "p/q" strings (exact) or decimals (binary floats); infinite and NaN
 values (JSON ``Infinity``/``NaN`` tokens, "inf" strings) are rejected.  A
 file must be UTF-8 text; a document that is not well formed (a JSON syntax
@@ -27,7 +27,6 @@ class InputFormatError(Exception):
 class SystemDocument:
     system: FiniteMVSystem
     f_state: tuple | None
-    f_edge: tuple | None
 
 
 def _parse_values(raw, expected_len: int, label: str) -> tuple:
@@ -79,12 +78,10 @@ def loads_system(text: str) -> SystemDocument:
         system = FiniteMVSystem.make(n_states, pairs)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
-    f_state = f_edge = None
+    f_state = None
     if "f_state" in doc:
         f_state = _parse_values(doc["f_state"], system.n_states, "f_state")
-    if "f_edge" in doc:
-        f_edge = _parse_values(doc["f_edge"], len(system.edges), "f_edge")
-    return SystemDocument(system, f_state, f_edge)
+    return SystemDocument(system, f_state)
 
 
 def load_system(path) -> SystemDocument:
@@ -96,15 +93,13 @@ def load_system(path) -> SystemDocument:
     return loads_system(text)
 
 
-def dumps_system(system: FiniteMVSystem, f_state=None, f_edge=None) -> str:
+def dumps_system(system: FiniteMVSystem, f_state=None) -> str:
     doc: dict = {
         "n_states": system.n_states,
         "edges": [[t, h] for t, h in system.edges],
     }
     if f_state is not None:
         doc["f_state"] = [format_number(v) for v in f_state]
-    if f_edge is not None:
-        doc["f_edge"] = [format_number(v) for v in f_edge]
     return json.dumps(doc, indent=1)
 
 

@@ -7,13 +7,13 @@ float weight counts as its exact binary rational, and only the result is
 rounded).  ``HowardSolver`` runs it in floats for the weights of large
 grids, prepared once per graph and warm-started from its last policy.  Both
 return a value only once a potential shows that it bounds every cycle mean.
-The tight-edge potentials, the finite-horizon path maxima and
-``subaction``'s potential all run one max-plus relaxation step (``_relax``).
-They take the number format and the tolerance of the finite layer from
-``_numbers``: rational inputs run as Python ints over one denominator
-(``scaled``), and equality decisions allow ``tie_tolerance``, which is 0
-unless an input is a float.  Alongside come a prefix-sum rotation witness
-and a brute-force oracle.
+The finite-horizon path maxima and the one potential (``_reduced_fixpoint``,
+``subaction``'s phi, whose zero gaps are ``tight_edges``) run one max-plus
+relaxation step (``_relax``).  They take the number format and the tolerance
+of the finite layer from ``_numbers``: rational inputs run as Python ints
+over one denominator (``scaled``), and equality decisions allow
+``tie_tolerance``, which is 0 unless an input is a float.  Alongside come a
+prefix-sum rotation witness and a brute-force oracle.
 """
 
 from __future__ import annotations
@@ -46,6 +46,10 @@ class PolicyIterationError(RuntimeError):
     value fails the potential check."""
 
 
+class PositiveCycleError(Exception):
+    """Raised when reduced weights admit a positive cycle: beta is too low."""
+
+
 class PolicyIterationLimitError(PolicyIterationError):
     """Raised when Howard policy iteration reaches ``HOWARD_ITERATION_LIMIT``:
     the input is too large for the iteration budget."""
@@ -55,19 +59,42 @@ class PolicyIterationLimitError(PolicyIterationError):
 # The max-plus relaxation kernel; its number format is ``_numbers.scaled``
 
 
-def _relax(edges, weights, values, out, shift=0) -> None:
+def _relax(edges, weights, values, out) -> None:
     """One max-plus relaxation step, the inner loop of every Bellman pass:
-    out[h] = max(out[h], values[t] + weights[k] - shift) over the edges
-    k = (t, h) whose tail is reached.  None marks an unreached state, in
-    ``values`` and in ``out``."""
+    out[h] = max(out[h], values[t] + weights[k]) over the edges k = (t, h)
+    whose tail is reached.  None marks an unreached state, in ``values`` and
+    in ``out``."""
     for (t, h), w in zip(edges, weights):
         base = values[t]
         if base is None:
             continue
-        cand = base + w - shift
+        cand = base + w
         best = out[h]
         if best is None or cand > best:
             out[h] = cand
+
+
+def _reduced_fixpoint(system: FiniteMVSystem, reduced: list, tol) -> list:
+    """phi(x), the best sum of ``reduced`` over walks of one edge or more
+    ending at x (None with no predecessor), by rounds of ``_relax`` from the
+    clamped base max(phi, 0).  They never lower phi and freeze, up to
+    ``tol``, within n_states + 1 rounds unless a reduced cycle is positive,
+    which raises PositiveCycleError."""
+    n = system.n_states
+    phi = [None] * n
+    for _ in range(n + 1):
+        nxt = [None] * n
+        _relax(system.edges, reduced, [0 if p is None or p < 0 else p for p in phi], nxt)
+        if nxt == phi or tol != 0 and all(
+            (a is None) == (b is None) and (a is None or abs(a - b) <= tol)
+            for a, b in zip(nxt, phi)
+        ):
+            return nxt
+        phi = nxt
+    raise PositiveCycleError(
+        "value iteration still improving after n_states + 1 rounds; "
+        "beta is below the maximum ergodic average"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -385,24 +412,16 @@ def max_mean_cycle_value_float(system: FiniteMVSystem, weights: np.ndarray,
 
 
 def tight_edges(system: FiniteMVSystem, weights: Sequence, alpha) -> list[int]:
-    """Edge ids whose reduced weight is realized with equality by converged
-    longest-walk potentials, up to ``tie_tolerance(weights)``; cycles inside
-    this subgraph are exactly the mean-maximizing cycles."""
-    (w, (a,)), d = scaled(weights, (alpha,))
-    pot = [0 if d else 0.0] * system.n_states
-    for _ in range(system.n_states):
-        nxt = list(pot)
-        _relax(system.edges, w, pot, nxt, a)
-        if nxt == pot:
-            break
-        pot = nxt
+    """Edge ids whose gap pot(tail) + w - alpha - pot(head) is 0, up to
+    ``tie_tolerance(weights)``, under pot = max(0, phi) for the fixpoint phi
+    of w - alpha (``_reduced_fixpoint``); cycles inside this subgraph are
+    exactly the mean-maximizing cycles."""
+    (w, (a,)), _d = scaled(weights, (alpha,))
     tol = tie_tolerance(weights)
-    out = []
-    for k, ((t, h), wk) in enumerate(zip(system.edges, w)):
-        gap = pot[t] + wk - a - pot[h]
-        if abs(gap) <= tol:
-            out.append(k)
-    return out
+    phi = _reduced_fixpoint(system, [wk - a for wk in w], tol)
+    pot = [0 if p is None or p < 0 else p for p in phi]
+    return [k for k, ((t, h), wk) in enumerate(zip(system.edges, w))
+            if abs(pot[t] + wk - a - pot[h]) <= tol]
 
 
 def _tight_subsystem(system: FiniteMVSystem, weights: Sequence) -> tuple:

@@ -4,10 +4,10 @@ which with one cycle of tight edges certifies beta without a solver.
 
 Maximizing cycles live exactly on the tight (zero-slack) edges, which is the
 computational value of the construction: the support of every maximizing
-measure is pinned down by one Bellman pass, run on ``mea``'s max-plus
-relaxation step over reduced weights in the format of ``_numbers.scaled``.
-Every equality decision allows ``tie_tolerance(f)``: none for rational f,
-the float policy's slack for float f.
+measure is pinned down by one potential, ``mea``'s reduced-weight fixpoint
+in the format of ``_numbers.scaled``, whose zero gaps under max(0, phi) are
+``mea.tight_edges``.  Every equality decision allows ``tie_tolerance(f)``:
+none for rational f, the float policy's slack for float f.
 """
 
 from __future__ import annotations
@@ -17,13 +17,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._numbers import NEG_INF, check_float_range, divide, scaled, tie_tolerance
-from .mea import NoCycleError, _relax, max_mean_cycle_value
+from .mea import NoCycleError, PositiveCycleError, _reduced_fixpoint, max_mean_cycle_value
 from .system import FiniteMVSystem, eventual_domain, lift_function
-
-
-class PositiveCycleError(Exception):
-    """The reduced weights admit a positive cycle: the supplied beta is below
-    the true maximum ergodic average."""
 
 
 class ViolatedEdgeError(Exception):
@@ -54,34 +49,18 @@ def compute_phi(system: FiniteMVSystem, f: Sequence, beta) -> tuple:
     n >= 1 and orbit segments ending at x of (sum of f along the segment)
     minus n * beta.
 
-    Bellman value iteration on reduced weights; rounds are monotone and
-    freeze, up to ``tie_tolerance(f)``, within n_states rounds unless a
-    reduced cycle is positive, which raises PositiveCycleError.  Float
-    reduced weights must pass ``check_float_range``.
+    It is ``mea._reduced_fixpoint`` at ``tie_tolerance(f)``, which raises
+    PositiveCycleError when beta is below the maximum; float reduced weights
+    must pass ``check_float_range``.
     """
     if len(f) != len(system.edges):
         raise ValueError("edge function length must equal the edge count")
-    n = system.n_states
     (g, (scaled_beta,)), d = scaled(f, (beta,))
     reduced = [w - scaled_beta for w in g]
     if d is None:
-        check_float_range(reduced, n)
-    tol = tie_tolerance(f)  # nonzero only for float f, which runs unscaled
-    phi = [None] * n
-    for _ in range(n + 1):
-        nxt = [None] * n
-        # the segment may start at any state: the clamped base max(phi, 0)
-        _relax(system.edges, reduced, [0 if p is None or p < 0 else p for p in phi], nxt)
-        if nxt == phi or tol != 0 and all(
-            (a is None) == (b is None) and (a is None or abs(a - b) <= tol)
-            for a, b in zip(nxt, phi)
-        ):
-            return tuple([NEG_INF if p is None else divide(p, 1, d) for p in nxt])
-        phi = nxt
-    raise PositiveCycleError(
-        "value iteration still improving after n_states + 1 rounds; "
-        "beta is below the maximum ergodic average"
-    )
+        check_float_range(reduced, system.n_states)
+    phi = _reduced_fixpoint(system, reduced, tie_tolerance(f))
+    return tuple([NEG_INF if p is None else divide(p, 1, d) for p in phi])
 
 
 def compute_v(phi: Sequence, f: Sequence, beta) -> tuple:

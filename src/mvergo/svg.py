@@ -18,17 +18,20 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
+def _span(values) -> tuple[float, float]:
+    """The least and largest value, apart by 1 when they meet, or, once 1 is
+    below their precision, by |value| / 2^52 (a float step or two) towards 0."""
+    lo, hi = min(values), max(values)
+    if hi == lo and lo + 1 == lo:
+        return tuple(sorted((lo, lo - lo * 2**-52)))
+    return lo, hi if hi != lo else lo + 1
+
+
 def line_chart(series: list[tuple[str, str, list[tuple[float, float]]]],
                x_label: str, y_label: str) -> str:
     """Polyline chart; each series is (label, css color, [(x, y), ...])."""
-    xs = [p[0] for _l, _c, pts in series for p in pts]
-    ys = [p[1] for _l, _c, pts in series for p in pts]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    if x1 == x0:
-        x1 = x0 + 1
-    if y1 == y0:
-        y1 = y0 + 1
+    x0, x1 = _span([p[0] for _l, _c, pts in series for p in pts])
+    y0, y1 = _span([p[1] for _l, _c, pts in series for p in pts])
     pad = 0.05 * (y1 - y0)
     y0, y1 = y0 - pad, y1 + pad
 

@@ -105,10 +105,10 @@ def check_alpha_oracle(inst: Instance):
     return None
 
 
-def check_delta_bounds(inst: Instance, horizons=(8, 16, 32, 64)):
+def check_delta_bounds(inst: Instance):
     alpha, _ = inst.alpha
     bound_scale = 2 * inst.system.n_states * max(abs(v) for v in inst.f)
-    for n in horizons:
+    for n in (8, 16, 32, 64):
         delta_n = delta_finite_horizon(inst.system, inst.f, n)
         gap = delta_n - alpha
         if abs(gap) * (n + 1) > bound_scale:
@@ -116,13 +116,13 @@ def check_delta_bounds(inst: Instance, horizons=(8, 16, 32, 64)):
     return None
 
 
-def check_epsilon(inst: Instance, spans: int = 4):
+def check_epsilon(inst: Instance):
     alpha, cycle = inst.alpha
     rot = epsilon_witness(cycle, inst.f)
     k = len(cycle)
     states = cycle.states[rot:] + cycle.states[:rot]
     running = Fraction(0)
-    for n in range(spans * k):
+    for n in range(4 * k):
         running += inst.f[states[n % k]]
         if Fraction(running, 1) / (n + 1) < alpha:
             return f"prefix average at n={n} dips below alpha from rotation {rot}"

@@ -272,11 +272,17 @@ def test_cmd_hull_matches_golden_files(tmp_path, builtin, golden):
      ["subaction_states.csv", "subaction_edges.csv"]),
     (["measures", "--input", "ring_n9_m22/input.json"], "ring_n9_m22", ["measures.csv"]),
     (["verify", "--seed", "0", "--count", "200"], "verify_seed0_count200", ["verify.txt"]),
-], ids=["mea", "subaction", "measures", "verify"])
+    (["mea", "--input", "ring_n128_m512_float/input.json"], "ring_n128_m512_float",
+     ["mea_report.txt", "mea_delta.csv"]),
+    (["subaction", "--input", "ring_n128_m512_float/input.json"], "ring_n128_m512_float",
+     ["subaction_states.csv", "subaction_edges.csv"]),
+], ids=["mea", "subaction", "measures", "verify", "mea-float", "subaction-float"])
 def test_finite_commands_match_golden_files(tmp_path, argv, golden, files):
     # the golden files were written while the finite maximum cycle mean was
     # still solved by Karp's walk table; the inputs are a seeded ring graph
-    # of 128 states and 512 edges and a 9-state graph with 28 cycle supports
+    # of 128 states and 512 edges and a 9-state graph with 28 cycle supports.
+    # The float ring is the same graph with f / 7 as decimals; its files were
+    # written while tight_edges still ran a walk potential of its own
     argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
     out = tmp_path / "o"
     assert main([*argv, "--out", str(out)]) == 0
@@ -317,6 +323,34 @@ def test_cmd_sweep_single_theta(tmp_path):
     rows = _read_csv(out / "sweep.csv")
     assert len(rows) == 3  # header + one row per system
     assert {r[0] for r in rows[1:]} == {"1/4"}
+
+
+def _single_theta_bounds(tmp_path, f):
+    """The bound columns (system, beta_lower, beta_upper, witness_period) of
+    a one-theta sweep, which must exit 0."""
+    out = tmp_path / f"o{len(list(tmp_path.iterdir()))}"
+    assert main(["sweep", "--f", f, "--max-period", "6", "--grid", "64", "--out", str(out)]) == 0
+    assert "nan" not in (out / "sweep.svg").read_text()
+    return [row[1:] for row in _read_csv(out / "sweep.csv")[1:]]
+
+
+def test_cmd_sweep_reduces_theta_mod_one_exactly(tmp_path):
+    # f_theta has period 1 in theta.  1e20 is an integer as a float, so its
+    # f is f_0, whose fixed point 0 has average 1; float subtraction at that
+    # size loses every point's position, and the chart's x span cannot
+    # widen by 1
+    assert _single_theta_bounds(tmp_path, "cos:1e20") == _single_theta_bounds(tmp_path, "cos:0")
+    assert _single_theta_bounds(tmp_path, "cos:1e20")[0][1] == "1.0"
+    quarter = _single_theta_bounds(tmp_path, "cos:1/4")
+    assert _single_theta_bounds(tmp_path, "cos:5/4") == quarter
+    assert _single_theta_bounds(tmp_path, "cos:-3/4") == quarter
+
+
+def test_cmd_sweep_charts_a_value_past_float_precision(tmp_path):
+    # interval negdist keeps theta: every average is about -1e300, and the
+    # chart's y span cannot widen by 1 there
+    rows = _single_theta_bounds(tmp_path, "negdist:1e300")
+    assert [row[1] for row in rows] == ["-1e+300", "-1e+300"]
 
 
 def test_cmd_sweep_grid_too_small_exit_code(tmp_path, capsys):

@@ -445,6 +445,28 @@ def test_exact_howard_on_wide_float_exponents_within_a_time_bound():
     assert elapsed < 30, f"the solve took {elapsed:.1f} s"
 
 
+def test_tight_edges_settle_on_wide_float_exponents(monkeypatch):
+    # rounding leaves a best cycle's reduced sum a little positive, so a
+    # potential that waits for a round to change nothing runs all 5000
+    # rounds here; the fixpoint freezes within tie_tolerance in 22
+    s, _f = ring_graph(random.Random(5000), 5000, 20000)
+    w = lift_function(wide_float_function(random.Random(1), 5000), s)
+    alpha = max_mean_cycle_value(s, w)
+    rounds = []
+    relax = mea_mod._relax
+
+    def counting(*args):
+        rounds.append(1)
+        return relax(*args)
+
+    monkeypatch.setattr(mea_mod, "_relax", counting)
+    tight = mea_mod.tight_edges(s, w, alpha)
+    assert len(rounds) <= 50
+    monkeypatch.undo()
+    exact = [F(x) for x in w]
+    assert tight == mea_mod.tight_edges(s, exact, max_mean_cycle_value(s, exact))
+
+
 @pytest.mark.parametrize("grid", [64, 256, 1024])
 def test_float_howard_agrees_with_karp_on_outer_grids(grid):
     for system in (doubling_map(), three_branch_doubling(), pq_correspondence(2, 3)):
