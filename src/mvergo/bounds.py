@@ -51,9 +51,6 @@ class CosWave:
         self.theta = Fraction(theta) % 1
         self.lipschitz = 2 * math.pi
 
-    def __call__(self, x: float) -> float:
-        return math.cos(2 * math.pi * (x - float(self.theta)))
-
     def values(self, xs: np.ndarray) -> np.ndarray:
         # in place: one temporary the size of xs, not three
         out = xs - float(self.theta)
@@ -69,13 +66,6 @@ class NegDistance:
         self.theta = Fraction(theta) % 1 if metric == "circle" else Fraction(theta)
         self.metric = metric
         self.lipschitz = 1.0
-
-    def __call__(self, x: float) -> float:
-        d = abs(x - float(self.theta))
-        if self.metric == "circle":
-            d = d % 1.0
-            d = min(d, 1.0 - d)
-        return -d
 
     def values(self, xs: np.ndarray) -> np.ndarray:
         d = xs - float(self.theta)
@@ -93,9 +83,6 @@ class ConstFunction:
         self.c = c
         self.lipschitz = 0.0
 
-    def __call__(self, x: float) -> float:
-        return float(self.c)
-
     def values(self, xs: np.ndarray) -> np.ndarray:
         return np.full(len(xs), float(self.c))
 
@@ -111,7 +98,7 @@ class OrbitTable:
     Points are stored as floats (rounded from the exact rationals); the
     canonical branch words share one letter buffer, sliced like the points by
     ``starts`` and ``periods``, so the exact witness orbit can be rebuilt on
-    demand without holding every orbit as rational tuples in memory.
+    demand without holding every orbit's integer points in memory.
     """
 
     system: PiecewiseAffineMVSystem
@@ -127,7 +114,8 @@ class OrbitTable:
 
     def orbit(self, index: int) -> PeriodicOrbit:
         """Rebuild the exact orbit behind one table row: solve its stored
-        word and keep the candidate whose points round to the row's."""
+        word and keep the candidate whose points round to the row's, put in
+        lowest terms."""
         start = int(self.starts[index])
         end = start + int(self.periods[index])
         word = tuple(self.letters[start:end])
@@ -136,7 +124,8 @@ class OrbitTable:
         den, orbits = _word_orbits(word, rows, unit)
         for xs in orbits:
             if all(x / den == q for x, q in zip(xs, stored)):
-                return PeriodicOrbit(word, tuple(Fraction(x, den) for x in xs))
+                g = math.gcd(den, *xs)
+                return PeriodicOrbit(word, tuple([x // g for x in xs]), den // g)
         raise RuntimeError("orbit reconstruction failed; table out of sync")
 
 
@@ -334,12 +323,12 @@ def barycentre_hull(system: PiecewiseAffineMVSystem, max_period: int) -> list[Ba
     ``sturmian_arc`` (1/2 when it has none).
 
     The barycentres are float approximations, evaluated in floating point
-    from the exact orbit points.  The hull is exact over those float values
-    (each read as its exact binary rational by the integer orientation
-    kernel), not over the true barycentres: among nearly collinear
-    barycentres, the flags can differ from the exact set's.  A float pair
-    equals and hashes like its Fraction vertex, so the flags are read off
-    the hull's vertex set directly."""
+    from the orbits' integer points, each point rounded once.  The hull is
+    exact over those float values (each read as its exact binary rational by
+    the integer orientation kernel), not over the true barycentres: among
+    nearly collinear barycentres, the flags can differ from the exact set's.
+    A float pair equals and hashes like its Fraction vertex, so the flags
+    are read off the hull's vertex set directly."""
     arc_length = system.sturmian_arc if system.sturmian_arc is not None else Fraction(1, 2)
     orbits = enumerate_periodic_orbits(system, max_period)
     values = [barycentre(o) for o in orbits]

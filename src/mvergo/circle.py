@@ -9,8 +9,10 @@ integer slope s >= 2, none wrapping, where no two branches of equal offset
 have domains that meet, take a batched numpy int64 path instead: there the
 points of an orbit determine its word, so every primitive necklace carries
 at most one orbit and no two coincide.  Both paths give the same orbits in
-the same order, a block of rows of one period at a time.  The expansion
-property is certified by exact case analysis on branch pairs.
+the same order, a block of rows of one period at a time.  An orbit keeps
+that format to the end: integer numerators over one denominator, in lowest
+terms, from which barycentres and Sturmian arcs are computed directly.  The
+expansion property is certified by exact case analysis on branch pairs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -235,32 +236,28 @@ def expansion_certificate(system: PiecewiseAffineMVSystem) -> tuple[Fraction, Fr
 @dataclass(frozen=True)
 class PeriodicOrbit:
     """A periodic orbit with its branch itinerary and exact points, stored in
-    the lexicographically least rotation of (points, itinerary)."""
+    the lexicographically least rotation of (points, itinerary).
+
+    The points are ``numerators[i] / denominator`` over one positive
+    denominator, in lowest terms (the gcd of the denominator and every
+    numerator is 1), as the orbit visitor hands them over.  That form is
+    unique, so two orbits are equal exactly when their itineraries and
+    points are; ``points`` builds the ``Fraction``s on demand."""
 
     itinerary: tuple[int, ...]
-    points: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
     @property
     def period(self) -> int:
-        return len(self.points)
+        return len(self.numerators)
+
+    @property
+    def points(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.denominator) for x in self.numerators)
 
     def itinerary_string(self) -> str:
         return "".join(str(i) for i in self.itinerary)
-
-
-def orbit_is_valid(system: PiecewiseAffineMVSystem, orbit: PeriodicOrbit) -> bool:
-    """Re-validate an orbit by exact forward iteration through its itinerary."""
-    k = orbit.period
-    if len(orbit.itinerary) != k or k == 0:
-        return False
-    for idx in range(k):
-        b = system.branches[orbit.itinerary[idx]]
-        x = orbit.points[idx]
-        if not b.contains(x):
-            return False
-        if b.apply(x) != orbit.points[(idx + 1) % k]:
-            return False
-    return True
 
 
 def for_each_necklace(length: int, alphabet: int, fn) -> None:
@@ -285,12 +282,6 @@ def for_each_necklace(length: int, alphabet: int, fn) -> None:
             a[j] = a[j - i]
         if length % i == 0:
             fn(a)
-
-
-def necklaces(length: int, alphabet: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    for_each_necklace(length, alphabet, lambda a: out.append(tuple(a[1:length + 1])))
-    return out
 
 
 def _integer_branches(system: PiecewiseAffineMVSystem):
@@ -587,7 +578,8 @@ def enumerate_periodic_orbits(system: PiecewiseAffineMVSystem, max_period: int) 
 
     The sort runs on integers: within one period every orbit's numerators
     are scaled to the lcm of that period's denominators, which orders them
-    exactly as their points.  The Fraction points are built after the sort.
+    exactly as their points.  Each orbit keeps the visitor's numerators
+    and denominator.
     """
     found: list[PeriodicOrbit] = []
     group: list = []  # (word, numerators, denominator) rows of the current period
@@ -600,9 +592,7 @@ def enumerate_periodic_orbits(system: PiecewiseAffineMVSystem, max_period: int) 
             return tuple([x * s for x in t[1]])
 
         group.sort(key=scaled)
-        # tuple([...]) allocates the final size, so the points reuse the key
-        # tuples that the sort freed to CPython's tuple free list
-        found.extend(PeriodicOrbit(tuple(word), tuple([Fraction(x, denom) for x in numerators]))
+        found.extend(PeriodicOrbit(tuple(word), tuple(numerators), denom)
                      for word, numerators, denom in group)
         group.clear()
 
@@ -618,35 +608,29 @@ def enumerate_periodic_orbits(system: PiecewiseAffineMVSystem, max_period: int) 
 
 
 # ---------------------------------------------------------------------------
-# Averages, barycentres, arcs
-
-
-def orbit_average(orbit: PeriodicOrbit, f: Callable[[float], float]) -> float:
-    """Mean of f over the orbit points (double precision)."""
-    return sum(f(float(x)) for x in orbit.points) / orbit.period
+# Barycentres, arcs
 
 
 def barycentre(orbit: PeriodicOrbit) -> complex:
-    """Average of exp(2 pi i x) over the orbit points."""
-    return sum(cmath.exp(2j * cmath.pi * float(x)) for x in orbit.points) / orbit.period
+    """Average of exp(2 pi i x) over the orbit points.  Each point is the
+    int division x / d, rounded once, as ``float(Fraction(x, d))`` is."""
+    d = orbit.denominator
+    return sum(cmath.exp(2j * cmath.pi * (x / d)) for x in orbit.numerators) / orbit.period
 
 
-def is_sturmian(orbit_or_points, arc_length) -> bool:
-    """True iff all points fit in a closed circular arc of the given length:
-    the largest gap between consecutive points on the circle, the wrap-around
-    gap included, is at least 1 - arc_length.
+def is_sturmian(orbit: PeriodicOrbit, arc_length) -> bool:
+    """True iff all orbit points fit in a closed circular arc of the given
+    length: the largest gap between consecutive points on the circle, the
+    wrap-around gap included, is at least 1 - arc_length.
 
-    Decided in integers: the points are put over the lcm D of their
-    denominators and their numerators reduced mod D, so a point at 1 counts
-    as 0; with arc = a/b the test is gap * b >= (b - a) * D."""
+    Decided in integers over the orbit's denominator D: the numerators are
+    reduced mod D, so a point at 1 counts as 0; with arc = a/b the test is
+    gap * b >= (b - a) * D."""
     arc = Fraction(arc_length)
     if not (0 < arc <= 1):
         raise ValueError("arc length must be in (0, 1]")
-    points = getattr(orbit_or_points, "points", orbit_or_points)
-    ratios = [(p if isinstance(p, (int, float, Fraction)) else Fraction(p)).as_integer_ratio()
-              for p in points]
-    den = math.lcm(*(d for _, d in ratios))
-    residues = sorted({n * (den // d) % den for n, d in ratios})
+    den = orbit.denominator
+    residues = sorted({x % den for x in orbit.numerators})
     if len(residues) <= 1:
         return True
     largest_gap = max(residues[0] + den - residues[-1],

@@ -58,12 +58,13 @@ def line_chart(series: list[tuple[str, str, list[tuple[float, float]]]],
         f'<text x="18" y="{HEIGHT // 2}" text-anchor="middle" font-size="14" '
         f'transform="rotate(-90 18 {HEIGHT // 2})">{y_label}</text>'
     )
-    for tick in (x0, (x0 + x1) / 2, x1):
+    # middle ticks add halves: (x0 + x1) / 2 overflows near the float maximum
+    for tick in (x0, x0 / 2 + x1 / 2, x1):
         parts.append(
             f'<text x="{_fmt(sx(tick))}" y="{HEIGHT - MARGIN + 18}" '
             f'text-anchor="middle" font-size="11">{tick:.3g}</text>'
         )
-    for tick in (y0 + pad, (y0 + y1) / 2, y1 - pad):
+    for tick in (y0 + pad, y0 / 2 + y1 / 2, y1 - pad):
         parts.append(
             f'<text x="{MARGIN - 6}" y="{_fmt(sy(tick) + 4)}" '
             f'text-anchor="end" font-size="11">{tick:.3g}</text>'

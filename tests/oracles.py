@@ -8,13 +8,17 @@ every other candidate (a ``Fraction`` simplex), the potential from explicit
 backward-walk enumeration, exact and float cycle means from Karp's walk
 table, periodic orbits of circle systems from a rational lift search, and
 orbit tables from the per-word orbit path, divided as Python ints.
-Convex hulls, Sturmian arcs and the orbit order are decided in ``Fraction``
-arithmetic, where the package works in integers.  ``flatten_blocks`` turns
-the orbit visitor's blocks into the rows the orbit oracle produces.
+Convex hulls, Sturmian arcs, barycentres and the orbit order are decided in
+``Fraction`` arithmetic, where the package works in integers, and orbits are
+re-validated by exact forward iteration of their ``Fraction`` points.
+``flatten_blocks`` turns the orbit visitor's blocks into the rows the orbit
+oracle produces, and ``orbit_over_lcm`` puts a list of exact points into the
+package's integer orbit format.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import deque
 from fractions import Fraction
@@ -632,6 +636,42 @@ def fraction_convex_hull(points) -> list[tuple[Fraction, Fraction]]:
     return hull
 
 
+def orbit_over_lcm(points, itinerary=None) -> PeriodicOrbit:
+    """The integer-form orbit of exact points (Fractions, ints or floats,
+    each read as its exact rational): the numerators over the lcm of the
+    points' reduced denominators, which is lowest terms.  The itinerary
+    defaults to all zeros, for checks that read only the points."""
+    ratios = [Fraction(p) for p in points]
+    den = math.lcm(*(r.denominator for r in ratios))
+    numerators = tuple(r.numerator * (den // r.denominator) for r in ratios)
+    if itinerary is None:
+        itinerary = (0,) * len(ratios)
+    return PeriodicOrbit(tuple(itinerary), numerators, den)
+
+
+def orbit_is_valid(system: PiecewiseAffineMVSystem, orbit: PeriodicOrbit) -> bool:
+    """Re-validate an orbit by exact forward iteration of its ``Fraction``
+    points through its itinerary."""
+    k = orbit.period
+    points = orbit.points
+    if len(orbit.itinerary) != k or k == 0:
+        return False
+    for idx in range(k):
+        b = system.branches[orbit.itinerary[idx]]
+        x = points[idx]
+        if not b.contains(x):
+            return False
+        if b.apply(x) != points[(idx + 1) % k]:
+            return False
+    return True
+
+
+def fraction_barycentre(orbit: PeriodicOrbit) -> complex:
+    """Reference for ``circle.barycentre``: the same sum over the float
+    values of the orbit's ``Fraction`` points."""
+    return sum(cmath.exp(2j * cmath.pi * float(x)) for x in orbit.points) / orbit.period
+
+
 def fraction_is_sturmian(orbit_or_points, arc_length) -> bool:
     """Reference for ``circle.is_sturmian``: the points sorted on the circle
     as Fractions, the largest gap compared with 1 - arc_length."""
@@ -669,10 +709,10 @@ def visited_orbits(system: PiecewiseAffineMVSystem, max_period: int):
 
 def fraction_sorted_orbits(system: PiecewiseAffineMVSystem, max_period: int) -> list[PeriodicOrbit]:
     """Reference for ``circle.enumerate_periodic_orbits``: the visitor's
-    orbits as Fraction points, sorted by (period, points)."""
-    found = [PeriodicOrbit(word, tuple(Fraction(x, denom) for x in numerators))
-             for word, numerators, denom in visited_orbits(system, max_period)]
-    return sorted(found, key=lambda o: (o.period, o.points))
+    orbits, sorted by (period, Fraction points)."""
+    rows = sorted(visited_orbits(system, max_period),
+                  key=lambda r: (len(r[1]), tuple(Fraction(x, r[2]) for x in r[1])))
+    return [PeriodicOrbit(word, numerators, denom) for word, numerators, denom in rows]
 
 
 def _cells_meeting(lo: Fraction, hi: Fraction, g: int) -> range:

@@ -183,6 +183,7 @@ def test_orbit_table_reconstruction():
         for idx in range(0, len(table.words), 7):
             orbit = table.orbit(idx)
             assert orbit.period == table.periods[idx]
+            assert math.gcd(orbit.denominator, *orbit.numerators) == 1
             start = table.starts[idx]
             for offset, p in enumerate(orbit.points):
                 assert float(p) == table.points[start + offset]
@@ -199,7 +200,7 @@ def test_orbit_table_reconstruction_repeated_least_point():
     assert sum(len(calls[i][0]) == 10 for i in tied) == 28
     for idx in tied:
         word, xs, den = calls[idx]
-        assert table.orbit(idx) == PeriodicOrbit(word, tuple(F(x, den) for x in xs))
+        assert table.orbit(idx) == PeriodicOrbit(word, xs, den)
 
 
 @pytest.mark.parametrize("system, period", [

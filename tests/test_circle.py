@@ -19,10 +19,8 @@ from mvergo.circle import (
     doubling_map,
     enumerate_periodic_orbits,
     expansion_certificate,
+    for_each_necklace,
     is_sturmian,
-    necklaces,
-    orbit_average,
-    orbit_is_valid,
     pq_correspondence,
     three_branch_doubling,
     visit_periodic_orbits,
@@ -30,9 +28,12 @@ from mvergo.circle import (
 from mvergo.circle import _batch_slope, _integer_branches, _visit_batched, _visit_words
 from oracles import (
     flatten_blocks,
+    fraction_barycentre,
     fraction_is_sturmian,
     fraction_periodic_orbits,
     fraction_sorted_orbits,
+    orbit_is_valid,
+    orbit_over_lcm,
     visited_orbits,
 )
 
@@ -455,41 +456,40 @@ def test_certificates_satisfy_definition_numerically():
         assert _definition_holds(system, lam, eta)
 
 
-def test_orbit_average_examples():
-    from mvergo.bounds import CosWave, ConstFunction
-
-    f0 = CosWave(0)
-    fixed = PeriodicOrbit((0,), (F(0),))
-    assert orbit_average(fixed, f0) == 1.0
-
-    third = PeriodicOrbit((0, 1), (F(1, 3), F(2, 3)))
-    assert abs(orbit_average(third, f0) - (-0.5)) < 1e-12
-
-    assert orbit_average(third, ConstFunction(F(7, 2))) == 3.5
+def test_periodic_orbit_integer_form():
+    third = PeriodicOrbit((0, 1), (1, 2), 3)
+    assert third.period == 2
+    assert third.points == (F(1, 3), F(2, 3))
+    assert third.itinerary_string() == "01"
+    assert orbit_over_lcm([F(1, 3), F(2, 3)], (0, 1)) == third
+    # the lcm of reduced denominators leaves the numerators in lowest terms
+    mixed = orbit_over_lcm([F(1, 2), F(1, 4), F(0), 1])
+    assert (mixed.numerators, mixed.denominator) == ((2, 1, 0, 4), 4)
+    assert orbit_over_lcm([0.5, 0.75]) == PeriodicOrbit((0, 0), (2, 3), 4)
 
 
 def test_barycentre_examples():
-    fixed = PeriodicOrbit((0,), (F(1, 8),))
+    fixed = orbit_over_lcm([F(1, 8)])
     z = barycentre(fixed)
     assert abs(abs(z) - 1) < 1e-12
 
-    third = PeriodicOrbit((0, 1), (F(1, 3), F(2, 3)))
+    third = orbit_over_lcm([F(1, 3), F(2, 3)], (0, 1))
     assert abs(barycentre(third) - (-0.5)) < 1e-12
 
-    quarters = PeriodicOrbit((0, 0, 0, 0), (F(0), F(1, 4), F(1, 2), F(3, 4)))
+    quarters = orbit_over_lcm([F(0), F(1, 4), F(1, 2), F(3, 4)])
     assert abs(barycentre(quarters)) < 1e-12
 
 
 def test_is_sturmian_examples():
-    fixed = PeriodicOrbit((0,), (F(1, 5),))
+    fixed = orbit_over_lcm([F(1, 5)])
     assert is_sturmian(fixed, F(1, 100))
 
-    antipodal = [F(0), F(1, 2)]
+    antipodal = orbit_over_lcm([F(0), F(1, 2)])
     assert not is_sturmian(antipodal, F(1, 4))
     assert is_sturmian(antipodal, F(1, 2))
 
-    assert is_sturmian([F(0), F(1, 5), F(2, 5)], F(2, 5))
-    assert not is_sturmian([F(0), F(1, 5), F(2, 5), F(3, 5)], F(2, 5))
+    assert is_sturmian(orbit_over_lcm([F(0), F(1, 5), F(2, 5)]), F(2, 5))
+    assert not is_sturmian(orbit_over_lcm([F(0), F(1, 5), F(2, 5), F(3, 5)]), F(2, 5))
 
 
 @given(
@@ -504,7 +504,7 @@ def test_is_sturmian_matches_arc_search(points, arc):
     brute = any(
         all((q - p) % 1 <= arc for q in pts) for p in pts
     )
-    assert is_sturmian(pts, arc) == brute
+    assert is_sturmian(orbit_over_lcm(pts), arc) == brute
 
 
 def test_is_sturmian_integer_gaps_pin_edge_cases():
@@ -534,23 +534,35 @@ def test_is_sturmian_integer_gaps_pin_edge_cases():
         ([F(-1, 4), F(5, 4)], F(1, 3), False),
     ]
     for points, arc, expected in cases:
-        assert is_sturmian(points, arc) is expected, (points, arc)
+        assert is_sturmian(orbit_over_lcm(points), arc) is expected, (points, arc)
         assert fraction_is_sturmian(points, arc) is expected, (points, arc)
     for arc in (0, -F(1, 2), F(3, 2), 1.5):
         with pytest.raises(ValueError):
-            is_sturmian([F(0)], arc)
-    assert is_sturmian([], F(1, 2))
+            is_sturmian(orbit_over_lcm([F(0)]), arc)
+    assert is_sturmian(orbit_over_lcm([]), F(1, 2))
 
 
 def test_is_sturmian_matches_fraction_oracle_on_orbits():
-    for system, period in ((pq_correspondence(2, 3), 7), (three_branch_doubling(), 7),
-                           (doubling_map(), 8)):
+    for system, period in ((pq_correspondence(2, 3), 8), (three_branch_doubling(), 8),
+                           (doubling_map(), 10)):
         orbits = enumerate_periodic_orbits(system, period)
         for arc in (F(1, 4), F(1, 3), F(1, 2), F(2, 3), 1, 0.3):
             flags = [is_sturmian(o, arc) for o in orbits]
             assert flags == [fraction_is_sturmian(o, arc) for o in orbits]
             if arc != 1:
                 assert True in flags and False in flags
+
+
+@pytest.mark.parametrize("system, period", [
+    (pq_correspondence(2, 3), 8),
+    (three_branch_doubling(), 8),
+    (doubling_map(), 10),
+], ids=["pq23-8", "threebranch-8", "doubling-10"])
+def test_barycentre_matches_fraction_reference(system, period):
+    # x / d on the integer points rounds as float(Fraction(x, d)) does, so
+    # the barycentre keeps its bits
+    orbits = enumerate_periodic_orbits(system, period)
+    assert all(barycentre(o) == fraction_barycentre(o) for o in orbits)
 
 
 @pytest.mark.parametrize("system, period", [
@@ -562,7 +574,10 @@ def test_is_sturmian_matches_fraction_oracle_on_orbits():
 def test_enumerate_periodic_orbits_integer_sort_matches_fraction_sort(system, period):
     orbits = enumerate_periodic_orbits(system, period)
     assert orbits == fraction_sorted_orbits(system, period)
-    assert all(type(x) is Fraction for o in orbits for x in o.points)
+    for o in orbits:
+        assert type(o.denominator) is int and o.denominator > 0
+        assert all(type(x) is int for x in o.itinerary + o.numerators)
+        assert math.gcd(o.denominator, *o.numerators) == 1
 
 
 def test_pq23_mixes_denominators_within_one_period():
@@ -576,7 +591,9 @@ def test_pq23_mixes_denominators_within_one_period():
 def test_necklaces_fkm_against_brute_force():
     for length in range(1, 7):
         for alphabet in (1, 2, 3):
-            words = set(necklaces(length, alphabet))
+            words = set()
+            for_each_necklace(length, alphabet,
+                              lambda a: words.add(tuple(a[1:length + 1])))
             brute = set()
             for code in range(alphabet ** length):
                 word = []

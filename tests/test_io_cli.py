@@ -2,12 +2,14 @@
 
 import csv
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from mvergo._numbers import parse_number
+from mvergo.circle import PeriodicOrbit
 from mvergo.cli import main
 from mvergo.io import InputFormatError, dumps_system, loads_system
 from oracles import z4_system
@@ -351,6 +353,30 @@ def test_cmd_sweep_charts_a_value_past_float_precision(tmp_path):
     # chart's y span cannot widen by 1 there
     rows = _single_theta_bounds(tmp_path, "negdist:1e300")
     assert [row[1] for row in rows] == ["-1e+300", "-1e+300"]
+
+
+def test_cmd_sweep_charts_the_largest_float_without_inf(tmp_path):
+    # the middle ticks add halves: (x0 + x1) / 2 of two values near the
+    # float maximum overflows to inf
+    out = tmp_path / "o"
+    assert main(["sweep", "--f", "negdist:1.7976931348623157e308", "--max-period", "4",
+                 "--grid", "32", "--out", str(out)]) == 0
+    svg = (out / "sweep.svg").read_text()
+    assert not re.findall(r"(?<![a-z])(?:inf|nan)(?![a-z])", svg, re.IGNORECASE)
+
+
+def test_commands_read_no_fraction_orbit_points(tmp_path, monkeypatch):
+    # hull and sweep work on the integer orbit format end to end
+    def fail(orbit):
+        pytest.fail("a command read Fraction orbit points")
+
+    monkeypatch.setattr(PeriodicOrbit, "points", property(fail))
+    runs = [["hull", "--builtin", "pq:2,3", "--max-period", "6"],
+            ["hull", "--builtin", "threebranch", "--max-period", "6"],
+            ["sweep", "--f", "cos", "--theta-grid", "4", "--max-period", "6", "--grid", "64"],
+            ["sweep", "--f", "negdist", "--theta-grid", "4", "--max-period", "6", "--grid", "64"]]
+    for i, argv in enumerate(runs):
+        assert main([*argv, "--out", str(tmp_path / str(i))]) == 0
 
 
 def test_cmd_sweep_grid_too_small_exit_code(tmp_path, capsys):
