@@ -162,11 +162,25 @@ def orbit_table(system: PiecewiseAffineMVSystem, max_period: int) -> OrbitTable:
 
 def beta_lower(system: PiecewiseAffineMVSystem, f, max_period: int,
                table: OrbitTable | None = None) -> tuple[float, PeriodicOrbit]:
-    """Best average of f over exact periodic orbits: a valid lower bound."""
+    """Best average of f over exact periodic orbits: a valid lower bound.
+
+    A row whose float sum overflows is summed again over its values times
+    2^-k, with 2^k at least the longest period, which no sum of finite
+    values can overflow; the scaling is exact, and its mean is scaled back
+    and held to at most the row's largest value, so a row of equal values
+    keeps that value.  Every other row keeps its plain sum."""
     if table is None:
         table = orbit_table(system, max_period)
-    sums = np.add.reduceat(f.values(table.points), table.starts)
+    values = f.values(table.points)
+    with np.errstate(over="ignore"):
+        sums = np.add.reduceat(values, table.starts)
     means = sums / table.periods
+    over = ~np.isfinite(sums)
+    if over.any():
+        k = int(table.periods.max()).bit_length()
+        scaled = np.add.reduceat(np.ldexp(values, -k), table.starts)[over]
+        top = np.maximum.reduceat(values, table.starts)[over]
+        means[over] = np.minimum(np.ldexp(scaled / table.periods[over], k), top)
     idx = int(np.argmax(means))
     return float(means[idx]), table.orbit(idx)
 

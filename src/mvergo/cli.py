@@ -5,6 +5,8 @@ Subcommands: mea, measures, subaction, sweep, hull, verify.  Exit codes:
 error (an infinite or NaN number, a float too large for the sums of a pass,
 too many simple cycles or distinct cycle supports and a graph that Howard
 policy iteration does not solve within its iteration limit included).
+A malformed, unknown or out-of-range flag and an unknown or missing
+subcommand are input errors too: the parser rejects them before any output.
 Identical flags and seed produce byte-identical output files.
 """
 
@@ -12,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -27,7 +31,7 @@ from .circle import (
     three_branch_doubling,
 )
 from .geometry import convex_hull
-from .io import InputFormatError, load_system, measure_row
+from .io import InputFormatError, SystemDocument, load_system, measure_row
 from .mea import (
     BRUTE_FORCE_STATE_LIMIT,
     NoCycleError,
@@ -64,6 +68,23 @@ def _parse_arg(spec: str, arg: str, parse):
         raise CliError(f"bad argument {arg!r} in {spec!r}", EXIT_INPUT) from exc
 
 
+def _int_in(flag: str, lo: int, hi: float, text: str) -> int:
+    """The value of the integer flag ``flag``, which must lie in lo..hi."""
+    value = _parse_arg(flag, text, int)
+    if not lo <= value <= hi:
+        span = f"at least {lo}" if hi == math.inf else f"between {lo} and {hi}"
+        raise CliError(f"{flag} must be {span}", EXIT_INPUT)
+    return value
+
+
+def _load_document(path: str) -> SystemDocument:
+    """The system document at ``path``; an unreadable or malformed file is an input error."""
+    try:
+        return load_system(path)
+    except (OSError, InputFormatError) as exc:
+        raise CliError(f"{path}: {exc}", EXIT_INPUT) from exc
+
+
 def builtin_finite(spec: str) -> tuple[FiniteMVSystem, tuple | None]:
     """Finite builtin systems: z4, identity:N, selfloop:c."""
     name, _, arg = spec.partition(":")
@@ -97,6 +118,14 @@ def builtin_circle(spec: str) -> PiecewiseAffineMVSystem:
     raise CliError(f"unknown circle builtin {spec!r}", EXIT_INPUT)
 
 
+def sweep_function(spec: str) -> tuple[str, Fraction | None]:
+    """Sweep's ``--f``: the family and the one theta to evaluate (None: sweep the grid)."""
+    family, _, theta = spec.partition(":")
+    if family not in ("cos", "negdist"):
+        raise CliError("sweep takes --f cos[:theta] or --f negdist[:theta]", EXIT_INPUT)
+    return family, _parse_arg(spec, theta, lambda t: Fraction(parse_number(t))) if theta else None
+
+
 def resolve_state_function(spec: str | None, system: FiniteMVSystem, default_f) -> tuple:
     if spec:
         name, _, arg = spec.partition(":")
@@ -109,10 +138,7 @@ def resolve_state_function(spec: str | None, system: FiniteMVSystem, default_f) 
             c = _parse_arg(spec, arg, parse_number)
             return tuple(c for _ in range(system.n_states))
         if name == "file":
-            try:
-                doc = load_system(arg)
-            except OSError as exc:
-                raise CliError(f"cannot read {arg}: {exc}", EXIT_INPUT) from exc
+            doc = _load_document(arg)
             if doc.f_state is None or len(doc.f_state) != system.n_states:
                 raise CliError(f"{arg} does not carry f_state for {system.n_states} states", EXIT_INPUT)
             return doc.f_state
@@ -126,15 +152,10 @@ def load_finite(args) -> tuple[FiniteMVSystem, tuple | None]:
     """The finite system plus its default state function (from the document's
     f_state field or the builtin's attached constant)."""
     if args.input:
-        try:
-            doc = load_system(args.input)
-        except OSError as exc:
-            raise CliError(f"cannot read {args.input}: {exc}", EXIT_INPUT) from exc
-        except InputFormatError as exc:
-            raise CliError(f"{args.input}: {exc}", EXIT_INPUT) from exc
+        doc = _load_document(args.input)
         return doc.system, doc.f_state
     if args.builtin:
-        return builtin_finite(args.builtin)
+        return args.builtin
     raise CliError("pass --input FILE or --builtin NAME", EXIT_INPUT)
 
 
@@ -167,8 +188,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def cmd_mea(args) -> int:
-    if args.horizon < 0:
-        raise CliError("--horizon must be non-negative", EXIT_INPUT)
     system, default_f = load_finite(args)
     f = resolve_state_function(args.f, system, default_f)
     try:
@@ -202,11 +221,8 @@ def cmd_measures(args) -> int:
 def cmd_subaction(args) -> int:
     system, default_f = load_finite(args)
     f = resolve_state_function(args.f, system, default_f)
-    beta = None
-    if args.beta_override is not None:
-        beta = _parse_arg("--beta-override", args.beta_override, parse_number)
     try:
-        result = subaction_for_state_function(system, f, beta)
+        result = subaction_for_state_function(system, f, args.beta_override)
     except PIPELINE_ERRORS as exc:
         raise CliError(failure_message(exc), EXIT_VALIDATION) from exc
     out = Path(args.out)
@@ -227,22 +243,10 @@ def cmd_subaction(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    systems = [doubling_map(), three_branch_doubling()]
-    if args.builtin:
-        systems = [builtin_circle(args.builtin)]
-    if args.theta_grid < 1:
-        raise CliError("--theta-grid must be at least 1", EXIT_INPUT)
-    if not 1 <= args.max_period <= ORBIT_PERIOD_LIMIT:
-        raise CliError(f"--max-period must be between 1 and {ORBIT_PERIOD_LIMIT}", EXIT_INPUT)
-    if args.grid < GRID_MIN:
-        raise CliError(f"--grid must be at least {GRID_MIN}", EXIT_INPUT)
-    k_grid = args.theta_grid
-    thetas = [Fraction(k, k_grid) for k in range(k_grid // 2 + 1)]
-    family, _, theta_arg = (args.f or "cos").partition(":")
-    if family not in ("cos", "negdist"):
-        raise CliError("sweep takes --f cos[:theta] or --f negdist[:theta]", EXIT_INPUT)
-    if theta_arg:
-        thetas = [_parse_arg(args.f, theta_arg, lambda t: Fraction(parse_number(t)))]
+    systems = [args.builtin] if args.builtin else [doubling_map(), three_branch_doubling()]
+    family, theta = args.f
+    n = args.theta_grid
+    thetas = [Fraction(k, n) for k in range(n // 2 + 1)] if theta is None else [theta]
     per_system = theta_sweep(systems, family, thetas, args.max_period, args.grid)
     rows = []
     for system, sweep_rows in zip(systems, per_system):
@@ -268,10 +272,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_hull(args) -> int:
-    system = builtin_circle(args.builtin) if args.builtin else pq_correspondence(2, 3)
-    if not 1 <= args.max_period <= ORBIT_PERIOD_LIMIT:
-        raise CliError(f"--max-period must be between 1 and {ORBIT_PERIOD_LIMIT}", EXIT_INPUT)
-    points = barycentre_hull(system, args.max_period)
+    points = barycentre_hull(args.builtin, args.max_period)
     rows = []
     for i, bp in enumerate(points):
         rows.append([
@@ -297,10 +298,6 @@ def cmd_hull(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.count < 1:
-        raise CliError("--count must be at least 1", EXIT_INPUT)
-    if not 2 <= args.max_states <= BRUTE_FORCE_STATE_LIMIT:
-        raise CliError(f"--max-states must be between 2 and {BRUTE_FORCE_STATE_LIMIT}", EXIT_INPUT)
     report = run_verify(args.seed, count=args.count, max_states=args.max_states)
     _write(Path(args.out) / "verify.txt", report.text())
     print(report.text(), end="")
@@ -310,8 +307,17 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejections are input errors (exit 3); the type functions raise CliError."""
+
+    def error(self, message):
+        raise CliError(message, EXIT_INPUT)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command line parser, built on first use and then shared."""
+    parser = _Parser(
         prog="mvergo",
         description="Maximum ergodic averages, invariant measures and "
                     "subactions for finite multi-valued systems and "
@@ -319,63 +325,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, circle=False):
-        p.add_argument("--input", help="system JSON document")
-        p.add_argument("--builtin", help="builtin system name")
+    def command(name, func, help_text, finite=False):
+        p = sub.add_parser(name, help=help_text)
+        if finite:
+            p.add_argument("--input", help="system JSON document")
+            p.add_argument("--builtin", type=builtin_finite, help="builtin system name")
         p.add_argument("--out", default="out", help="output directory")
-        if not circle:
-            p.add_argument("--f", help="state function: indicator:i or const:c")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("mea", help="maximum ergodic average report")
-    common(p)
-    p.add_argument("--horizon", type=int, default=64)
-    p.set_defaults(func=cmd_mea)
+    def int_flag(p, flag, default, lo, hi=math.inf):
+        p.add_argument(flag, type=functools.partial(_int_in, flag, lo, hi), default=default)
 
-    p = sub.add_parser("measures", help="extreme invariant measures")
-    common(p)
-    p.set_defaults(func=cmd_measures)
+    state_help = "state function: indicator:i, const:c or file:PATH"
+    p = command("mea", cmd_mea, "maximum ergodic average report", finite=True)
+    p.add_argument("--f", help=state_help)
+    int_flag(p, "--horizon", 64, 0)
 
-    p = sub.add_parser("subaction", help="subaction and slack verification")
-    common(p)
-    p.add_argument("--beta-override", help="force a beta value (diagnostics)")
-    p.set_defaults(func=cmd_subaction)
+    command("measures", cmd_measures, "extreme invariant measures", finite=True)
 
-    p = sub.add_parser("sweep", help="theta sweep with certified bounds")
-    p.add_argument("--builtin", help="restrict to one circle system")
-    p.add_argument("--out", default="out")
-    p.add_argument("--f", help="function family: cos or negdist")
-    p.add_argument("--theta-grid", type=int, default=256)
-    p.add_argument("--max-period", type=int, default=10)
-    p.add_argument("--grid", type=int, default=2048)
-    p.set_defaults(func=cmd_sweep)
+    p = command("subaction", cmd_subaction, "subaction and slack verification", finite=True)
+    p.add_argument("--f", help=state_help)
+    p.add_argument("--beta-override", help="force a beta value (diagnostics)",
+                   type=lambda text: _parse_arg("--beta-override", text, parse_number))
 
-    p = sub.add_parser("hull", help="barycentre hull with Sturmian flags")
-    p.add_argument("--builtin", help="circle system (default pq:2,3)")
-    p.add_argument("--out", default="out")
-    p.add_argument("--max-period", type=int, default=10)
-    p.set_defaults(func=cmd_hull)
+    p = command("sweep", cmd_sweep, "theta sweep with certified bounds")
+    p.add_argument("--builtin", type=builtin_circle, help="restrict to one circle system")
+    p.add_argument("--f", type=sweep_function, default="cos",
+                   help="function family: cos or negdist, with :theta for one theta")
+    int_flag(p, "--theta-grid", 256, 1)
+    int_flag(p, "--max-period", 10, 1, ORBIT_PERIOD_LIMIT)
+    int_flag(p, "--grid", 2048, GRID_MIN)
 
-    p = sub.add_parser("verify", help="seeded randomized oracle suites")
-    p.add_argument("--out", default="out")
+    p = command("hull", cmd_hull, "barycentre hull with Sturmian flags")
+    p.add_argument("--builtin", type=builtin_circle, default="pq:2,3", help="circle system")
+    int_flag(p, "--max-period", 10, 1, ORBIT_PERIOD_LIMIT)
+
+    p = command("verify", cmd_verify, "seeded randomized oracle suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--max-states", type=int, default=8)
-    p.set_defaults(func=cmd_verify)
-
+    int_flag(p, "--count", 200, 1)
+    int_flag(p, "--max-states", 8, 2, BRUTE_FORCE_STATE_LIMIT)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except InputFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except NoPathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

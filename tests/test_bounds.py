@@ -79,6 +79,23 @@ def test_beta_lower_examples():
     assert orb_t.period == 1 and orb_d.period == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("theta", [1e308, 1.7976931348623157e308, -1.7976931348623157e308])
+@pytest.mark.parametrize("system", [doubling_map(), three_branch_doubling()],
+                         ids=["doubling", "threebranch"])
+def test_beta_lower_sums_past_the_float_range(system, theta):
+    # every x - theta rounds to -theta, so every orbit averages -|theta|
+    # and the first row, the period-1 orbit, is the witness; the float sums
+    # of the longer orbits overflow and are summed again at a scale
+    table = orbit_table(system, 8)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.add.reduceat(NegDistance(theta).values(table.points),
+                                        table.starts)).any()
+    lo, orbit = beta_lower(system, NegDistance(theta), 8, table)
+    assert lo == -abs(theta)
+    assert orbit.period == 1
+
+
 def test_beta_lower_theta_third_is_sturmian_semicircle():
     d = doubling_map()
     f = CosWave(F(1, 3))

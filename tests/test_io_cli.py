@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -355,14 +356,20 @@ def test_cmd_sweep_charts_a_value_past_float_precision(tmp_path):
     assert [row[1] for row in rows] == ["-1e+300", "-1e+300"]
 
 
+@pytest.mark.filterwarnings("error")
 def test_cmd_sweep_charts_the_largest_float_without_inf(tmp_path):
     # the middle ticks add halves: (x0 + x1) / 2 of two values near the
-    # float maximum overflows to inf
+    # float maximum overflows to inf; the orbit sums overflow too, with no
+    # warning, and every orbit ties at -theta, so the fixed point is the witness
     out = tmp_path / "o"
     assert main(["sweep", "--f", "negdist:1.7976931348623157e308", "--max-period", "4",
                  "--grid", "32", "--out", str(out)]) == 0
     svg = (out / "sweep.svg").read_text()
     assert not re.findall(r"(?<![a-z])(?:inf|nan)(?![a-z])", svg, re.IGNORECASE)
+    theta = str(int(sys.float_info.max))
+    assert _read_csv(out / "sweep.csv")[1:] == [
+        [theta, name, "-1.7976931348623157e+308", "-1.7976931348623157e+308", "1"]
+        for name in ("doubling", "threebranch")]
 
 
 def test_commands_read_no_fraction_orbit_points(tmp_path, monkeypatch):
@@ -507,10 +514,52 @@ def test_cli_non_finite_document_exit_code(tmp_path, capsys, command, values):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "bad number" in err and "finite" in err
     assert not (tmp_path / "o").exists()
-    # the same document as a function file
+    # the same document as a function file gives the --input form's message
     assert main(["mea", "--builtin", "selfloop:0", "--f", f"file:{doc}",
                  "--out", str(tmp_path / "o")]) == 3
-    assert capsys.readouterr().err.startswith("input error: bad number")
+    assert capsys.readouterr().err.startswith(f"error: {doc}: bad number")
+
+
+_INT_FLAGS = {"mea": ["--horizon"], "measures": [], "subaction": [],
+              "sweep": ["--theta-grid", "--max-period", "--grid"], "hull": ["--max-period"],
+              "verify": ["--seed", "--count", "--max-states"]}
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, flag, "abc"] for command, flags in _INT_FLAGS.items() for flag in flags),
+    ["verify", "--max-states", "1.5"],
+    *([command, "--bogus"] for command in _INT_FLAGS),
+    ["frobnicate"],
+    [],
+    ["measures", "--builtin", "z4", "--f", "indicator:0"],
+], ids=lambda argv: " ".join(argv) or "no-command")
+def test_cli_parser_rejections_are_input_errors(tmp_path, capsys, argv):
+    # argparse would print its usage and exit 2, the code of a failed check
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert not out.exists()
+
+
+def test_cli_help_exits_zero(capsys):
+    for argv in (["--help"], ["sweep", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: mvergo" in capsys.readouterr().out
+
+
+def test_cli_malformed_document_message_names_the_path(tmp_path, capsys):
+    # --input and --f file: read documents through one loader
+    doc = tmp_path / "bad.json"
+    doc.write_text('{"n_states": 1,\n "edges": [[0, 0]],}')
+    errors = []
+    for argv in (["--input", str(doc)], ["--builtin", "z4", "--f", f"file:{doc}"]):
+        assert main(["mea", *argv, "--out", str(tmp_path / "o")]) == 3
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"error: {doc}: line 2: ")
 
 
 @pytest.mark.parametrize("argv", [
