@@ -10,6 +10,10 @@ infinite and NaN floats out of the input.  ``mea``, ``subaction`` and
 allows ``tie_tolerance``: 0 when every input is rational, the float policy
 ``float_tolerance`` when any is a float.  Float inputs must also leave room
 for the sums a pass forms (``check_float_range``).
+
+Every library error with an exit code derives from one of two bases here:
+``InputTooLargeError`` (an explicit limit, exit 3) and ``ValidationError``
+(a failed mathematical check, exit 2, reported by ``failure_message``).
 """
 
 from __future__ import annotations
@@ -114,7 +118,27 @@ def tie_tolerance(values):
     return float_tolerance(values) if any(isinstance(x, float) for x in values) else 0
 
 
-class FloatRangeError(Exception):
+class InputTooLargeError(Exception):
+    """An input beyond one of the package's explicit limits: an exponential
+    or iterative algorithm would stop there, or a float sum would overflow.
+    The command line reports it as ``error: input too large: ...``, exit 3."""
+
+
+class ValidationError(Exception):
+    """A mathematical check failed: no cycle, a violated slack, a beta that
+    no cycle attains.  The command line reports ``failure_message``, exit 2."""
+
+    prefix = ""  # the words that lead the failure message, if any
+
+
+def failure_message(exc: ValidationError) -> str:
+    """One line saying why a check failed: the class's prefix, then the
+    exception's own message.  The command line and ``verify``'s Mañé suite
+    report failures in these words."""
+    return f"{exc.prefix}: {exc}" if exc.prefix else str(exc)
+
+
+class FloatRangeError(InputTooLargeError):
     """Float inputs so large that the sums a pass forms may overflow."""
 
 

@@ -166,9 +166,11 @@ def beta_lower(system: PiecewiseAffineMVSystem, f, max_period: int,
 
     A row whose float sum overflows is summed again over its values times
     2^-k, with 2^k at least the longest period, which no sum of finite
-    values can overflow; the scaling is exact, and its mean is scaled back
-    and held to at most the row's largest value, so a row of equal values
-    keeps that value.  Every other row keeps its plain sum."""
+    values can overflow; the scaling is exact, and its mean is scaled back.
+    Every other row keeps its plain sum.  Each row's mean is then held to
+    at most the row's largest value: a rounded mean of equal values can
+    land an ulp above them, and the bound would then exceed every orbit's
+    true average."""
     if table is None:
         table = orbit_table(system, max_period)
     values = f.values(table.points)
@@ -179,8 +181,8 @@ def beta_lower(system: PiecewiseAffineMVSystem, f, max_period: int,
     if over.any():
         k = int(table.periods.max()).bit_length()
         scaled = np.add.reduceat(np.ldexp(values, -k), table.starts)[over]
-        top = np.maximum.reduceat(values, table.starts)[over]
-        means[over] = np.minimum(np.ldexp(scaled / table.periods[over], k), top)
+        means[over] = np.ldexp(scaled / table.periods[over], k)
+    np.minimum(means, np.maximum.reduceat(values, table.starts), out=means)
     idx = int(np.argmax(means))
     return float(means[idx]), table.orbit(idx)
 

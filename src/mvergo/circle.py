@@ -24,7 +24,14 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._numbers import InputTooLargeError
+
 ORBIT_PERIOD_LIMIT = 24
+# periodic orbits that one enumeration streams at most, checked per block
+# and per candidate of one word: the hull of three-branch at period 14,
+# 533,830 orbits, peaks at 915 MB RSS on a 2-core x86 host (about 1.7 KB
+# per orbit), its sweep at 167 MB
+ORBIT_LIMIT = 600_000
 # word codes per numpy block of the batched orbit path: blocks of 2^16 codes
 # raised the benchmark sweep's peak RSS by 1.5 MB, 2^13 does not
 _BATCH_CODES = 1 << 13
@@ -37,6 +44,14 @@ class NotExpandingError(Exception):
     def __init__(self, pair: tuple[int, int], reason: str):
         super().__init__(f"branches {pair} are not uniformly separated: {reason}")
         self.pair = pair
+
+
+class TooManyOrbitsError(InputTooLargeError):
+    """The enumeration found more periodic orbits than ``ORBIT_LIMIT``."""
+
+    def __init__(self, limit: int):
+        super().__init__(f"more than {limit} periodic orbits; their enumeration stops there")
+        self.limit = limit
 
 
 @dataclass(frozen=True)
@@ -342,6 +357,8 @@ def _word_orbits(word, rows, unit: int) -> tuple[int, list[list[int]]]:
             n = sign * acc
             if n_lo <= n <= n_hi:
                 found.append(n)
+                if len(found) > ORBIT_LIMIT:
+                    raise TooManyOrbitsError(ORBIT_LIMIT)
             continue
         # wrapping letter: x_i * scale = p N + q must lie in the domain and below 1
         scale, q = den * bi, acc * d
@@ -542,7 +559,8 @@ def visit_periodic_orbits(system: PiecewiseAffineMVSystem, max_period: int, cons
     the rows run by word in lexicographic order.  A block holds at most
     ``_BATCH_CODES`` rows.  The batched path hands over its int64 blocks as
     they are; the per-word path's orbits are gathered into object arrays of
-    Python ints, exact at any size.
+    Python ints, exact at any size.  More than ``ORBIT_LIMIT`` rows in all,
+    or candidates of one word, raise TooManyOrbitsError.
 
     Two paths give the same orbits in the same order.  The per-word path
     takes FKM necklace words in order, each solved by ``_word_orbits`` in
@@ -561,10 +579,19 @@ def visit_periodic_orbits(system: PiecewiseAffineMVSystem, max_period: int, cons
         raise ValueError(f"max_period must be between 1 and {ORBIT_PERIOD_LIMIT}")
     unit, rows = _integer_branches(system)
     slope = _batch_slope(system)
+    total = 0
+
+    def counted(words, numerators, denominators):
+        nonlocal total
+        total += len(words)
+        if total > ORBIT_LIMIT:
+            raise TooManyOrbitsError(ORBIT_LIMIT)
+        consume(words, numerators, denominators)
+
     for k in range(1, max_period + 1):
-        if slope is not None and _visit_batched(k, slope, rows, unit, consume):
+        if slope is not None and _visit_batched(k, slope, rows, unit, counted):
             continue
-        gather, flush = _gather_blocks(consume)
+        gather, flush = _gather_blocks(counted)
         _visit_words(k, rows, unit, gather)
         flush()
 

@@ -1,12 +1,15 @@
 """Command line front end.
 
 Subcommands: mea, measures, subaction, sweep, hull, verify.  Exit codes:
-0 success, 2 validation failure (slack violation, oracle mismatch), 3 input
-error (an infinite or NaN number, a float too large for the sums of a pass,
-too many simple cycles or distinct cycle supports and a graph that Howard
-policy iteration does not solve within its iteration limit included).
-A malformed, unknown or out-of-range flag and an unknown or missing
-subcommand are input errors too: the parser rejects them before any output.
+0 success; 2 validation failure, any ``_numbers.ValidationError`` from any
+command (no cycle, a negative slack, a beta that no cycle attains) and a
+``verify`` oracle mismatch; 3 input error: a ``CliError`` raised here (a
+malformed, unknown or out-of-range flag, an unknown or missing subcommand,
+an unreadable document or output directory), rejected before any output,
+and any ``_numbers.InputTooLargeError`` (too many simple cycles, cycle
+supports or periodic orbits, a float too large for the sums of a pass,
+Howard's iteration limit).  ``main`` maps those three bases and nothing
+else; any other exception is an internal error and keeps its traceback.
 Identical flags and seed produce byte-identical output files.
 """
 
@@ -21,7 +24,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from ._numbers import FloatRangeError, format_number, parse_number
+from ._numbers import InputTooLargeError, ValidationError, failure_message, format_number, parse_number
 from .bounds import GRID_MIN, barycentre_hull, theta_sweep
 from .circle import (
     ORBIT_PERIOD_LIMIT,
@@ -32,17 +35,11 @@ from .circle import (
 )
 from .geometry import convex_hull
 from .io import InputFormatError, SystemDocument, load_system, measure_row
-from .mea import (
-    BRUTE_FORCE_STATE_LIMIT,
-    NoCycleError,
-    NoPathError,
-    PolicyIterationLimitError,
-    mea_report,
-)
-from .measures import TooManySupportsError, extreme_invariant_measures
-from .subaction import PIPELINE_ERRORS, failure_message, subaction_for_state_function
+from .mea import BRUTE_FORCE_STATE_LIMIT, mea_report
+from .measures import extreme_invariant_measures
+from .subaction import subaction_for_state_function
 from .svg import hull_chart, line_chart
-from .system import FiniteMVSystem, TooManyCyclesError, lift_function
+from .system import FiniteMVSystem, lift_function
 from .verify import run_verify
 
 EXIT_OK = 0
@@ -51,9 +48,7 @@ EXIT_INPUT = 3
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+    """An input error found by the command line itself (exit 3)."""
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +60,7 @@ def _parse_arg(spec: str, arg: str, parse):
     try:
         return parse(arg)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise CliError(f"bad argument {arg!r} in {spec!r}", EXIT_INPUT) from exc
+        raise CliError(f"bad argument {arg!r} in {spec!r}") from exc
 
 
 def _int_in(flag: str, lo: int, hi: float, text: str) -> int:
@@ -73,7 +68,7 @@ def _int_in(flag: str, lo: int, hi: float, text: str) -> int:
     value = _parse_arg(flag, text, int)
     if not lo <= value <= hi:
         span = f"at least {lo}" if hi == math.inf else f"between {lo} and {hi}"
-        raise CliError(f"{flag} must be {span}", EXIT_INPUT)
+        raise CliError(f"{flag} must be {span}")
     return value
 
 
@@ -82,7 +77,7 @@ def _load_document(path: str) -> SystemDocument:
     try:
         return load_system(path)
     except (OSError, InputFormatError) as exc:
-        raise CliError(f"{path}: {exc}", EXIT_INPUT) from exc
+        raise CliError(f"{path}: {exc}") from exc
 
 
 def builtin_finite(spec: str) -> tuple[FiniteMVSystem, tuple | None]:
@@ -95,12 +90,12 @@ def builtin_finite(spec: str) -> tuple[FiniteMVSystem, tuple | None]:
     if name == "identity":
         n = _parse_arg(spec, arg, int) if arg else 3
         if n < 1:
-            raise CliError(f"identity:N needs N >= 1, got {n}", EXIT_INPUT)
+            raise CliError(f"identity:N needs N >= 1, got {n}")
         return FiniteMVSystem.make(n, [(x, x) for x in range(n)]), None
     if name == "selfloop":
         c = _parse_arg(spec, arg, parse_number) if arg else Fraction(0)
         return FiniteMVSystem.make(1, [(0, 0)]), (c,)
-    raise CliError(f"unknown finite builtin {spec!r}", EXIT_INPUT)
+    raise CliError(f"unknown finite builtin {spec!r}")
 
 
 def builtin_circle(spec: str) -> PiecewiseAffineMVSystem:
@@ -114,15 +109,15 @@ def builtin_circle(spec: str) -> PiecewiseAffineMVSystem:
             p_str, q_str = arg.split(",")
             return pq_correspondence(int(p_str), int(q_str))
         except ValueError as exc:
-            raise CliError(f"bad pq spec {spec!r}: {exc}", EXIT_INPUT) from exc
-    raise CliError(f"unknown circle builtin {spec!r}", EXIT_INPUT)
+            raise CliError(f"bad pq spec {spec!r}: {exc}") from exc
+    raise CliError(f"unknown circle builtin {spec!r}")
 
 
 def sweep_function(spec: str) -> tuple[str, Fraction | None]:
     """Sweep's ``--f``: the family and the one theta to evaluate (None: sweep the grid)."""
     family, _, theta = spec.partition(":")
     if family not in ("cos", "negdist"):
-        raise CliError("sweep takes --f cos[:theta] or --f negdist[:theta]", EXIT_INPUT)
+        raise CliError("sweep takes --f cos[:theta] or --f negdist[:theta]")
     return family, _parse_arg(spec, theta, lambda t: Fraction(parse_number(t))) if theta else None
 
 
@@ -132,7 +127,7 @@ def resolve_state_function(spec: str | None, system: FiniteMVSystem, default_f) 
         if name == "indicator":
             i = _parse_arg(spec, arg, int)
             if not (0 <= i < system.n_states):
-                raise CliError(f"indicator state {i} out of range", EXIT_INPUT)
+                raise CliError(f"indicator state {i} out of range")
             return tuple(Fraction(1) if x == i else Fraction(0) for x in range(system.n_states))
         if name == "const":
             c = _parse_arg(spec, arg, parse_number)
@@ -140,12 +135,12 @@ def resolve_state_function(spec: str | None, system: FiniteMVSystem, default_f) 
         if name == "file":
             doc = _load_document(arg)
             if doc.f_state is None or len(doc.f_state) != system.n_states:
-                raise CliError(f"{arg} does not carry f_state for {system.n_states} states", EXIT_INPUT)
+                raise CliError(f"{arg} does not carry f_state for {system.n_states} states")
             return doc.f_state
-        raise CliError(f"unknown function spec {spec!r}", EXIT_INPUT)
+        raise CliError(f"unknown function spec {spec!r}")
     if default_f is not None and len(default_f) == system.n_states:
         return default_f
-    raise CliError("no state function: pass --f or put f_state in the input file", EXIT_INPUT)
+    raise CliError("no state function: pass --f or put f_state in the input file")
 
 
 def load_finite(args) -> tuple[FiniteMVSystem, tuple | None]:
@@ -156,7 +151,7 @@ def load_finite(args) -> tuple[FiniteMVSystem, tuple | None]:
         return doc.system, doc.f_state
     if args.builtin:
         return args.builtin
-    raise CliError("pass --input FILE or --builtin NAME", EXIT_INPUT)
+    raise CliError("pass --input FILE or --builtin NAME")
 
 
 @contextmanager
@@ -168,7 +163,7 @@ def _output(path: Path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}", EXIT_INPUT) from exc
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _write(path: Path, text: str) -> None:
@@ -190,10 +185,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 def cmd_mea(args) -> int:
     system, default_f = load_finite(args)
     f = resolve_state_function(args.f, system, default_f)
-    try:
-        report = mea_report(system, f, horizon=args.horizon)
-    except NoCycleError as exc:
-        raise CliError(f"no cycle: {exc}", EXIT_VALIDATION) from exc
+    report = mea_report(system, f, horizon=args.horizon)
     out = Path(args.out)
     block = [
         f"alpha {format_number(report.alpha)}",
@@ -221,10 +213,7 @@ def cmd_measures(args) -> int:
 def cmd_subaction(args) -> int:
     system, default_f = load_finite(args)
     f = resolve_state_function(args.f, system, default_f)
-    try:
-        result = subaction_for_state_function(system, f, args.beta_override)
-    except PIPELINE_ERRORS as exc:
-        raise CliError(failure_message(exc), EXIT_VALIDATION) from exc
+    result = subaction_for_state_function(system, f, args.beta_override)
     out = Path(args.out)
     state_rows = [
         [x, format_number(result.phi[x]), format_number(result.v[x])]
@@ -311,7 +300,7 @@ class _Parser(argparse.ArgumentParser):
     """Rejections are input errors (exit 3); the type functions raise CliError."""
 
     def error(self, message):
-        raise CliError(message, EXIT_INPUT)
+        raise CliError(message)
 
 
 @functools.cache
@@ -374,14 +363,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except NoPathError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (TooManyCyclesError, TooManySupportsError, FloatRangeError,
-            PolicyIterationLimitError) as exc:
+        return EXIT_INPUT
+    except InputTooLargeError as exc:
         print(f"error: input too large: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except ValidationError as exc:
+        print(f"error: {failure_message(exc)}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -25,7 +25,16 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numbers import NEG_INF, check_float_range, divide, float_tolerance, scaled, tie_tolerance
+from ._numbers import (
+    NEG_INF,
+    InputTooLargeError,
+    ValidationError,
+    check_float_range,
+    divide,
+    float_tolerance,
+    scaled,
+    tie_tolerance,
+)
 from .measures import Cycle, VertexMeasure, cycle_measure
 from .system import FiniteMVSystem, eventual_domain, lift_function, simple_cycles
 
@@ -33,11 +42,13 @@ BRUTE_FORCE_STATE_LIMIT = 12
 HOWARD_ITERATION_LIMIT = 1000
 
 
-class NoCycleError(Exception):
+class NoCycleError(ValidationError):
     """Raised when an operation needs a directed cycle and none exists."""
 
+    prefix = "no cycle"
 
-class NoPathError(Exception):
+
+class NoPathError(ValidationError):
     """Raised when no path of the requested length exists."""
 
 
@@ -46,11 +57,13 @@ class PolicyIterationError(RuntimeError):
     value fails the potential check."""
 
 
-class PositiveCycleError(Exception):
+class PositiveCycleError(ValidationError):
     """Raised when reduced weights admit a positive cycle: beta is too low."""
 
+    prefix = "positive reduced cycle"
 
-class PolicyIterationLimitError(PolicyIterationError):
+
+class PolicyIterationLimitError(PolicyIterationError, InputTooLargeError):
     """Raised when Howard policy iteration reaches ``HOWARD_ITERATION_LIMIT``:
     the input is too large for the iteration budget."""
 

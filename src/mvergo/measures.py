@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._numbers import divide, scaled, tie_tolerance
+from ._numbers import InputTooLargeError, divide, scaled, tie_tolerance
 from .system import FiniteMVSystem, simple_cycles
 
 # distinct cycle supports that extreme_invariant_measures eliminates at most:
@@ -31,7 +31,7 @@ from .system import FiniteMVSystem, simple_cycles
 MEASURE_SUPPORT_LIMIT = 1000
 
 
-class TooManySupportsError(Exception):
+class TooManySupportsError(InputTooLargeError):
     """The graph has more distinct cycle supports than ``MEASURE_SUPPORT_LIMIT``."""
 
     def __init__(self, limit: int):

@@ -16,18 +16,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._numbers import NEG_INF, check_float_range, divide, scaled, tie_tolerance
+from ._numbers import NEG_INF, ValidationError, check_float_range, divide, scaled, tie_tolerance
 from .mea import NoCycleError, PositiveCycleError, _reduced_fixpoint, max_mean_cycle_value
 from .system import FiniteMVSystem, eventual_domain, lift_function
 
 
-class ViolatedEdgeError(Exception):
+class ViolatedEdgeError(ValidationError):
     """Some edge violates the subaction inequality beyond the tolerance."""
+
+    prefix = "subaction verification failed"
 
     def __init__(self, edge: tuple[int, int], slack):
         super().__init__(f"edge {edge} has negative slack {slack}")
         self.edge = edge
         self.slack = slack
+
+
+class BetaNotAttainedError(ValidationError, ValueError):
+    """No cycle of tight edges: beta bounds every cycle mean, but no cycle
+    attains it, so it is not the maximum ergodic average."""
+
+    prefix = "subaction verification failed"
 
 
 @dataclass(frozen=True)
@@ -83,8 +92,8 @@ def verify_mane(system: FiniteMVSystem, f: Sequence, v: Sequence, beta, phi=None
     Then the slacks sum around every cycle to its length times beta minus its
     weight, so beta is at least every cycle mean, up to tol; and a cycle of
     tight edges (slack <= tol) has its mean within tol of beta.  Raises
-    ValueError when the tight edges hold no cycle, NoCycleError when the
-    system has none.  No solver is called.
+    BetaNotAttainedError when the tight edges hold no cycle, NoCycleError
+    when the system has none.  No solver is called.
     ``phi`` is carried through into the result when supplied (callers that
     built v from the potential).
     """
@@ -102,7 +111,7 @@ def verify_mane(system: FiniteMVSystem, f: Sequence, v: Sequence, beta, phi=None
     if not eventual_domain(tight_sys):
         if not eventual_domain(system):
             raise NoCycleError("the system has no directed cycle")
-        raise ValueError(
+        raise BetaNotAttainedError(
             "no cycle of tight edges; beta does not match the maximum ergodic average"
         )
     if phi is None:
@@ -123,17 +132,3 @@ def subaction_for_state_function(system: FiniteMVSystem, f: Sequence, beta=None)
     v = compute_v(phi, f_edge, beta)
     return verify_mane(system, f_edge, v, beta, phi=phi)
 
-
-# what the pipeline raises when beta cannot be certified
-PIPELINE_ERRORS = (NoCycleError, PositiveCycleError, ViolatedEdgeError, ValueError)
-
-
-def failure_message(exc: Exception) -> str:
-    """One line saying why the pipeline failed, for an exception in
-    ``PIPELINE_ERRORS``; the ``subaction`` command and ``verify``'s Mañé
-    suite report failures in these words."""
-    if isinstance(exc, NoCycleError):
-        return f"no cycle: {exc}"
-    if isinstance(exc, PositiveCycleError):
-        return f"positive reduced cycle: {exc}"
-    return f"subaction verification failed: {exc}"

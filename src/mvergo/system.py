@@ -14,12 +14,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._numbers import InputTooLargeError
+
 # Johnson's enumeration is exponential in the graph, so it stops at a count
 # far above the largest any test or benchmark input reaches (39 cycles)
 SIMPLE_CYCLE_LIMIT = 100_000
 
 
-class TooManyCyclesError(Exception):
+class TooManyCyclesError(InputTooLargeError):
     """The graph has more simple cycles than ``SIMPLE_CYCLE_LIMIT``."""
 
     def __init__(self, limit: int):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from ._numbers import NEG_INF
+from ._numbers import NEG_INF, ValidationError, failure_message
 from .io import dumps_system
 from .mea import (
     alpha_state,
@@ -35,7 +35,7 @@ from .measures import (
     invariant_by_subsets,
     is_invariant,
 )
-from .subaction import PIPELINE_ERRORS, failure_message, subaction_for_state_function
+from .subaction import subaction_for_state_function
 from .system import FiniteMVSystem, graph_system, lift_function, simple_cycles
 
 SINGLE_VALUED_EVERY = 5
@@ -148,7 +148,7 @@ def check_mane(inst: Instance):
     # beta is the shared alpha: the slacks certify it, or the pipeline raises
     try:
         result = subaction_for_state_function(inst.system, inst.f, inst.alpha[0])
-    except PIPELINE_ERRORS as exc:
+    except ValidationError as exc:
         return failure_message(exc)
     if min(result.slack) < 0:
         return f"negative slack {min(result.slack)}"

@@ -96,6 +96,20 @@ def test_beta_lower_sums_past_the_float_range(system, theta):
     assert orbit.period == 1
 
 
+@pytest.mark.parametrize("theta", [1e307, -1e307, 5e306, 1e300, 3.3e200, 1.2345e100])
+@pytest.mark.parametrize("system", [doubling_map(), three_branch_doubling()],
+                         ids=["doubling", "threebranch"])
+def test_beta_lower_holds_a_row_of_equal_values_to_that_value(system, theta):
+    # every x - theta rounds to -theta, and the sums do not overflow; the
+    # rounded mean of a longer row may still land an ulp above -|theta|
+    table = orbit_table(system, 10)
+    values = NegDistance(theta).values(table.points)
+    assert (values == -abs(theta)).all()
+    lo, orbit = beta_lower(system, NegDistance(theta), 10, table)
+    assert lo == -abs(theta)
+    assert orbit.period == 1
+
+
 def test_beta_lower_theta_third_is_sturmian_semicircle():
     d = doubling_map()
     f = CosWave(F(1, 3))

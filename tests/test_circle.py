@@ -15,6 +15,7 @@ from mvergo.circle import (
     NotExpandingError,
     PeriodicOrbit,
     PiecewiseAffineMVSystem,
+    TooManyOrbitsError,
     barycentre,
     doubling_map,
     enumerate_periodic_orbits,
@@ -25,7 +26,13 @@ from mvergo.circle import (
     three_branch_doubling,
     visit_periodic_orbits,
 )
-from mvergo.circle import _batch_slope, _integer_branches, _visit_batched, _visit_words
+from mvergo.circle import (
+    _batch_slope,
+    _integer_branches,
+    _visit_batched,
+    _visit_words,
+    _word_orbits,
+)
 from oracles import (
     flatten_blocks,
     fraction_barycentre,
@@ -379,6 +386,27 @@ def test_orbit_canonical_rotation_and_guard():
         assert min(rotations) == (o.points, o.itinerary)
     with pytest.raises(ValueError):
         enumerate_periodic_orbits(d, 25)
+
+
+@pytest.mark.parametrize("system", [doubling_map(), pq_correspondence(2, 3)],
+                         ids=["batched", "per-word"])
+def test_orbit_limit_admits_exactly_its_count_of_rows(system, monkeypatch):
+    n = len(visited_orbits(system, 8))
+    monkeypatch.setattr(circle, "ORBIT_LIMIT", n)
+    assert len(visited_orbits(system, 8)) == n
+    monkeypatch.setattr(circle, "ORBIT_LIMIT", n - 1)
+    with pytest.raises(TooManyOrbitsError, match=f"more than {n - 1} periodic orbits"):
+        visit_periodic_orbits(system, 8, lambda *block: None)
+
+
+def test_orbit_limit_stops_one_word_with_too_many_points(monkeypatch):
+    # x -> 10x mod 1 has 9 fixed points, all on the one-letter word
+    unit, rows = _integer_branches(pq_correspondence(1, 10))
+    monkeypatch.setattr(circle, "ORBIT_LIMIT", 9)
+    assert len(_word_orbits((0,), rows, unit)[1]) == 9
+    monkeypatch.setattr(circle, "ORBIT_LIMIT", 8)
+    with pytest.raises(TooManyOrbitsError):
+        _word_orbits((0,), rows, unit)
 
 
 def test_wrapping_points_live_in_unit_interval():

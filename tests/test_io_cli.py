@@ -9,10 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from mvergo._numbers import parse_number
-from mvergo.circle import PeriodicOrbit
+import mvergo.cli as cli
+import mvergo.subaction as subaction
+from mvergo._numbers import FloatRangeError, InputTooLargeError, ValidationError, parse_number
+from mvergo.circle import PeriodicOrbit, TooManyOrbitsError
 from mvergo.cli import main
 from mvergo.io import InputFormatError, dumps_system, loads_system
+from mvergo.mea import NoCycleError, NoPathError, PolicyIterationLimitError, PositiveCycleError
+from mvergo.measures import TooManySupportsError
+from mvergo.subaction import BetaNotAttainedError, ViolatedEdgeError
+from mvergo.system import TooManyCyclesError
 from oracles import z4_system
 
 F = Fraction
@@ -482,6 +488,112 @@ def test_cli_howard_failed_potential_check_is_internal(tmp_path, monkeypatch):
             "--out", str(tmp_path / "o")]
     with pytest.raises(mea_mod.PolicyIterationError, match="potential check failed"):
         main(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--builtin", "threebranch", "--max-period", "16", "--theta-grid", "1",
+     "--grid", "8"],
+    ["hull", "--builtin", "pq:1,1000000", "--max-period", "2"],
+], ids=" ".join)
+def test_cli_too_many_orbits_exit_code(tmp_path, capsys, argv):
+    # three-branch has about 4 million orbits up to period 16; x -> 10^6 x
+    # mod 1 about 10^12 points of period 2, on one word
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("error: input too large: more than 600000 periodic "
+                                       "orbits; their enumeration stops there\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("builtin, f", [
+    ("doubling", "negdist:1e307"),
+    ("doubling", "negdist:-1e307"),
+    ("threebranch", "negdist:5e306"),
+])
+def test_cmd_sweep_lower_bound_of_equal_values_stays_at_that_value(tmp_path, builtin, f):
+    # every point's value rounds to -|theta|; a longer orbit's rounded mean
+    # one ulp above it used to exceed the upper bound and crash the sweep
+    out = tmp_path / "o"
+    assert main(["sweep", "--builtin", builtin, "--f", f, "--theta-grid", "1",
+                 "--max-period", "8", "--grid", "8", "--out", str(out)]) == 0
+    value = repr(-abs(float(f.partition(":")[2])))
+    assert _read_csv(out / "sweep.csv")[1][2:] == [value, value, "1"]
+
+
+def test_cli_internal_value_error_in_subaction_keeps_its_traceback(tmp_path, monkeypatch):
+    # only a ValidationError is a failed check; a plain ValueError is a fault
+    def broken(*args):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(subaction, "compute_v", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["subaction", "--builtin", "z4", "--f", "indicator:0", "--out", str(tmp_path / "o")])
+
+
+# one instance of every library error with an exit code, and its stderr line
+LIBRARY_ERRORS = [
+    (FloatRangeError("float weights up to 1e+308"), 3,
+     "error: input too large: float weights up to 1e+308"),
+    (TooManyCyclesError(100_000), 3,
+     "error: input too large: more than 100000 simple cycles; their enumeration stops there"),
+    (TooManySupportsError(1000), 3,
+     "error: input too large: more than 1000 distinct cycle supports, the most the "
+     "extreme-measure elimination takes"),
+    (PolicyIterationLimitError("no convergence"), 3, "error: input too large: no convergence"),
+    (TooManyOrbitsError(600_000), 3,
+     "error: input too large: more than 600000 periodic orbits; their enumeration stops there"),
+    (NoCycleError("the system has no directed cycle"), 2,
+     "error: no cycle: the system has no directed cycle"),
+    (NoPathError("no orbit segment of length 3"), 2, "error: no orbit segment of length 3"),
+    (PositiveCycleError("beta is low"), 2, "error: positive reduced cycle: beta is low"),
+    (ViolatedEdgeError((0, 1), F(-1, 2)), 2,
+     "error: subaction verification failed: edge (0, 1) has negative slack -1/2"),
+    (BetaNotAttainedError("no cycle of tight edges"), 2,
+     "error: subaction verification failed: no cycle of tight edges"),
+]
+
+
+@pytest.mark.parametrize("exc, code, line", LIBRARY_ERRORS,
+                         ids=[type(exc).__name__ for exc, _, _ in LIBRARY_ERRORS])
+def test_cli_maps_each_library_error_to_its_family_exit_code(tmp_path, capsys, monkeypatch,
+                                                            exc, code, line):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "subaction_for_state_function", fail)
+    out = tmp_path / "o"
+    assert main(["subaction", "--builtin", "z4", "--f", "indicator:0", "--out", str(out)]) == code
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
+def test_every_library_error_with_an_exit_code_is_listed():
+    # a class joins a family, and so gets its exit code, by its base alone
+    def members(base):
+        return {c for sub in base.__subclasses__() for c in {sub} | members(sub)}
+
+    listed = {type(exc) for exc, _, _ in LIBRARY_ERRORS}
+    assert members(InputTooLargeError) | members(ValidationError) == listed
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["mea", "--builtin", "z4", "--f", "indicator:0"], "mea_report"),
+    (["measures", "--builtin", "z4"], "extreme_invariant_measures"),
+    (["subaction", "--builtin", "z4", "--f", "indicator:0"], "subaction_for_state_function"),
+    (["sweep", "--theta-grid", "2", "--max-period", "2", "--grid", "8"], "theta_sweep"),
+    (["hull", "--max-period", "2"], "barycentre_hull"),
+    (["verify", "--count", "1"], "run_verify"),
+], ids=lambda x: x[0] if isinstance(x, list) else x)
+@pytest.mark.parametrize("exc, code, line", [LIBRARY_ERRORS[1], LIBRARY_ERRORS[7]],
+                         ids=["too-large", "validation"])
+def test_cli_maps_library_errors_alike_from_every_command(tmp_path, capsys, monkeypatch,
+                                                          argv, target, exc, code, line):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, target, fail)
+    assert main(argv + ["--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_cli_large_floats_within_range(tmp_path, capsys):
