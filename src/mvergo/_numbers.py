@@ -14,14 +14,16 @@ for the sums a pass forms (``check_float_range``).
 Every library error with an exit code derives from one of two bases here:
 ``InputTooLargeError`` (an explicit limit, exit 3) and ``ValidationError``
 (a failed mathematical check, exit 2, reported by ``failure_message``).
+
+No module of the package imports numpy when it is imported: only the
+functions that build or read arrays import it, so the finite commands,
+which never do, start without it.  The reductions here are plain Python.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import numpy as np
 
 
 class NegInfinity:
@@ -105,11 +107,20 @@ def format_number(x) -> str:
     return repr(float(x))
 
 
+def _largest_magnitude(values) -> float:
+    """max |float(x)| over the values, as numpy's float64 maximum reads it:
+    0.0 when there are none, NaN when any is NaN."""
+    magnitudes = [abs(float(x)) for x in values]
+    if any(math.isnan(m) for m in magnitudes):
+        return math.nan
+    return max(magnitudes, default=0.0)
+
+
 def float_tolerance(values) -> float:
     """Absolute tolerance for float comparisons among sums of these values:
-    1e-9 times the largest magnitude, and never below 1e-9."""
-    scale = np.abs(np.asarray(values, dtype=np.float64))
-    return 1e-9 * max(1.0, float(scale.max(initial=0.0)))
+    1e-9 times the largest magnitude, never below 1e-9, and 1e-9 when any
+    value is NaN."""
+    return 1e-9 * max(1.0, _largest_magnitude(values))
 
 
 def tie_tolerance(values):
@@ -149,7 +160,7 @@ def check_float_range(values, n_states: int, horizon: int = 0) -> None:
     horizon + 1), the walk sums and potentials reach 2 * L * max|value|,
     which must stay a finite float.  Values in integer format need no
     check."""
-    largest = float(np.abs(np.asarray(values, dtype=np.float64)).max(initial=0.0))
+    largest = _largest_magnitude(values)
     length = max(n_states, horizon + 1)
     if not math.isfinite(2 * length * largest):
         steps = f" over {horizon} steps" if horizon else ""

@@ -8,7 +8,8 @@ average.  That cycle mean comes from Howard's policy iteration, checked by
 a potential that bounds every grid cycle mean.  The sweep reuses one orbit
 table and one grid per system across parameter values; the grid keeps its
 prepared Howard solver, and each solve starts from the previous one's final
-policy.
+policy.  Each function that builds or reads an array imports numpy when it
+runs, not this module, so importing the command line does not load numpy.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .circle import (
     PeriodicOrbit,
@@ -34,6 +33,9 @@ from .circle import (
 from .geometry import convex_hull
 from .mea import HowardSolver, max_mean_cycle_value_float
 from .system import FiniteMVSystem
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GRID_MIN = 8
 _FLOAT_EXACT = 1 << 53  # every integer below it is a float
@@ -52,6 +54,8 @@ class CosWave:
         self.lipschitz = 2 * math.pi
 
     def values(self, xs: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         # in place: one temporary the size of xs, not three
         out = xs - float(self.theta)
         out *= 2 * np.pi
@@ -68,6 +72,8 @@ class NegDistance:
         self.lipschitz = 1.0
 
     def values(self, xs: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         d = xs - float(self.theta)
         np.abs(d, out=d)
         if self.metric == "circle":
@@ -84,6 +90,8 @@ class ConstFunction:
         self.lipschitz = 0.0
 
     def values(self, xs: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return np.full(len(xs), float(self.c))
 
 
@@ -139,6 +147,8 @@ def orbit_table(system: PiecewiseAffineMVSystem, max_period: int) -> OrbitTable:
     rounds it; the batched path's numerators lie in [0, d], so its blocks
     need only d < 2^53.  Blocks beyond that bound, and the per-word path's
     object blocks, divide as Python ints."""
+    import numpy as np
+
     letters = bytearray()
     flat = array("d")
     shapes: list[tuple[int, int]] = []  # (rows, period) per block
@@ -171,6 +181,8 @@ def beta_lower(system: PiecewiseAffineMVSystem, f, max_period: int,
     at most the row's largest value: a rounded mean of equal values can
     land an ulp above them, and the bound would then exceed every orbit's
     true average."""
+    import numpy as np
+
     if table is None:
         table = orbit_table(system, max_period)
     values = f.values(table.points)
@@ -214,6 +226,8 @@ def outer_grid_system(system: PiecewiseAffineMVSystem, grid_n: int) -> GridModel
     is (p f u + e q D)/E over E = q f D, a multiple of g.  The cells meeting
     [y1/E, y2/E] are ceil(y1 g/E) - 1 through floor(y2 g/E), clipped to the
     grid."""
+    import numpy as np
+
     g = int(grid_n)
     if g < GRID_MIN:
         raise ValueError(f"grid_n must be at least {GRID_MIN}")

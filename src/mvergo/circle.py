@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from ._numbers import InputTooLargeError
 
 ORBIT_PERIOD_LIMIT = 24
@@ -323,6 +321,19 @@ def _clip(p: int, low: int, high: int, n_lo: int, n_hi: int) -> tuple[int, int]:
     return max(n_lo, _ceil_div(high, p)), min(n_hi, low // p)
 
 
+def _lifts(i: int, p: int, bi: int, base: int, d: int, unit: int, scale: int,
+           n_lo: int, n_hi: int):
+    """The walk states of ``_word_orbits`` after a wrapping letter, one per
+    integer lift m of its image that leaves some N in [n_lo, n_hi], by
+    ascending m, each made only when the walk asks for it."""
+    ends = ((p * n_lo + base * d) // scale, (p * n_hi + base * d) // scale)
+    for m in range(min(ends), max(ends) + 1):
+        low = m * scale - base * d
+        m_lo, m_hi = _clip(p, low, low + scale - 1, n_lo, n_hi)
+        if m_lo <= m_hi:
+            yield i, p, bi, base - m * unit * bi, m_lo, m_hi
+
+
 def _word_orbits(word, rows, unit: int) -> tuple[int, list[list[int]]]:
     """Every periodic point sequence that follows one branch word, exactly.
 
@@ -334,7 +345,9 @@ def _word_orbits(word, rows, unit: int) -> tuple[int, list[list[int]]]:
     letter clips N to its domain and branches over the integer lift m of its
     image, other letters have the single child m = 0.  At the end
     (B - A) N = C d gives N, and each candidate is confirmed by exact integer
-    forward iteration.
+    forward iteration.  The walk is depth-first over one lazy iterator of
+    lifts (``_lifts``) per wrapping letter on the current path, so it holds
+    at most k + 1 of them, however many lifts a letter has.
     """
     k = len(word)
     a_all = math.prod([rows[c][0] for c in word])
@@ -343,9 +356,13 @@ def _word_orbits(word, rows, unit: int) -> tuple[int, list[list[int]]]:
     sign = 1 if b_all > a_all else -1
     den = unit * d
     found = []
-    stack = [(0, 1, 1, 0, 0, den)]  # position, P, B_i, C, feasible N range
+    stack = [iter([(0, 1, 1, 0, 0, den)])]  # position, P, B_i, C, feasible N range
     while stack:
-        i, p, bi, acc, n_lo, n_hi = stack.pop()
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+            continue
+        i, p, bi, acc, n_lo, n_hi = state
         for i in range(i, k):
             a, b, e, ln, ld, hn, hd, wraps = rows[word[i]]
             if wraps:
@@ -370,12 +387,7 @@ def _word_orbits(word, rows, unit: int) -> tuple[int, list[list[int]]]:
         p *= a
         scale = den * bi
         base = a * acc + e * bi  # C before the lift: x_{i+1} * scale = p N + base d - m scale
-        ends = ((p * n_lo + base * d) // scale, (p * n_hi + base * d) // scale)
-        for m in range(min(ends), max(ends) + 1):
-            low = m * scale - base * d
-            m_lo, m_hi = _clip(p, low, low + scale - 1, n_lo, n_hi)
-            if m_lo <= m_hi:
-                stack.append((i + 1, p, bi, base - m * unit * bi, m_lo, m_hi))
+        stack.append(_lifts(i + 1, p, bi, base, d, unit, scale, n_lo, n_hi))
 
     orbits = []
     for n in sorted(found):
@@ -482,6 +494,8 @@ def _visit_batched(k: int, s: int, rows, unit: int, consume) -> bool:
     dmax = max(max(row[4], row[6]) for row in rows)
     if max(r ** k, s * nmax + emax * m, nmax * dmax, dmax * den) >= _INT64_SAFE:
         return False
+    import numpy as np
+
     top = r ** (k - 1)
     powers = np.array([r ** (k - 1 - j) for j in range(k)], dtype=np.int64)
     offsets = np.array([row[2] for row in rows], dtype=np.int64)
@@ -532,6 +546,8 @@ def _gather_blocks(consume):
     buffer: list = []
 
     def flush():
+        import numpy as np
+
         if buffer:
             words, numerators, dens = zip(*buffer)
             buffer.clear()

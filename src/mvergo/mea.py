@@ -13,7 +13,9 @@ relaxation step (``_relax``).  They take the number format and the tolerance
 of the finite layer from ``_numbers``: rational inputs run as Python ints
 over one denominator (``scaled``), and equality decisions allow
 ``tie_tolerance``, which is 0 unless an input is a float.  Alongside come a
-prefix-sum rotation witness and a brute-force oracle.
+prefix-sum rotation witness and a brute-force oracle.  Only the float
+solver's functions import numpy, when they run, so the exact commands never
+load it.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from ._numbers import (
     NEG_INF,
@@ -37,6 +37,9 @@ from ._numbers import (
 )
 from .measures import Cycle, VertexMeasure, cycle_measure
 from .system import FiniteMVSystem, eventual_domain, lift_function, simple_cycles
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BRUTE_FORCE_STATE_LIMIT = 12
 HOWARD_ITERATION_LIMIT = 1000
@@ -273,6 +276,8 @@ def max_mean_cycle_value(system: FiniteMVSystem, weights: Sequence):
 def _evaluate_policy(succ: list[int], cost: list[float]) -> tuple[np.ndarray, np.ndarray]:
     """Float eta and v (``_policy_values``) of a policy on all states; a
     cycle's mean is math.fsum of its costs over its length."""
+    import numpy as np
+
     cycles, order = _policy_walk(succ, range(len(succ)))
     means = [math.fsum([cost[y] for y in cycle]) / len(cycle) for cycle in cycles]
     eta, v = _policy_values(succ, cost, cycles, means, order, 0.0)
@@ -285,6 +290,8 @@ def _cycle_mean_bound(tails, heads, w, eta: np.ndarray, v: np.ndarray) -> float:
     w - v(tail) + v(head) sums to its weight around it, so the largest such
     term over edges whose ends share an eta bounds its mean.  +inf when eta
     increases along some edge."""
+    import numpy as np
+
     eta_tail, eta_head = eta[tails], eta[heads]
     if (eta_head > eta_tail).any():
         return math.inf
@@ -311,6 +318,8 @@ class HowardSolver:
     """
 
     def __init__(self, system: FiniteMVSystem):
+        import numpy as np
+
         self.system = system
         live = sorted(eventual_domain(system))
         relabel = np.full(system.n_states, -1, dtype=np.int64)
@@ -340,13 +349,16 @@ class HowardSolver:
     def solve(self, weights: np.ndarray) -> float:
         """Maximum cycle mean for one float weight vector on the system's
         edges; see ``max_mean_cycle_value_float``."""
+        import numpy as np
+
         w_all = np.asarray(weights, dtype=np.float64)
         if w_all.shape != (len(self.system.edges),):
             raise ValueError("weight vector length must equal the edge count")
         if not len(self._rows):
             raise NoCycleError("the system has no directed cycle")
         tails, heads, w = self.tails, self.heads, w_all[self.keep]
-        tol = float_tolerance(w_all)
+        # the largest magnitude in one numpy reduction, not a Python pass over the array
+        tol = float_tolerance([np.abs(w_all).max(initial=0.0)])
 
         policy = self.policy
         if policy is None:

@@ -10,11 +10,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ._numbers import InputTooLargeError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Johnson's enumeration is exponential in the graph, so it stops at a count
 # far above the largest any test or benchmark input reaches (39 cycles)
@@ -79,6 +80,8 @@ class FiniteMVSystem:
     @cached_property
     def edge_array(self) -> np.ndarray:
         """The canonical edges as a read-only (m, 2) int64 array."""
+        import numpy as np
+
         arr = np.array(self.edges, dtype=np.int64).reshape(len(self.edges), 2)
         arr.flags.writeable = False
         return arr

@@ -1,13 +1,23 @@
 """_numbers: the number format, the finiteness check and the one tolerance
 policy of the package."""
 
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mvergo._numbers import divide, finite, float_tolerance, scaled, tie_tolerance
+from mvergo._numbers import (
+    FloatRangeError,
+    check_float_range,
+    divide,
+    finite,
+    float_tolerance,
+    scaled,
+    tie_tolerance,
+)
 
 F = Fraction
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mvergo"
@@ -48,3 +58,49 @@ def test_scaled_and_divide():
     groups, d = scaled((F(1, 2), 0.25), (1,))
     assert d is None and groups == ((F(1, 2), 0.25), (1,))
     assert divide(0.75, 3) == 0.25 and divide(7, 2) == F(7, 2)
+
+
+# the reductions as numpy computed them: max |x| over a float64 array
+def numpy_largest(values) -> float:
+    return float(np.abs(np.asarray(values, dtype=np.float64)).max(initial=0.0))
+
+
+REDUCTION_INPUTS = [
+    [F(1, 3), 0.5, F(-7, 2), 2],
+    [F(1, 10), -0.1, F(2, 3)],
+    [],
+    [-3.5, F(-9, 4), -1],
+    [1e300, F(-10) ** 305, 2.5],
+    [F(1), 1.0],
+    [0.5, float("nan"), 7.0],
+    [7.0, float("nan")],
+    [float("nan")],
+    [-np.inf, 1.0],
+    np.array([0.25, -8.0]),
+]
+
+
+@pytest.mark.parametrize("values", REDUCTION_INPUTS, ids=range(len(REDUCTION_INPUTS)))
+def test_float_tolerance_matches_numpy(values):
+    expected = 1e-9 * max(1.0, numpy_largest(values))
+    assert float_tolerance(values) == expected
+
+
+@pytest.mark.parametrize("values", REDUCTION_INPUTS, ids=range(len(REDUCTION_INPUTS)))
+def test_check_float_range_matches_numpy(values):
+    for n_states, horizon in ((4, 0), (2, 10**300)):
+        largest = numpy_largest(values)
+        if math.isfinite(2 * max(n_states, horizon + 1) * largest):
+            check_float_range(values, n_states, horizon)
+        else:
+            with pytest.raises(FloatRangeError, match=re.escape(repr(largest))):
+                check_float_range(values, n_states, horizon)
+
+
+def test_float_reductions_round_fractions_like_numpy():
+    # a Fraction rounds once to its nearest float, as numpy's conversion does
+    x = F(2**60 + 1, 3)
+    assert float_tolerance([x, -0.5]) == 1e-9 * float(np.float64(x)) == 1e-9 * float(x)
+    assert float_tolerance([]) == 1e-9
+    with pytest.raises(FloatRangeError, match="nan"):
+        check_float_range([1.0, float("nan")], 3)
