@@ -4,15 +4,20 @@ Branches are exact affine maps with rational slope and offset on rational
 closed subdomains of [0, 1]; wrapping branches act modulo 1.  Periodic orbits
 are enumerated exactly: each necklace branch word is solved for its fixed
 points in integer arithmetic, over one denominator per word, branching over
-the integer lifts of wrapping branches.  Systems whose branches share one
-integer slope s >= 2, none wrapping, where no two branches of equal offset
-have domains that meet, take a batched numpy int64 path instead: there the
-points of an orbit determine its word, so every primitive necklace carries
-at most one orbit and no two coincide.  Both paths give the same orbits in
-the same order, a block of rows of one period at a time.  An orbit keeps
-that format to the end: integer numerators over one denominator, in lowest
-terms, from which barycentres and Sturmian arcs are computed directly.  The
-expansion property is certified by exact case analysis on branch pairs.
+the integer lifts of wrapping branches.  Two kinds of system take a numpy
+int64 path instead.  Systems whose branches share one integer slope s >= 2,
+none wrapping, where no two branches of equal offset have domains that
+meet, take the batched path: there the points of an orbit determine its
+word, so every primitive necklace carries at most one orbit and no two
+coincide.  Systems whose branches all wrap over [0, 1] with one slope a/b
+in lowest terms and the offsets j/b, 0 <= j < b (pq:p,q with gcd(p, q) = 1),
+take the lattice path: their period-k points are M/(a^k - b^k), and the
+orbits are the k-cycles of M -> a b^-1 M mod (a^k - b^k).  All three paths
+give the same orbits in the same order, a block of rows of one period at a
+time.  An orbit keeps that format to the end: integer numerators over one
+denominator, in lowest terms, from which barycentres and Sturmian arcs are
+computed directly.  The expansion property is certified by exact case
+analysis on branch pairs.
 """
 
 from __future__ import annotations
@@ -21,17 +26,19 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from ._numbers import InputTooLargeError
 
 ORBIT_PERIOD_LIMIT = 24
-# periodic orbits that one enumeration streams at most, checked per block
-# and per candidate of one word: the hull of three-branch at period 14,
-# 533,830 orbits, peaks at 915 MB RSS on a 2-core x86 host (about 1.7 KB
-# per orbit), its sweep at 167 MB
+# periodic orbits that one enumeration streams at most, checked per block,
+# per candidate of one word and per chunk of lattice points: the hull of
+# three-branch at period 14, 533,830 orbits, peaks at 915 MB RSS on a 2-core
+# x86 host (about 1.7 KB per orbit), its sweep at 167 MB
 ORBIT_LIMIT = 600_000
-# word codes per numpy block of the batched orbit path: blocks of 2^16 codes
-# raised the benchmark sweep's peak RSS by 1.5 MB, 2^13 does not
+# word codes (lattice points) per numpy block of the batched (lattice) orbit
+# path: blocks of 2^16 codes raised the benchmark sweep's peak RSS by 1.5 MB,
+# 2^13 does not
 _BATCH_CODES = 1 << 13
 _INT64_SAFE = 1 << 62
 
@@ -269,8 +276,9 @@ class PeriodicOrbit:
     def points(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.denominator) for x in self.numerators)
 
-    def itinerary_string(self) -> str:
-        return "".join(str(i) for i in self.itinerary)
+    def itinerary_string(self, separator: str = "") -> str:
+        """The branch indices in order, joined by ``separator``."""
+        return separator.join(str(i) for i in self.itinerary)
 
 
 def for_each_necklace(length: int, alphabet: int, fn) -> None:
@@ -538,6 +546,108 @@ def _visit_batched(k: int, s: int, rows, unit: int, consume) -> bool:
     return True
 
 
+def _lattice_slope(system: PiecewiseAffineMVSystem) -> tuple[int, int, tuple[int, ...]] | None:
+    """(a, b, letters) when ``system`` can take the lattice orbit path, else
+    None; ``letters[j]`` is the index of the branch of offset j/b.
+
+    Eligible: every branch wraps over the whole domain [0, 1], all share one
+    slope a/b > 1 in lowest terms, and the offsets are exactly j/b for
+    0 <= j < b, one branch each (pq:p,q with gcd(p, q) = 1).  Then every
+    period-k point is M/d with d = a^k - b^k and 0 <= M < d, and exactly one
+    letter maps it back onto that lattice (see ``_visit_lattice``)."""
+    branches = system.branches
+    s = branches[0].slope
+    if s <= 1 or any(br.slope != s or not br.wraps or br.lo != 0 or br.hi != 1
+                     for br in branches):
+        return None
+    a, b = s.numerator, s.denominator
+    by_offset = {br.offset * b: i for i, br in enumerate(branches)}
+    if len(branches) != b or sorted(by_offset) != list(range(b)):
+        return None
+    return a, b, tuple(by_offset[j] for j in range(b))
+
+
+def _visit_lattice(k: int, lattice: tuple[int, int, tuple[int, ...]], budget: int,
+                   consume) -> bool:
+    """Period k of ``visit_periodic_orbits`` for an eligible system (see
+    ``_lattice_slope``) as the cycles of one modular multiplication, in numpy
+    int64 blocks; False, having visited nothing, when a bound of that period
+    does not fit in int64.
+
+    The identity: with d = a^k - b^k, a period-k point x satisfies
+    b^k x = a^k x + (an integer), so x = M/d with 0 <= M < d.  Its image
+    under the letter j is (a M + j d)/(b d) mod 1, which is on the lattice
+    1/d only when b divides a M + j d; gcd(b, d) = 1, so exactly one letter,
+    j = -a M d^-1 mod b, keeps it there, and the image is r M mod d with
+    r = a b^-1 mod d.  Multiplication by r permutes Z/d and r^k = 1, so the
+    period-k orbits are exactly its cycles of length k, each following one
+    word.
+
+    M runs through [0, d) in chunks of ``_BATCH_CODES``; a row is kept when M
+    is less than each later point of its cycle, that is, when M is the
+    cycle's least point and the cycle does not close before step k.  The
+    rows of the period are counted as they are collected, and more than
+    ``budget`` raise TooManyOrbitsError.  Then they are sorted as the
+    per-word path finds them: by the necklace code of the word, then by the
+    least point at which the necklace starts (``_word_orbits`` solves the
+    necklace word and lists its orbits by first point).  Only three integers
+    per row are kept across chunks: the necklace code, that point and the
+    cycle's least point, from which each block of at most ``_BATCH_CODES``
+    sorted rows is rebuilt, put in lowest terms and handed to ``consume``."""
+    a, b, letters = lattice
+    d = a ** k - b ** k
+    # bounds r M < d^2, the letter products below b^2 and the word codes
+    # below b^k: b^k <= max(d, b)^2, as d >= k b^(k-1) when k >= 2
+    if max(d, b) ** 2 >= _INT64_SAFE:
+        return False
+    import numpy as np
+
+    r = a * pow(b, -1, d) % d
+    c = -a * pow(d, -1, b) % b  # the letter of M/d is the offset c M mod b
+    branch = np.array(letters, dtype=np.int64)
+    powers = np.array([b ** (k - 1 - j) for j in range(k)], dtype=np.int64)
+    top = b ** (k - 1)
+
+    def cycles(least):
+        """The points and branch words of the cycles led by ``least``."""
+        pts = np.empty((len(least), k), dtype=np.int64)
+        pts[:, 0] = least
+        for j in range(1, k):
+            pts[:, j] = pts[:, j - 1] * r % d
+        return pts, branch[pts % b * c % b]
+
+    parts = []  # per chunk: necklace codes, sort points and least points of the rows
+    found = 0
+    for start in range(0, d, _BATCH_CODES):
+        least = np.arange(start, min(start + _BATCH_CODES, d), dtype=np.int64)
+        x = least
+        for _ in range(k - 1):
+            x = x * r % d
+            keep = x > least
+            least, x = least[keep], x[keep]
+        if not len(least):
+            continue
+        found += len(least)
+        if found > budget:
+            raise TooManyOrbitsError(ORBIT_LIMIT)
+        pts, words = cycles(least)
+        codes = np.empty_like(pts)  # column j: the code of the word rotated to start at j
+        codes[:, 0] = words @ powers
+        for j in range(1, k):
+            codes[:, j] = codes[:, j - 1] % top * b + codes[:, j - 1] // top
+        necklace = codes.min(axis=1)
+        first = np.where(codes == necklace[:, None], pts, d).min(axis=1)
+        parts.append((necklace, first, least))
+    necklace, first, least = (np.concatenate(p) for p in zip(*parts))
+    del parts  # the chunks go before the blocks are rebuilt
+    least = least[np.lexsort((first, necklace))]
+    for i in range(0, len(least), _BATCH_CODES):
+        pts, words = cycles(least[i:i + _BATCH_CODES])
+        g = np.gcd(np.gcd.reduce(pts, axis=1), d)
+        consume(words, pts // g[:, None], d // g)
+    return True
+
+
 def _gather_blocks(consume):
     """A per-orbit consumer that gathers the orbits of one period into
     blocks of up to ``_BATCH_CODES`` rows for ``consume``, and the function
@@ -573,12 +683,12 @@ def visit_periodic_orbits(system: PiecewiseAffineMVSystem, max_period: int, cons
     distinct point sequence (branch relabellings at domain boundaries are
     deduplicated); blocks arrive by ascending period, and within a period
     the rows run by word in lexicographic order.  A block holds at most
-    ``_BATCH_CODES`` rows.  The batched path hands over its int64 blocks as
-    they are; the per-word path's orbits are gathered into object arrays of
+    ``_BATCH_CODES`` rows.  The batched and lattice paths hand over int64
+    blocks; the per-word path's orbits are gathered into object arrays of
     Python ints, exact at any size.  More than ``ORBIT_LIMIT`` rows in all,
     or candidates of one word, raise TooManyOrbitsError.
 
-    Two paths give the same orbits in the same order.  The per-word path
+    Three paths give the same orbits in the same order.  The per-word path
     takes FKM necklace words in order, each solved by ``_word_orbits`` in
     integer arithmetic (wrapping branches and rational slopes included), its
     orbits in ascending order; non-primitive point sequences are dropped,
@@ -589,12 +699,21 @@ def visit_periodic_orbits(system: PiecewiseAffineMVSystem, max_period: int, cons
     whose bounds fit in int64: there the points determine the word (see
     ``_batch_slope``), so only primitive necklaces carry primitive orbits,
     each at most one, and no two orbits coincide; the primitivity test
-    and the per-period dedup have nothing to drop and are skipped.
+    and the per-period dedup have nothing to drop and are skipped.  Systems
+    whose branches all wrap over [0, 1] with one slope a/b > 1 in lowest
+    terms and offsets exactly j/b, 0 <= j < b (``_lattice_slope``), take the
+    lattice path (``_visit_lattice``) at every period whose bounds fit in
+    int64: their period-k points are M/d, d = a^k - b^k, exactly one letter
+    keeps M/d on that lattice, and it maps M to r M mod d, r = a b^-1 mod d;
+    so the orbits are the cycles of length k of that multiplication, found
+    without a word search, each with one word.  The per-word path covers
+    every other system, and every period past int64.
     """
     if not (1 <= max_period <= ORBIT_PERIOD_LIMIT):
         raise ValueError(f"max_period must be between 1 and {ORBIT_PERIOD_LIMIT}")
     unit, rows = _integer_branches(system)
     slope = _batch_slope(system)
+    lattice = _lattice_slope(system)
     total = 0
 
     def counted(words, numerators, denominators):
@@ -606,6 +725,8 @@ def visit_periodic_orbits(system: PiecewiseAffineMVSystem, max_period: int, cons
 
     for k in range(1, max_period + 1):
         if slope is not None and _visit_batched(k, slope, rows, unit, counted):
+            continue
+        if lattice is not None and _visit_lattice(k, lattice, ORBIT_LIMIT - total, counted):
             continue
         gather, flush = _gather_blocks(counted)
         _visit_words(k, rows, unit, gather)
@@ -669,13 +790,14 @@ def is_sturmian(orbit: PeriodicOrbit, arc_length) -> bool:
     Decided in integers over the orbit's denominator D: the numerators are
     reduced mod D, so a point at 1 counts as 0; with arc = a/b the test is
     gap * b >= (b - a) * D."""
-    arc = Fraction(arc_length)
-    if not (0 < arc <= 1):
+    arc = arc_length if isinstance(arc_length, Fraction) else Fraction(arc_length)
+    a, b = arc.numerator, arc.denominator  # b > 0, so 0 < arc <= 1 is 0 < a <= b
+    if not (0 < a <= b):
         raise ValueError("arc length must be in (0, 1]")
     den = orbit.denominator
     residues = sorted({x % den for x in orbit.numerators})
     if len(residues) <= 1:
         return True
     largest_gap = max(residues[0] + den - residues[-1],
-                      max(b - a for a, b in zip(residues, residues[1:])))
-    return largest_gap * arc.denominator >= (arc.denominator - arc.numerator) * den
+                      max(map(sub, residues[1:], residues)))
+    return largest_gap * b >= (b - a) * den

@@ -262,12 +262,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_hull(args) -> int:
     points = barycentre_hull(args.builtin, args.max_period)
+    # past 10 branches a letter can take two digits, so letters are separated
+    separator = "." if len(args.builtin.branches) > 10 else ""
     rows = []
     for i, bp in enumerate(points):
         rows.append([
             i,
             bp.orbit.period,
-            bp.orbit.itinerary_string(),
+            bp.orbit.itinerary_string(separator),
             repr(bp.value.real),
             repr(bp.value.imag),
             int(bp.on_hull),

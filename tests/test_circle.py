@@ -29,7 +29,9 @@ from mvergo.circle import (
 from mvergo.circle import (
     _batch_slope,
     _integer_branches,
+    _lattice_slope,
     _visit_batched,
+    _visit_lattice,
     _visit_words,
     _word_orbits,
 )
@@ -349,6 +351,122 @@ def test_batched_path_falls_back_per_period_past_int64(monkeypatch):
     assert visited_orbits(fine, 6) == expected
 
 
+def _lattice_periods(system, max_period):
+    """Whether ``_visit_lattice`` takes each period, visiting nothing."""
+    lattice = _lattice_slope(system)
+    return [_visit_lattice(k, lattice, circle.ORBIT_LIMIT, lambda *block: None)
+            for k in range(1, max_period + 1)]
+
+
+def test_lattice_eligibility():
+    assert _lattice_slope(pq_correspondence(2, 3)) == (3, 2, (0, 1))
+    assert _lattice_slope(pq_correspondence(1, 2)) == (2, 1, (0,))
+    assert _lattice_slope(pq_correspondence(3, 5)) == (5, 3, (0, 1, 2))
+    pq35 = pq_correspondence(3, 5).branches
+    rotated = PiecewiseAffineMVSystem(pq35[1:] + pq35[:1], metric="circle")
+    assert _lattice_slope(rotated) == (5, 3, (2, 0, 1))
+    half = PiecewiseAffineMVSystem(branches=(  # a wrap on [0, 1/2] only
+        Branch(F(3), F(0), F(0), F(1, 2), wraps=True),
+    ))
+    repeated = PiecewiseAffineMVSystem(  # offsets 0, 0, 2/3 instead of 0, 1/3, 2/3
+        (pq35[0], pq35[0], pq35[2]), metric="circle")
+    missing = PiecewiseAffineMVSystem(pq35[:2], metric="circle")  # no branch of offset 2/3
+    shifted = PiecewiseAffineMVSystem(  # offsets 1 and 3/2: equal mod 1, but not j/b
+        tuple(Branch(br.slope, br.offset + 1, br.lo, br.hi, wraps=True)
+              for br in pq_correspondence(2, 3).branches), metric="circle")
+    for system in (pq_correspondence(2, 4), doubling_map(), three_branch_doubling(), MIXED,
+                   NEGATIVE_WRAP, SHARED_IMAGE, half, repeated, missing, shifted):
+        assert _lattice_slope(system) is None
+
+
+@pytest.mark.parametrize("p, q, max_period", [
+    (2, 3, 11), (1, 2, 12), (3, 4, 7), (2, 5, 7), (1, 3, 8), (4, 5, 6), (3, 7, 5), (5, 7, 4),
+])
+def test_lattice_orbits_match_per_word_path(p, q, max_period):
+    system = pq_correspondence(p, q)
+    assert all(_lattice_periods(system, max_period))
+    blocks = []
+    visit_periodic_orbits(system, max_period, lambda *block: blocks.append(block))
+    assert all(numerators.dtype == np.int64 for _, numerators, _ in blocks)
+    # the same rows in the same blocks as the per-word path's gathered blocks
+    unit, rows = _integer_branches(system)
+    reference = []
+    for k in range(1, max_period + 1):
+        gather, flush = circle._gather_blocks(lambda *block: reference.append(block))
+        _visit_words(k, rows, unit, gather)
+        flush()
+    assert [len(words) for words, _, _ in blocks] == [len(words) for words, _, _ in reference]
+    assert flatten_blocks(blocks) == flatten_blocks(reference)
+    if (p, q) == (2, 3):  # the last period spans several chunks of lattice points and blocks
+        assert 3 ** max_period - 2 ** max_period > circle._BATCH_CODES
+        assert [len(w[0]) for w, _, _ in blocks].count(max_period) > 1
+
+
+@pytest.mark.parametrize("p, q", [(2, 3), (1, 3), (2, 5), (3, 4)])
+def test_lattice_orbits_match_fraction_oracle(p, q):
+    system = pq_correspondence(p, q)
+    max_period = 6 if p < 3 else 5
+    expected = []
+    fraction_periodic_orbits(system, max_period, lambda *call: expected.append(call))
+    assert visited_orbits(system, max_period) == expected
+
+
+def test_lattice_orbits_follow_the_branch_order():
+    # the letters name branches by their place in ``system.branches``, so
+    # relabelling reorders the necklaces and the rows, as on the per-word path
+    pq23 = pq_correspondence(2, 3).branches
+    pq35 = pq_correspondence(3, 5).branches
+    swapped = PiecewiseAffineMVSystem(pq23[::-1], metric="circle")
+    rotated = PiecewiseAffineMVSystem(pq35[1:] + pq35[:1], metric="circle")
+    for system, max_period in ((swapped, 10), (rotated, 6)):
+        assert all(_lattice_periods(system, max_period))
+        assert visited_orbits(system, max_period) == _per_word_calls(system, max_period)
+    # the same rows as pq:2,3's with the letters swapped, in another order
+    relabelled = [(tuple(1 - c for c in w), xs, d)
+                  for w, xs, d in visited_orbits(pq_correspondence(2, 3), 10)]
+    got = visited_orbits(swapped, 10)
+    assert sorted(got) == sorted(relabelled) and got != relabelled
+
+
+def test_lattice_path_falls_back_per_period_past_int64(monkeypatch):
+    system = pq_correspondence(2, 3)
+    reference = _per_word_calls(system, 8)
+    # d = 3^k - 2^k: a bound of 2^20 on d^2 fits periods up to 6 (d = 665)
+    # only; later periods take the per-word path and the calls stay the same
+    monkeypatch.setattr(circle, "_INT64_SAFE", 1 << 20)
+    assert _lattice_periods(system, 8) == [True] * 6 + [False] * 2
+    assert visited_orbits(system, 8) == reference
+
+
+def test_lattice_blocks_with_a_small_cap(monkeypatch):
+    system = pq_correspondence(3, 4)
+    rows = visited_orbits(system, 6)
+    monkeypatch.setattr(circle, "_BATCH_CODES", 4)
+    small = []
+    visit_periodic_orbits(system, 6, lambda *block: small.append(block))
+    _check_blocks(small, 4)
+    assert len(small) > 4 * 6
+    assert flatten_blocks(small) == rows
+
+
+def test_orbit_limit_admits_exactly_its_count_of_rows_on_the_lattice_path(monkeypatch):
+    system = pq_correspondence(3, 4)
+    assert all(_lattice_periods(system, 6))
+    rows = visited_orbits(system, 6)
+    n = len(rows)
+    before = sum(len(w) < 6 for w, _, _ in rows)
+    monkeypatch.setattr(circle, "_BATCH_CODES", 64)  # many chunks in the last period
+    monkeypatch.setattr(circle, "ORBIT_LIMIT", n)
+    assert visited_orbits(system, 6) == rows
+    monkeypatch.setattr(circle, "ORBIT_LIMIT", n - 1)
+    blocks = []
+    with pytest.raises(TooManyOrbitsError, match=f"more than {n - 1} periodic orbits"):
+        visit_periodic_orbits(system, 6, lambda *block: blocks.append(block))
+    # the rows of a period are counted while they are collected, so the
+    # period that passes the limit hands over nothing
+    assert flatten_blocks(blocks) == rows[:before]
+
+
 def test_pq23_orbit_counts():
     pq = pq_correspondence(2, 3)
     orbits = enumerate_periodic_orbits(pq, 10)
@@ -397,6 +515,18 @@ def test_orbit_limit_admits_exactly_its_count_of_rows(system, monkeypatch):
     monkeypatch.setattr(circle, "ORBIT_LIMIT", n - 1)
     with pytest.raises(TooManyOrbitsError, match=f"more than {n - 1} periodic orbits"):
         visit_periodic_orbits(system, 8, lambda *block: None)
+
+
+def test_orbit_limit_admits_exactly_its_count_of_rows_on_the_per_word_path(monkeypatch):
+    # pq:2,4 (slope 2/1, offsets 0 and 1/2) fits neither numpy path
+    system = pq_correspondence(2, 4)
+    assert _batch_slope(system) is None and _lattice_slope(system) is None
+    n = len(visited_orbits(system, 6))
+    monkeypatch.setattr(circle, "ORBIT_LIMIT", n)
+    assert len(visited_orbits(system, 6)) == n
+    monkeypatch.setattr(circle, "ORBIT_LIMIT", n - 1)
+    with pytest.raises(TooManyOrbitsError, match=f"more than {n - 1} periodic orbits"):
+        visit_periodic_orbits(system, 6, lambda *block: None)
 
 
 def test_orbit_limit_stops_one_word_with_too_many_points(monkeypatch):

@@ -12,7 +12,12 @@ import pytest
 import mvergo.cli as cli
 import mvergo.subaction as subaction
 from mvergo._numbers import FloatRangeError, InputTooLargeError, ValidationError, parse_number
-from mvergo.circle import PeriodicOrbit, TooManyOrbitsError
+from mvergo.circle import (
+    PeriodicOrbit,
+    TooManyOrbitsError,
+    enumerate_periodic_orbits,
+    pq_correspondence,
+)
 from mvergo.cli import main
 from mvergo.io import InputFormatError, dumps_system, loads_system
 from mvergo.mea import NoCycleError, NoPathError, PolicyIterationLimitError, PositiveCycleError
@@ -263,13 +268,17 @@ def test_cmd_sweep_matches_golden_csv(tmp_path, argv, golden):
 @pytest.mark.parametrize("builtin, golden", [
     ("pq:2,3", "hull_pq23_p8"),
     ("threebranch", "hull_threebranch_p8"),
-], ids=["pq23", "threebranch"])
+    ("pq:2,4", "hull_pq24_p6"),
+], ids=["pq23", "threebranch", "pq24"])
 def test_cmd_hull_matches_golden_files(tmp_path, builtin, golden):
-    # the golden files were written before enumerate_periodic_orbits read the
-    # visitor's blocks; pq:2,3 takes the per-word path's gathered object
-    # blocks, three-branch the batched int64 blocks
+    # the pq:2,3 and three-branch files were written before
+    # enumerate_periodic_orbits read the visitor's blocks, the pq:2,4 files
+    # before the lattice orbit path existed; pq:2,3 takes the lattice path's
+    # int64 blocks, three-branch the batched int64 blocks, and pq:2,4 (slope
+    # 2/1, offsets 0 and 1/2) the per-word path's gathered object blocks
+    period = golden.rsplit("_p", 1)[1]
     out = tmp_path / "o"
-    assert main(["hull", "--builtin", builtin, "--max-period", "8", "--out", str(out)]) == 0
+    assert main(["hull", "--builtin", builtin, "--max-period", period, "--out", str(out)]) == 0
     assert (out / "hull.csv").read_bytes() == (DATA / f"{golden}.csv").read_bytes()
     assert (out / "hull.svg").read_bytes() == (DATA / f"{golden}.svg").read_bytes()
 
@@ -297,6 +306,18 @@ def test_finite_commands_match_golden_files(tmp_path, argv, golden, files):
     assert main([*argv, "--out", str(out)]) == 0
     for name in files:
         assert (out / name).read_bytes() == (DATA / golden / name).read_bytes(), name
+
+
+def test_cmd_hull_separates_letters_past_ten_branches(tmp_path):
+    # pq:11,12 has the letters 0 to 10; joined digits would write 103106 for
+    # both (10, 3, 1, 0, 6) and (1, 0, 3, 10, 6), 30 such strings up to period 5
+    out = tmp_path / "o"
+    assert main(["hull", "--builtin", "pq:11,12", "--max-period", "5", "--out", str(out)]) == 0
+    rows = _read_csv(out / "hull.csv")[1:]
+    words = [tuple(int(c) for c in r[2].split(".")) for r in rows]
+    assert [len(w) for w in words] == [int(r[1]) for r in rows]
+    assert words == [o.itinerary for o in enumerate_periodic_orbits(pq_correspondence(11, 12), 5)]
+    assert {"10.3.1.0.6", "1.0.3.10.6"} <= {r[2] for r in rows}
 
 
 def test_cmd_hull_small(tmp_path):
