@@ -10,6 +10,18 @@ table and one grid per system across parameter values; the grid keeps its
 prepared Howard solver, and each solve starts from the previous one's final
 policy.  Each function that builds or reads an array imports numpy when it
 runs, not this module, so importing the command line does not load numpy.
+
+For f = cos 2 pi (x - theta) an orbit's average is Re(e^(-2 pi i theta) z),
+z its barycentre, so the lower bound is the support function of the
+barycentre set in the direction theta.  The orbit table keeps each orbit's
+barycentre, and ``beta_lower`` scores every orbit by it in O(orbits) per
+theta.  A score is within eps/8 of the orbit's mean as the full scan
+computes it (eps = ``COS_SCORE_ERROR`` = 2^-40; each float step is off by
+at most a few ulps, and a mean of k <= 24 terms of size at most 1 by k ulps
+of 1), so the orbits scoring within 2 eps of the best include every orbit
+of the largest mean.  Only those candidates are evaluated at their points,
+as the full scan evaluates every orbit, which gives the same bound and
+witness bit for bit.  Other function families evaluate every orbit.
 """
 
 from __future__ import annotations
@@ -104,21 +116,36 @@ class OrbitTable:
     """Flattened orbit data for vectorized averaging over one system.
 
     Points are stored as floats (rounded from the exact rationals); the
-    canonical branch words share one letter buffer, sliced like the points by
+    canonical branch words share one letter array, in the narrowest unsigned
+    dtype that holds every branch index, sliced like the points by
     ``starts`` and ``periods``, so the exact witness orbit can be rebuilt on
-    demand without holding every orbit's integer points in memory.
+    demand without holding every orbit's integer points in memory.  Each
+    row also keeps its barycentre, the mean of exp(2 pi i x) over its float
+    points, as a row of ``centres``: the real part, then the imaginary.
     """
 
     system: PiecewiseAffineMVSystem
-    letters: bytes           # all canonical branch words, concatenated
+    letters: np.ndarray      # all canonical branch words, concatenated
     points: np.ndarray       # all orbit points, concatenated
     starts: np.ndarray       # reduceat offsets, one per orbit
     periods: np.ndarray
+    centres: np.ndarray      # (orbits, 2): re and im of each barycentre
 
     @property
-    def words(self) -> list[bytes]:
+    def words(self) -> list[tuple[int, ...]]:
         """The branch word of every row (sliced from ``letters`` on access)."""
-        return [self.letters[s:s + k] for s, k in zip(self.starts.tolist(), self.periods.tolist())]
+        letters = self.letters.tolist()
+        return [tuple(letters[s:s + k]) for s, k in zip(self.starts.tolist(), self.periods.tolist())]
+
+    def rows(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The float points, reduceat offsets and periods of the rows
+        ``index``, gathered into one contiguous array in the order given."""
+        import numpy as np
+
+        periods = self.periods[index]
+        starts = np.cumsum(periods) - periods
+        take = np.repeat(self.starts[index] - starts, periods) + np.arange(periods.sum())
+        return self.points[take], starts, periods
 
     def orbit(self, index: int) -> PeriodicOrbit:
         """Rebuild the exact orbit behind one table row: solve its stored
@@ -126,7 +153,7 @@ class OrbitTable:
         lowest terms."""
         start = int(self.starts[index])
         end = start + int(self.periods[index])
-        word = tuple(self.letters[start:end])
+        word = tuple(self.letters[start:end].tolist())
         stored = self.points[start:end]
         unit, rows = _integer_branches(self.system)
         den, orbits = _word_orbits(word, rows, unit)
@@ -146,11 +173,14 @@ def orbit_table(system: PiecewiseAffineMVSystem, max_period: int) -> OrbitTable:
     so the quotient is rounded once, as Python's int division ``x / d``
     rounds it; the batched path's numerators lie in [0, d], so its blocks
     need only d < 2^53.  Blocks beyond that bound, and the per-word path's
-    object blocks, divide as Python ints."""
+    object blocks, divide as Python ints.  Each block's barycentres are
+    summed from its float points, so the temporaries stay the size of a
+    block."""
     import numpy as np
 
+    letter_type = np.min_scalar_type(len(system.branches) - 1)
     letters = bytearray()
-    flat = array("d")
+    flat, centres = array("d"), array("d")
     shapes: list[tuple[int, int]] = []  # (rows, period) per block
 
     def consume(words, numerators, denominators):
@@ -158,8 +188,14 @@ def orbit_table(system: PiecewiseAffineMVSystem, max_period: int) -> OrbitTable:
             numerators, denominators = numerators.astype(object), denominators.astype(object)
         points = np.asarray(numerators / denominators[:, None], dtype=np.float64)
         flat.frombytes(points.tobytes())
-        letters.extend(words.astype(np.uint8).tobytes())
+        letters.extend(words.astype(letter_type).tobytes())
         shapes.append(words.shape)
+        turns = points * (2 * np.pi)
+        centre = np.empty((len(points), 2))
+        centre[:, 0] = np.cos(turns).sum(axis=1)
+        centre[:, 1] = np.sin(turns, out=turns).sum(axis=1)
+        centre /= words.shape[1]
+        centres.frombytes(centre.tobytes())
 
     visit_periodic_orbits(system, max_period, consume)
     if not shapes:
@@ -167,36 +203,87 @@ def orbit_table(system: PiecewiseAffineMVSystem, max_period: int) -> OrbitTable:
     pts = np.frombuffer(flat, dtype=np.float64)
     period_arr = np.concatenate([np.full(rows, k) for rows, k in shapes])
     starts = np.concatenate(([0], np.cumsum(period_arr)[:-1]))
-    return OrbitTable(system, bytes(letters), pts, starts, period_arr)
+    return OrbitTable(system, np.frombuffer(letters, dtype=letter_type), pts, starts, period_arr,
+                      np.frombuffer(centres, dtype=np.float64).reshape(-1, 2))
+
+
+# eps, a bound on |s - m| for CosWave(theta), where m is a row's mean as
+# ``_row_means`` computes it and s its score from the row's barycentre;
+# ``beta_lower`` shows |s - m| < eps / 8
+COS_SCORE_ERROR = 2.0 ** -40
+
+
+def _row_means(values: np.ndarray, starts: np.ndarray, periods: np.ndarray) -> np.ndarray:
+    """The mean of each row of ``values`` (``np.add.reduceat`` at
+    ``starts``, over ``periods``), summed again at a scale where the sum
+    overflows and held to the row's largest value; see ``beta_lower``."""
+    import numpy as np
+
+    with np.errstate(over="ignore"):
+        sums = np.add.reduceat(values, starts)
+    means = sums / periods
+    over = ~np.isfinite(sums)
+    if over.any():
+        k = int(periods.max()).bit_length()
+        scaled = np.add.reduceat(np.ldexp(values, -k), starts)[over]
+        means[over] = np.ldexp(scaled / periods[over], k)
+    np.minimum(means, np.maximum.reduceat(values, starts), out=means)
+    return means
 
 
 def beta_lower(system: PiecewiseAffineMVSystem, f, max_period: int,
                table: OrbitTable | None = None) -> tuple[float, PeriodicOrbit]:
     """Best average of f over exact periodic orbits: a valid lower bound.
 
-    A row whose float sum overflows is summed again over its values times
-    2^-k, with 2^k at least the longest period, which no sum of finite
-    values can overflow; the scaling is exact, and its mean is scaled back.
-    Every other row keeps its plain sum.  Each row's mean is then held to
-    at most the row's largest value: a rounded mean of equal values can
-    land an ulp above them, and the bound would then exceed every orbit's
-    true average."""
+    Each row's mean is ``np.add.reduceat`` of f at its float points over
+    its period.  A row whose float sum overflows is summed again over its
+    values times 2^-k, with 2^k at least the longest period, which no sum
+    of finite values can overflow; the scaling is exact, and its mean is
+    scaled back.  Every other row keeps its plain sum.  Each row's mean is
+    then held to at most the row's largest value: a rounded mean of equal
+    values can land an ulp above them, and the bound would then exceed
+    every orbit's true average.  The witness is the first row, in table
+    order, of the largest mean.
+
+    For ``CosWave(theta)`` the mean of cos 2 pi (x - theta) over a row is
+    Re(e^(-2 pi i theta) z), z the row's barycentre, so the best row is
+    read off the barycentres (Bousch 2000, Jenkinson 2019: a support
+    function of the barycentre set) in O(rows) per theta: the score s =
+    re cos 2 pi theta + im sin 2 pi theta of every row, and the candidates
+    with s >= max(s) - 2 eps, eps = ``COS_SCORE_ERROR``.  Only the
+    candidates' means are computed, by the expression above on their
+    gathered points, so they get the same floats, and the first largest in
+    table order is the same row.  No row of the largest mean m* is left
+    out: with the best scored row b, s(r) >= m(r) - eps = m* - eps >=
+    m(b) - eps >= s(b) - 2 eps.
+
+    The bound eps, for points and theta in [0, 1], periods k up to
+    ``ORBIT_PERIOD_LIMIT`` = 24 and u = 2^-53: the rounded argument of each
+    cos (x - theta, times the float 2 pi) is off by at most 2^-48, and
+    numpy's cos and sin are within 4 ulps, 2^-51, so each value is off by
+    less than 2^-47; a float sum of k terms of size at most 1 is off by at
+    most k^2 u / 2, so a mean by k u / 2 + u < 2^-48.  So the mean m is off
+    by less than 2^-46 from the exact mean of the exact cos over the row's
+    float points, at the float theta; holding m to the row's largest value
+    leaves it between m and the exact mean of the row's values, no farther
+    off.  Likewise re and im are each off by less than 2^-46, and
+    cos 2 pi theta and sin 2 pi theta by less than 2^-47, so with |z| <= 1
+    and three roundings s is off by less than 2^-44 from the same exact
+    mean: |s - m| < 2^-43, an eighth of eps."""
     import numpy as np
 
     if table is None:
         table = orbit_table(system, max_period)
-    values = f.values(table.points)
-    with np.errstate(over="ignore"):
-        sums = np.add.reduceat(values, table.starts)
-    means = sums / table.periods
-    over = ~np.isfinite(sums)
-    if over.any():
-        k = int(table.periods.max()).bit_length()
-        scaled = np.add.reduceat(np.ldexp(values, -k), table.starts)[over]
-        means[over] = np.ldexp(scaled / table.periods[over], k)
-    np.minimum(means, np.maximum.reduceat(values, table.starts), out=means)
-    idx = int(np.argmax(means))
-    return float(means[idx]), table.orbit(idx)
+    if isinstance(f, CosWave):
+        turn = 2 * math.pi * float(f.theta)
+        score = table.centres @ (math.cos(turn), math.sin(turn))
+        index = np.flatnonzero(score >= score.max() - 2 * COS_SCORE_ERROR)
+        points, starts, periods = table.rows(index)
+    else:
+        index, points, starts, periods = None, table.points, table.starts, table.periods
+    means = _row_means(f.values(points), starts, periods)
+    best = int(np.argmax(means))
+    return float(means[best]), table.orbit(best if index is None else int(index[best]))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +318,9 @@ def outer_grid_system(system: PiecewiseAffineMVSystem, grid_n: int) -> GridModel
     g = int(grid_n)
     if g < GRID_MIN:
         raise ValueError(f"grid_n must be at least {GRID_MIN}")
-    edges: set[int] = set()  # edge (a, b) as a * g + b
+    # edge (a, b) is the code a * g + b; each cell and branch adds the codes
+    # of whole runs of head cells, [first, end)
+    firsts, ends = array("q"), array("q")
     for br in system.branches:
         p, q = br.slope.numerator, br.slope.denominator
         e, f = br.offset.numerator, br.offset.denominator
@@ -250,16 +339,24 @@ def outer_grid_system(system: PiecewiseAffineMVSystem, grid_n: int) -> GridModel
             if br.wraps:
                 y1, y2 = y1 % y_den, y2 - y1 // y_den * y_den
                 while y2 > y_den:  # a full turn to 1; the next span starts at 0
-                    edges.update(range(row + max(-(-y1 // y_step) - 1, 0), row + g))
+                    firsts.append(row + max(-(-y1 // y_step) - 1, 0))
+                    ends.append(row + g)
                     y1, y2 = 0, y2 - y_den
                 if y2 == y_den:  # a closed image touching 1 also meets cell 0
-                    edges.add(row)
-            edges.update(range(row + max(-(-y1 // y_step) - 1, 0),
-                               row + min(y2 // y_step, g - 1) + 1))
-    # sorted codes are the canonical (tail, head) order
-    fs = FiniteMVSystem(g, tuple([divmod(c, g) for c in sorted(edges)]))
+                    firsts.append(row)
+                    ends.append(row + 1)
+            firsts.append(row + max(-(-y1 // y_step) - 1, 0))
+            ends.append(row + min(y2 // y_step, g - 1) + 1)
+    first = np.frombuffer(firsts, dtype=np.int64)
+    size = np.maximum(np.frombuffer(ends, dtype=np.int64) - first, 0)
+    offset = np.cumsum(size) - size  # where each run starts among all codes
+    codes = np.repeat(first - offset, size) + np.arange(size.sum())
+    codes.sort()
+    # sorted distinct codes are the canonical (tail, head) order
+    tails, heads = np.divmod(codes[np.concatenate(([True], codes[1:] != codes[:-1]))], g)
+    fs = FiniteMVSystem.from_arrays(g, tails, heads)
     centers = (np.arange(g) + 0.5) / g
-    return GridModel(fs, g, centers, fs.edge_array[:, 0], HowardSolver(fs))
+    return GridModel(fs, g, centers, tails, HowardSolver(fs))
 
 
 def beta_upper(system: PiecewiseAffineMVSystem, f, grid_n: int,

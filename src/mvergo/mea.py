@@ -36,7 +36,13 @@ from ._numbers import (
     tie_tolerance,
 )
 from .measures import Cycle, VertexMeasure, cycle_measure
-from .system import FiniteMVSystem, eventual_domain, lift_function, simple_cycles
+from .system import (
+    FiniteMVSystem,
+    eventual_domain,
+    eventual_domain_array,
+    lift_function,
+    simple_cycles,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -303,13 +309,15 @@ class HowardSolver:
     McGettrick and Quadrat, 1998) prepared once for one system, to solve it
     for many float weight vectors in O(m) per iteration and O(m) memory.
 
-    Preparation keeps what depends on the graph alone.  States on no
-    bi-infinite orbit (``eventual_domain``) are dropped: every cycle lies in
-    what is left, and every state left has an out-edge there.  The live
-    states are relabelled 0..n-1 in order; ``keep`` marks the system's edges
-    between them, whose relabelled ends are ``tails`` and ``heads``.  ``out``
-    is the padded out-edge table: row x lists x's edges in edge order, then
-    the sentinel edge m = len(tails) up to the largest out-degree.
+    Preparation keeps what depends on the graph alone, read off the
+    system's ``edge_array``.  States on no bi-infinite orbit
+    (``eventual_domain_array``, the ``eventual_domain`` of the arrays) are
+    dropped: every cycle lies in what is left, and every state left has an
+    out-edge there.  The live states are relabelled 0..n-1 in order;
+    ``keep`` marks the system's edges between them, whose relabelled ends
+    are ``tails`` and ``heads``.  ``out`` is the padded out-edge table: row
+    x lists x's edges in edge order, then the sentinel edge m = len(tails)
+    up to the largest out-degree.
 
     ``policy`` is the final policy of the last solve (edge ids into the kept
     edges) and the next solve starts from it: solves of nearby weights, as
@@ -321,10 +329,11 @@ class HowardSolver:
         import numpy as np
 
         self.system = system
-        live = sorted(eventual_domain(system))
+        edges = system.edge_array
+        live = eventual_domain_array(system.n_states, edges[:, 0], edges[:, 1])
         relabel = np.full(system.n_states, -1, dtype=np.int64)
         relabel[live] = np.arange(len(live))
-        tails, heads = relabel[system.edge_array[:, 0]], relabel[system.edge_array[:, 1]]
+        tails, heads = relabel[edges[:, 0]], relabel[edges[:, 1]]
         self.keep = (tails >= 0) & (heads >= 0)
         self.tails, self.heads = tails[self.keep], heads[self.keep]
         m = len(self.tails)

@@ -7,7 +7,6 @@ Successor sets may be empty and states may have many successors.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -73,6 +72,19 @@ class FiniteMVSystem:
         canon = tuple(sorted({(int(t), int(h)) for t, h in edges}))
         return cls(n_states, canon)
 
+    @classmethod
+    def from_arrays(cls, n_states: int, tails: np.ndarray, heads: np.ndarray) -> "FiniteMVSystem":
+        """Build a system from int64 edge arrays already in the canonical
+        order; the arrays, stacked, become its ``edge_array``, so an array
+        reader does not rebuild them from the edge tuple."""
+        import numpy as np
+
+        system = cls(n_states, tuple(zip(tails.tolist(), heads.tolist())))
+        arr = np.stack((tails, heads), axis=1)
+        arr.flags.writeable = False
+        system.__dict__["edge_array"] = arr  # the slot ``cached_property`` fills
+        return system
+
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {e: i for i, e in enumerate(self.edges)}
@@ -126,35 +138,68 @@ def iterate_image(system: FiniteMVSystem, states: Iterable[int], n: int) -> froz
     return current
 
 
+def _peel(n: int, out_deg: list[int], in_deg: list[int], successors, predecessors,
+          stack: list[int]) -> bytearray:
+    """The deletions behind ``eventual_domain``: delete each state on the
+    stack, and push every neighbour left with no successor or no predecessor
+    among the surviving states.  ``successors(x)`` and ``predecessors(x)``
+    list x's neighbours, and the degree lists are counted down in place.
+    Each state is deleted at most once and each edge of a deleted state is
+    visited once from either end, so the cost is linear in the deleted
+    states and their edges.  Returns the deletion marks of the n states."""
+    dead = bytearray(n)
+    while stack:
+        x = stack.pop()
+        if dead[x]:
+            continue
+        dead[x] = 1
+        for y in predecessors(x):
+            out_deg[y] -= 1
+            if not out_deg[y]:
+                stack.append(y)
+        for y in successors(x):
+            in_deg[y] -= 1
+            if not in_deg[y]:
+                stack.append(y)
+    return dead
+
+
 def eventual_domain(system: FiniteMVSystem) -> frozenset[int]:
     """States lying on some bi-infinite orbit.
 
     The states left after repeatedly deleting every state whose successor
-    set or predecessor set (within the surviving states) is empty.  Empty
-    iff the graph has no directed cycle.  Queue based: each state is deleted
-    at most once and each edge is visited once from either end, so the cost
-    is linear in states plus edges.
+    set or predecessor set (within the surviving states) is empty
+    (``_peel``).  Empty iff the graph has no directed cycle.  The cost is
+    linear in states plus edges.
     """
     n = system.n_states
     succ, pred = system.successors, system.predecessors
     out_deg = [len(s) for s in succ]
     in_deg = [len(p) for p in pred]
-    dead = [False] * n
-    queue = deque(x for x in range(n) if not out_deg[x] or not in_deg[x])
-    while queue:
-        x = queue.popleft()
-        if dead[x]:
-            continue
-        dead[x] = True
-        for y in pred[x]:
-            out_deg[y] -= 1
-            if not out_deg[y]:
-                queue.append(y)
-        for y in succ[x]:
-            in_deg[y] -= 1
-            if not in_deg[y]:
-                queue.append(y)
+    stack = [x for x in range(n) if not out_deg[x] or not in_deg[x]]
+    dead = _peel(n, out_deg, in_deg, succ.__getitem__, pred.__getitem__, stack)
     return frozenset(x for x in range(n) if not dead[x])
+
+
+def eventual_domain_array(n_states: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """``eventual_domain`` of the system whose canonical edges are the int64
+    arrays ``tails`` and ``heads``, as a sorted int64 array, without the
+    successor and predecessor tuples: the degrees are counted in numpy, and
+    the deletions (``_peel``) read each deleted state's neighbours as slices
+    of the edge arrays in tail order and in head order.  Linear in states
+    plus edges, with a Python loop over the deleted states only."""
+    import numpy as np
+
+    out_deg = np.bincount(tails, minlength=n_states)
+    in_deg = np.bincount(heads, minlength=n_states)
+    stack = np.flatnonzero((out_deg == 0) | (in_deg == 0)).tolist()
+    succ, pred = heads.tolist(), tails[np.argsort(heads, kind="stable")].tolist()
+    out_bound = np.concatenate(([0], np.cumsum(out_deg))).tolist()
+    in_bound = np.concatenate(([0], np.cumsum(in_deg))).tolist()
+    dead = _peel(n_states, out_deg.tolist(), in_deg.tolist(),
+                 lambda x: succ[out_bound[x]:out_bound[x + 1]],
+                 lambda x: pred[in_bound[x]:in_bound[x + 1]], stack)
+    return np.flatnonzero(np.frombuffer(dead, dtype=np.uint8) == 0)
 
 
 def orbit_space_nonempty(system: FiniteMVSystem) -> bool:

@@ -423,22 +423,46 @@ def phi_backward_oracle(system: FiniteMVSystem, f_edge, beta, max_len=None):
 def per_orbit_orbit_table(system: PiecewiseAffineMVSystem, max_period: int) -> OrbitTable:
     """Reference for ``bounds.orbit_table``: the orbits of the per-word
     integer path (``_visit_words``, which shares no code with the batched
-    blocks), one call per orbit, each point divided as Python ints."""
-    letters = bytearray()
+    blocks), one call per orbit, each point divided as Python ints, and
+    each barycentre summed with ``cmath.exp``."""
+    letters: list[int] = []
     periods: list[int] = []
     points: list[float] = []
+    centres: list[complex] = []
 
     def consume(word, numerators, denom):
         letters.extend(word)
         periods.append(len(word))
-        points.extend(x / denom for x in numerators)
+        xs = [x / denom for x in numerators]
+        points.extend(xs)
+        centres.append(sum(cmath.exp(2j * cmath.pi * x) for x in xs) / len(xs))
 
     unit, rows = _integer_branches(system)
     for k in range(1, max_period + 1):
         _visit_words(k, rows, unit, consume)
     period_arr = np.array(periods)
     starts = np.concatenate(([0], np.cumsum(period_arr)[:-1]))
-    return OrbitTable(system, bytes(letters), np.array(points), starts, period_arr)
+    return OrbitTable(system, np.array(letters), np.array(points), starts, period_arr,
+                      np.array([(z.real, z.imag) for z in centres]).reshape(-1, 2))
+
+
+def full_scan_beta_lower(table: OrbitTable, f) -> tuple[float, PeriodicOrbit]:
+    """Reference for ``bounds.beta_lower``: f at every point of the table,
+    every row's mean by ``np.add.reduceat`` (summed again at the scale
+    2^-k where the sum overflows, and held to the row's largest value), and
+    the first row of the largest mean, for every function family alike."""
+    values = f.values(table.points)
+    with np.errstate(over="ignore"):
+        sums = np.add.reduceat(values, table.starts)
+    means = sums / table.periods
+    over = ~np.isfinite(sums)
+    if over.any():
+        k = int(table.periods.max()).bit_length()
+        scaled = np.add.reduceat(np.ldexp(values, -k), table.starts)[over]
+        means[over] = np.ldexp(scaled / table.periods[over], k)
+    np.minimum(means, np.maximum.reduceat(values, table.starts), out=means)
+    idx = int(np.argmax(means))
+    return float(means[idx]), table.orbit(idx)
 
 
 def karp_max_mean_cycle_value(system: FiniteMVSystem, weights) -> Fraction:

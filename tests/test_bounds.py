@@ -8,7 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import mvergo.bounds as bounds
 from mvergo.bounds import (
+    COS_SCORE_ERROR,
     ConstFunction,
     CosWave,
     NegDistance,
@@ -32,7 +34,13 @@ from mvergo.circle import (
 )
 from mvergo.geometry import convex_hull, is_convex_polygon, orientation
 from mvergo.mea import HowardSolver
-from oracles import fraction_outer_grid_system, per_orbit_orbit_table, visited_orbits
+from oracles import (
+    fraction_outer_grid_system,
+    full_scan_beta_lower,
+    per_orbit_orbit_table,
+    visited_orbits,
+)
+from test_circle import MIXED
 
 F = Fraction
 
@@ -108,6 +116,82 @@ def test_beta_lower_holds_a_row_of_equal_values_to_that_value(system, theta):
     lo, orbit = beta_lower(system, NegDistance(theta), 10, table)
     assert lo == -abs(theta)
     assert orbit.period == 1
+
+
+COS_TABLES = [
+    (doubling_map(), 10), (three_branch_doubling(), 10), (pq_correspondence(2, 3), 9),
+    (pq_correspondence(2, 4), 8), (MIXED, 8),
+]
+COS_TABLE_IDS = ["doubling-10", "threebranch-10", "lattice-pq:2,3-9", "per-word-pq:2,4-8",
+                 "per-word-mixed-8"]
+COS_THETAS = [F(k, 997) for k in range(0, 997, 5)] + [F(k, 256) for k in range(0, 256, 4)]
+
+
+def _assert_cos_matches_full_scan(system, period, thetas):
+    table = orbit_table(system, period)
+    for theta in thetas:
+        f = CosWave(theta)
+        lo, orbit = beta_lower(system, f, period, table)
+        ref_lo, ref_orbit = full_scan_beta_lower(table, f)
+        assert (lo.hex(), orbit) == (ref_lo.hex(), ref_orbit), theta
+
+
+@pytest.mark.parametrize("system, period", COS_TABLES, ids=COS_TABLE_IDS)
+def test_cos_lower_bound_matches_the_full_scan(system, period):
+    # the barycentre scores pick the candidates, and the re-scored
+    # candidates give the full scan's float and witness, bit for bit
+    _assert_cos_matches_full_scan(system, period, COS_THETAS)
+
+
+@pytest.mark.parametrize("system, period", COS_TABLES, ids=COS_TABLE_IDS)
+def test_cos_scores_lie_within_their_error_bound(system, period):
+    # beta_lower's docstring bounds |score - mean| by an eighth of the error
+    # it allows, for every row and every theta
+    table = orbit_table(system, period)
+    for theta in COS_THETAS[::8]:
+        turn = 2 * math.pi * float(theta)
+        score = table.centres @ (math.cos(turn), math.sin(turn))
+        values = CosWave(theta).values(table.points)
+        means = np.minimum(np.add.reduceat(values, table.starts) / table.periods,
+                           np.maximum.reduceat(values, table.starts))
+        assert np.abs(score - means).max() < COS_SCORE_ERROR / 8
+
+
+@pytest.mark.parametrize("system", [doubling_map(), three_branch_doubling()],
+                         ids=["doubling", "threebranch"])
+def test_cos_lower_bound_keeps_the_first_of_tied_rows(system):
+    # at theta = 0 the fixed points 0 and 1 both average exactly 1.0; the
+    # witness is the first in table order, as in the full scan
+    table = orbit_table(system, 8)
+    fixed = {table.orbit(i).points: i for i in np.flatnonzero(table.periods == 1).tolist()}
+    assert fixed[(F(0),)] == 0 < fixed[(F(1),)]
+    f = CosWave(0)
+    ties = table.starts[[fixed[(F(0),)], fixed[(F(1),)]]]
+    assert f.values(table.points[ties]).tolist() == [1.0, 1.0]
+    lo, orbit = beta_lower(system, f, 8, table)
+    assert (lo, orbit) == (1.0, table.orbit(0)) == full_scan_beta_lower(table, f)
+
+
+def test_cos_lower_bound_with_every_row_a_candidate(monkeypatch):
+    # an error bound of 1 makes every row a candidate, so the re-score
+    # alone decides, and it still gives the full scan's answers
+    monkeypatch.setattr(bounds, "COS_SCORE_ERROR", 1.0)
+    for system, period in COS_TABLES[:3]:
+        _assert_cos_matches_full_scan(system, period, COS_THETAS[::20])
+
+
+def test_orbit_table_holds_letters_past_one_byte():
+    # pq:300,301 has the letters 0 to 299; the table keeps them in 16 bits
+    system = pq_correspondence(300, 301)
+    table = orbit_table(system, 2)
+    assert table.letters.dtype == np.uint16
+    assert int(table.letters.max()) == len(system.branches) - 1 == 299
+    for idx in range(0, len(table.periods), 37):
+        orbit = table.orbit(idx)
+        start, k = int(table.starts[idx]), int(table.periods[idx])
+        assert orbit.itinerary == tuple(table.letters[start:start + k].tolist())
+    lo, orbit = beta_lower(system, CosWave(F(1, 4)), 2, table)
+    assert (lo, orbit) == full_scan_beta_lower(table, CosWave(F(1, 4)))
 
 
 def test_beta_lower_theta_third_is_sturmian_semicircle():
@@ -244,12 +328,14 @@ def test_block_orbit_table_matches_per_orbit_oracle(system, period):
     # blocks; three-branch has rows whose least point repeats
     table = orbit_table(system, period)
     ref = per_orbit_orbit_table(system, period)
-    assert table.letters == ref.letters
+    assert np.array_equal(table.letters, ref.letters)
     assert table.points.dtype == ref.points.dtype
     assert table.points.tobytes() == ref.points.tobytes()
     assert np.array_equal(table.starts, ref.starts)
     assert np.array_equal(table.periods, ref.periods)
     assert table.starts.dtype == table.periods.dtype == np.int64
+    # numpy's cos and sin against cmath.exp, summed in another order
+    assert np.abs(table.centres - ref.centres).max() < 2.0 ** -48
     for idx in range(0, len(table.periods), max(1, len(table.periods) // 300)):
         orbit = table.orbit(idx)
         start, k = int(table.starts[idx]), int(table.periods[idx])
@@ -267,7 +353,7 @@ def test_block_orbit_table_divides_large_denominators_as_python_ints():
     ))
     table = orbit_table(system, 19)
     ref = per_orbit_orbit_table(system, 19)
-    assert table.letters == ref.letters
+    assert np.array_equal(table.letters, ref.letters)
     assert table.points.tobytes() == ref.points.tobytes()
     assert np.array_equal(table.periods, ref.periods)
     # a float division of the int64 arrays would be off in some last bits

@@ -261,7 +261,9 @@ def _check_blocks(blocks, cap):
 @pytest.mark.parametrize("system, max_period", [
     (doubling_map(), 10),
     (three_branch_doubling(), 9),
-    (pq_correspondence(2, 3), 7),
+    # pq:2,3 takes the lattice path, pq:2,4 the per-word path
+    pytest.param(pq_correspondence(2, 3), 7, id="lattice-pq:2,3-7"),
+    pytest.param(pq_correspondence(2, 4), 6, id="per-word-pq:2,4-6"),
     (MIXED, 6),
     (NEGATIVE_WRAP, 6),
     (SHARED_IMAGE, 6),
@@ -506,27 +508,21 @@ def test_orbit_canonical_rotation_and_guard():
         enumerate_periodic_orbits(d, 25)
 
 
-@pytest.mark.parametrize("system", [doubling_map(), pq_correspondence(2, 3)],
-                         ids=["batched", "per-word"])
-def test_orbit_limit_admits_exactly_its_count_of_rows(system, monkeypatch):
-    n = len(visited_orbits(system, 8))
-    monkeypatch.setattr(circle, "ORBIT_LIMIT", n)
-    assert len(visited_orbits(system, 8)) == n
-    monkeypatch.setattr(circle, "ORBIT_LIMIT", n - 1)
-    with pytest.raises(TooManyOrbitsError, match=f"more than {n - 1} periodic orbits"):
-        visit_periodic_orbits(system, 8, lambda *block: None)
-
-
-def test_orbit_limit_admits_exactly_its_count_of_rows_on_the_per_word_path(monkeypatch):
+@pytest.mark.parametrize("system, max_period, path", [
+    pytest.param(doubling_map(), 8, "batched", id="batched"),
+    pytest.param(pq_correspondence(2, 3), 8, "lattice", id="lattice"),
     # pq:2,4 (slope 2/1, offsets 0 and 1/2) fits neither numpy path
-    system = pq_correspondence(2, 4)
-    assert _batch_slope(system) is None and _lattice_slope(system) is None
-    n = len(visited_orbits(system, 6))
+    pytest.param(pq_correspondence(2, 4), 6, "per-word", id="per-word"),
+])
+def test_orbit_limit_admits_exactly_its_count_of_rows(system, max_period, path, monkeypatch):
+    assert path == ("batched" if _batch_slope(system) is not None else
+                    "lattice" if _lattice_slope(system) is not None else "per-word")
+    n = len(visited_orbits(system, max_period))
     monkeypatch.setattr(circle, "ORBIT_LIMIT", n)
-    assert len(visited_orbits(system, 6)) == n
+    assert len(visited_orbits(system, max_period)) == n
     monkeypatch.setattr(circle, "ORBIT_LIMIT", n - 1)
     with pytest.raises(TooManyOrbitsError, match=f"more than {n - 1} periodic orbits"):
-        visit_periodic_orbits(system, 6, lambda *block: None)
+        visit_periodic_orbits(system, max_period, lambda *block: None)
 
 
 def test_orbit_limit_stops_one_word_with_too_many_points(monkeypatch):

@@ -735,3 +735,14 @@ def test_cmd_verify_injected_bug_fails(tmp_path, monkeypatch):
     assert "FAIL alpha-oracle" in text
     assert "counterexample" in text
     assert "n_states" in text  # the instance dump is embedded
+
+
+def test_cmd_sweep_rebuilds_witnesses_past_256_branches(tmp_path):
+    # pq:300,301 has the letters 0 to 299, which do not fit in one byte
+    out = tmp_path / "o"
+    assert main(["sweep", "--builtin", "pq:300,301", "--f", "cos", "--theta-grid", "4",
+                 "--max-period", "2", "--grid", "8", "--out", str(out)]) == 0
+    rows = _read_csv(out / "sweep.csv")[1:]
+    assert [row[:2] for row in rows] == [["0", "pq:300,301"], ["1/4", "pq:300,301"],
+                                         ["1/2", "pq:300,301"]]
+    assert all(float(lo) <= float(hi) for _, _, lo, hi, _ in rows)

@@ -14,6 +14,7 @@ from mvergo.io import loads_system
 from mvergo.bounds import make_family, outer_grid_system
 from mvergo.circle import doubling_map, pq_correspondence, three_branch_doubling
 from mvergo.mea import (
+    HowardSolver,
     NoCycleError,
     NoPathError,
     PolicyIterationError,
@@ -33,7 +34,13 @@ from mvergo.cli import main
 from mvergo.io import dumps_system
 from mvergo.measures import Cycle, is_invariant
 from mvergo.subaction import subaction_for_state_function
-from mvergo.system import FiniteMVSystem, eventual_domain, graph_system, lift_function
+from mvergo.system import (
+    FiniteMVSystem,
+    eventual_domain,
+    eventual_domain_array,
+    graph_system,
+    lift_function,
+)
 from mvergo.verify import make_instances
 from oracles import (
     dfs_simple_cycles,
@@ -518,6 +525,57 @@ def test_float_howard_acyclic_raises():
     chain = FiniteMVSystem.make(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
     with pytest.raises(NoCycleError):
         max_mean_cycle_value_float(chain, np.zeros(4))
+
+
+def _random_chained_system(rng):
+    """A random sparse system with chains of fresh states running into it
+    and out of it, so that it has sources, sinks and long tails, its states
+    shuffled."""
+    n = rng.randint(1, 10)
+    edges = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))}
+    for _ in range(rng.randint(0, 4)):
+        chain = list(range(n, n + rng.randint(1, 8)))
+        n += len(chain)
+        end = rng.randrange(chain[0])
+        path = chain + [end] if rng.random() < 0.5 else [end] + chain
+        edges.update(zip(path, path[1:]))
+    label = list(range(n))
+    rng.shuffle(label)
+    return FiniteMVSystem.make(n, ((label[t], label[h]) for t, h in edges))
+
+
+def test_howard_solver_keeps_exactly_the_eventual_domain():
+    rng = random.Random(21)
+    acyclic = trimmed = 0
+    for _ in range(300):
+        system = _random_chained_system(rng)
+        live = sorted(eventual_domain(system))
+        edges = system.edge_array
+        assert eventual_domain_array(system.n_states, edges[:, 0], edges[:, 1]).tolist() == live
+        solver = HowardSolver(system)
+        alive = set(live)
+        assert solver.keep.tolist() == [t in alive and h in alive for t, h in system.edges]
+        assert len(solver.out) == len(live)
+        trimmed += len(live) < system.n_states
+        if not live:
+            acyclic += 1
+            with pytest.raises(NoCycleError):
+                solver.solve(np.zeros(len(system.edges)))
+    assert acyclic > 20 and trimmed > 200
+
+
+def test_howard_solver_trims_a_long_path_in_linear_time():
+    # 0 -> 1 -> ... -> n-1 runs into the 2-cycle n-2 <-> n-1; the trim
+    # deletes one state of the path after another
+    n = 100_000
+    system = FiniteMVSystem.make(n, [(x, x + 1) for x in range(n - 1)] + [(n - 1, n - 2)])
+    system.edge_array  # built before the clock starts
+    start = time.perf_counter()
+    solver = HowardSolver(system)
+    assert time.perf_counter() - start < 1.0
+    assert len(solver.out) == 2 and solver.keep.sum() == 2
+    weights = np.arange(n, dtype=np.float64)  # the cycle's edges are n-2 and n-1
+    assert solver.solve(weights) == n - 1.5
 
 
 def test_float_howard_iteration_limit(monkeypatch):
