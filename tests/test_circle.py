@@ -525,6 +525,27 @@ def test_orbit_limit_admits_exactly_its_count_of_rows(system, max_period, path, 
         visit_periodic_orbits(system, max_period, lambda *block: None)
 
 
+def test_orbit_limit_admits_exactly_its_count_of_rows_on_the_per_word_path(monkeypatch):
+    # pq:2,4 (slope 2/1, offsets 0 and 1/2) fits neither numpy path
+    system = pq_correspondence(2, 4)
+    assert _batch_slope(system) is None and _lattice_slope(system) is None
+    rows = visited_orbits(system, 6)
+    n = len(rows)
+    before = sum(len(w) < 6 for w, _, _ in rows)
+    monkeypatch.setattr(circle, "_BATCH_CODES", 4)  # many blocks in the last period
+    monkeypatch.setattr(circle, "ORBIT_LIMIT", n)
+    assert visited_orbits(system, 6) == rows
+    monkeypatch.setattr(circle, "ORBIT_LIMIT", n - 1)
+    blocks = []
+    with pytest.raises(TooManyOrbitsError, match=f"more than {n - 1} periodic orbits"):
+        visit_periodic_orbits(system, 6, lambda *block: blocks.append(block))
+    # the rows are counted block by block as they are handed over, so the
+    # last period's full blocks before the one that passes the limit arrive
+    handed = flatten_blocks(blocks)
+    assert before < len(handed) < n
+    assert handed == rows[:len(handed)]
+
+
 def test_orbit_limit_stops_one_word_with_too_many_points(monkeypatch):
     # x -> 10x mod 1 has 9 fixed points, all on the one-letter word
     unit, rows = _integer_branches(pq_correspondence(1, 10))
