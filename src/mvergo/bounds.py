@@ -131,12 +131,6 @@ class OrbitTable:
     periods: np.ndarray
     centres: np.ndarray      # (orbits, 2): re and im of each barycentre
 
-    @property
-    def words(self) -> list[tuple[int, ...]]:
-        """The branch word of every row (sliced from ``letters`` on access)."""
-        letters = self.letters.tolist()
-        return [tuple(letters[s:s + k]) for s, k in zip(self.starts.tolist(), self.periods.tolist())]
-
     def rows(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The float points, reduceat offsets and periods of the rows
         ``index``, gathered into one contiguous array in the order given."""
@@ -234,6 +228,8 @@ def _row_means(values: np.ndarray, starts: np.ndarray, periods: np.ndarray) -> n
 def beta_lower(system: PiecewiseAffineMVSystem, f, max_period: int,
                table: OrbitTable | None = None) -> tuple[float, PeriodicOrbit]:
     """Best average of f over exact periodic orbits: a valid lower bound.
+    ``table``, when given, stands in for ``orbit_table(system,
+    max_period)``; a table built for another system raises ValueError.
 
     Each row's mean is ``np.add.reduceat`` of f at its float points over
     its period.  A row whose float sum overflows is summed again over its
@@ -274,6 +270,8 @@ def beta_lower(system: PiecewiseAffineMVSystem, f, max_period: int,
 
     if table is None:
         table = orbit_table(system, max_period)
+    elif table.system != system:
+        raise ValueError("the orbit table was built for another system")
     if isinstance(f, CosWave):
         turn = 2 * math.pi * float(f.theta)
         score = table.centres @ (math.cos(turn), math.sin(turn))

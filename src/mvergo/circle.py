@@ -80,9 +80,6 @@ class Branch:
                 if not (0 <= y <= 1):
                     raise ValueError("non-wrapping branch must map its domain into [0, 1]")
 
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
-
     def apply(self, x: Fraction) -> Fraction:
         """Exact image of a domain point; canonical representative in [0, 1)
         for wrapping branches."""
@@ -262,7 +259,7 @@ class PeriodicOrbit:
     denominator, in lowest terms (the gcd of the denominator and every
     numerator is 1), as the orbit visitor hands them over.  That form is
     unique, so two orbits are equal exactly when their itineraries and
-    points are; ``points`` builds the ``Fraction``s on demand."""
+    points are."""
 
     itinerary: tuple[int, ...]
     numerators: tuple[int, ...]
@@ -271,10 +268,6 @@ class PeriodicOrbit:
     @property
     def period(self) -> int:
         return len(self.numerators)
-
-    @property
-    def points(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.denominator) for x in self.numerators)
 
     def itinerary_string(self, separator: str = "") -> str:
         """The branch indices in order, joined by ``separator``."""

@@ -73,11 +73,3 @@ def convex_hull(points) -> list[tuple[Fraction, Fraction]]:
         hull = [0, len(pts) - 1]
     return [(Fraction(pts[i][0]), Fraction(pts[i][1])) for i in hull]
 
-
-def is_convex_polygon(vertices) -> bool:
-    """True iff the vertex sequence is a strictly convex ccw polygon."""
-    k = len(vertices)
-    if k < 3:
-        return True
-    homs = [_homogeneous(_exact(v[0]), _exact(v[1])) for v in vertices]
-    return all(_det(homs[i], homs[(i + 1) % k], homs[(i + 2) % k]) > 0 for i in range(k))

@@ -136,12 +136,6 @@ def _raw_marginals(system: FiniteMVSystem, weights: Sequence):
     return tail, head
 
 
-def marginals(circulation: EdgeCirculation, system: FiniteMVSystem) -> tuple[VertexMeasure, VertexMeasure]:
-    """Tail and head marginals of an edge circulation; equal for a valid one."""
-    tail, head = _raw_marginals(system, circulation.weights)
-    return VertexMeasure.make(tail), VertexMeasure.make(head)
-
-
 def cycle_measure(cycle: Cycle, system: FiniteMVSystem) -> tuple[VertexMeasure, EdgeCirculation]:
     """Uniform weight 1/k on a simple cycle's edges and its vertex marginal."""
     validate_cycle(system, cycle)

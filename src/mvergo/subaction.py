@@ -42,13 +42,12 @@ class BetaNotAttainedError(ValidationError, ValueError):
 @dataclass(frozen=True)
 class SubactionResult:
     """Certified subaction data: beta, the extended-real potential phi (the
-    NEG_INF sentinel on predecessor-free states), the real correction v, the
-    bound M on |phi|, per-edge slack, and the tight edge ids."""
+    NEG_INF sentinel on predecessor-free states), the real correction v,
+    per-edge slack, and the tight edge ids."""
 
     beta: object
     phi: tuple
     v: tuple
-    bound: object
     slack: tuple
     tight_edge_ids: tuple[int, ...]
 
@@ -116,9 +115,7 @@ def verify_mane(system: FiniteMVSystem, f: Sequence, v: Sequence, beta, phi=None
         )
     if phi is None:
         phi = tuple(v)
-    finite = [p for p in phi if p is not NEG_INF]
-    bound = max((abs(p) for p in finite), default=Fraction(0))
-    return SubactionResult(beta, tuple(phi), tuple(v), bound, slack, tight)
+    return SubactionResult(beta, tuple(phi), tuple(v), slack, tight)
 
 
 def subaction_for_state_function(system: FiniteMVSystem, f: Sequence, beta=None) -> SubactionResult:

@@ -115,29 +115,6 @@ class FiniteMVSystem:
         return (tail, head) in self.edge_index
 
 
-def inverse(system: FiniteMVSystem) -> FiniteMVSystem:
-    """The reversed relation: x is a successor of y iff y was one of x."""
-    return FiniteMVSystem.make(system.n_states, ((h, t) for t, h in system.edges))
-
-
-def image(system: FiniteMVSystem, states: Iterable[int]) -> frozenset[int]:
-    """One-step forward image of a state set."""
-    succ = system.successors
-    out: set[int] = set()
-    for x in states:
-        out.update(succ[x])
-    return frozenset(out)
-
-
-def iterate_image(system: FiniteMVSystem, states: Iterable[int], n: int) -> frozenset[int]:
-    """n-step image of a state set; negative n iterates the inverse relation."""
-    current = frozenset(states)
-    sys_n = system if n >= 0 else inverse(system)
-    for _ in range(abs(n)):
-        current = image(sys_n, current)
-    return current
-
-
 def _peel(n: int, out_deg: list[int], in_deg: list[int], successors, predecessors,
           stack: list[int]) -> bytearray:
     """The deletions behind ``eventual_domain``: delete each state on the
@@ -202,11 +179,6 @@ def eventual_domain_array(n_states: int, tails: np.ndarray, heads: np.ndarray) -
     return np.flatnonzero(np.frombuffer(dead, dtype=np.uint8) == 0)
 
 
-def orbit_space_nonempty(system: FiniteMVSystem) -> bool:
-    """True iff some bi-infinite orbit exists, i.e. the graph has a cycle."""
-    return bool(eventual_domain(system))
-
-
 def graph_system(system: FiniteMVSystem) -> FiniteMVSystem:
     """The induced system on edges: states are edge ids, and edge e1 -> e2 is
     present iff head(e1) = tail(e2)."""
@@ -225,19 +197,6 @@ def lift_function(f: Sequence, system: FiniteMVSystem) -> tuple:
     if len(f) != system.n_states:
         raise ValueError("state function length must equal n_states")
     return tuple([f[t] for t, _h in system.edges])
-
-
-def induced_subsystem(system: FiniteMVSystem, states: Iterable[int]) -> tuple[FiniteMVSystem, dict[int, int]]:
-    """Restriction to a state subset, relabelled densely.
-
-    Returns the subsystem and the old-state -> new-state mapping.
-    """
-    keep = sorted(set(states))
-    relabel = {x: i for i, x in enumerate(keep)}
-    sub_edges = [(relabel[t], relabel[h]) for t, h in system.edges if t in relabel and h in relabel]
-    if not keep:
-        raise ValueError("cannot induce a subsystem on the empty state set")
-    return FiniteMVSystem.make(len(keep), sub_edges), relabel
 
 
 def _unblock(v: int, blocked: list[bool], blocked_by: dict[int, set[int]]) -> None:

@@ -12,8 +12,10 @@ Convex hulls, Sturmian arcs, barycentres and the orbit order are decided in
 ``Fraction`` arithmetic, where the package works in integers, and orbits are
 re-validated by exact forward iteration of their ``Fraction`` points.
 ``flatten_blocks`` turns the orbit visitor's blocks into the rows the orbit
-oracle produces, and ``orbit_over_lcm`` puts a list of exact points into the
-package's integer orbit format.
+oracle produces, ``orbit_over_lcm`` puts a list of exact points into the
+package's integer orbit format, and ``fraction_points`` reads them back as
+``Fraction``s.  ``reversed_system``, ``marginals`` and ``is_convex_polygon``
+check properties that no command needs computed.
 """
 
 from __future__ import annotations
@@ -51,6 +53,11 @@ def z4_system() -> FiniteMVSystem:
 
 def identity_system(n: int) -> FiniteMVSystem:
     return FiniteMVSystem.make(n, [(x, x) for x in range(n)])
+
+
+def reversed_system(system: FiniteMVSystem) -> FiniteMVSystem:
+    """The reversed relation: x is a successor of y iff y was one of x."""
+    return FiniteMVSystem.make(system.n_states, ((h, t) for t, h in system.edges))
 
 
 def dfs_simple_cycles(system: FiniteMVSystem) -> list[tuple[int, ...]]:
@@ -249,6 +256,17 @@ def subset_loop_invariance(system: FiniteMVSystem, mu: VertexMeasure) -> bool:
         if mass_a > mass_pre:
             return False
     return True
+
+
+def marginals(circulation: EdgeCirculation, system: FiniteMVSystem) -> tuple[VertexMeasure, VertexMeasure]:
+    """Tail and head marginals of an edge circulation, each summed edge by
+    edge; equal for a valid one."""
+    tail = [0] * system.n_states
+    head = [0] * system.n_states
+    for w, (t, h) in zip(circulation.weights, system.edges):
+        tail[t] += w
+        head[h] += w
+    return VertexMeasure.make(tail), VertexMeasure.make(head)
 
 
 def fraction_max_flow(n_nodes: int, arcs, source: int, sink: int):
@@ -595,7 +613,7 @@ def _solve_itinerary(system: PiecewiseAffineMVSystem,
         for c in itinerary:
             b = system.branches[c]
             x = pts[-1]
-            if not b.contains(x) or (b.wraps and not (0 <= x < 1)):
+            if not b.lo <= x <= b.hi or (b.wraps and not (0 <= x < 1)):
                 break
             pts.append(b.apply(x))
         else:
@@ -638,6 +656,15 @@ def fraction_orientation(o, a, b) -> int:
     return (cross > 0) - (cross < 0)
 
 
+def is_convex_polygon(vertices) -> bool:
+    """True iff the vertex sequence is a strictly convex ccw polygon, by
+    ``fraction_orientation`` of every three consecutive vertices."""
+    pts = [(Fraction(v[0]), Fraction(v[1])) for v in vertices]
+    k = len(pts)
+    return k < 3 or all(fraction_orientation(pts[i], pts[(i + 1) % k], pts[(i + 2) % k]) > 0
+                        for i in range(k))
+
+
 def fraction_convex_hull(points) -> list[tuple[Fraction, Fraction]]:
     """Reference for ``geometry.convex_hull``: every point converted to a
     Fraction pair, then the monotone chain with Fraction orientation."""
@@ -673,17 +700,23 @@ def orbit_over_lcm(points, itinerary=None) -> PeriodicOrbit:
     return PeriodicOrbit(tuple(itinerary), numerators, den)
 
 
+def fraction_points(orbit: PeriodicOrbit) -> tuple[Fraction, ...]:
+    """The orbit's points as ``Fraction``s: each numerator over the one
+    denominator."""
+    return tuple(Fraction(x, orbit.denominator) for x in orbit.numerators)
+
+
 def orbit_is_valid(system: PiecewiseAffineMVSystem, orbit: PeriodicOrbit) -> bool:
     """Re-validate an orbit by exact forward iteration of its ``Fraction``
     points through its itinerary."""
     k = orbit.period
-    points = orbit.points
+    points = fraction_points(orbit)
     if len(orbit.itinerary) != k or k == 0:
         return False
     for idx in range(k):
         b = system.branches[orbit.itinerary[idx]]
         x = points[idx]
-        if not b.contains(x):
+        if not b.lo <= x <= b.hi:
             return False
         if b.apply(x) != points[(idx + 1) % k]:
             return False
@@ -693,7 +726,7 @@ def orbit_is_valid(system: PiecewiseAffineMVSystem, orbit: PeriodicOrbit) -> boo
 def fraction_barycentre(orbit: PeriodicOrbit) -> complex:
     """Reference for ``circle.barycentre``: the same sum over the float
     values of the orbit's ``Fraction`` points."""
-    return sum(cmath.exp(2j * cmath.pi * float(x)) for x in orbit.points) / orbit.period
+    return sum(cmath.exp(2j * cmath.pi * float(x)) for x in fraction_points(orbit)) / orbit.period
 
 
 def fraction_is_sturmian(orbit_or_points, arc_length) -> bool:
@@ -702,7 +735,8 @@ def fraction_is_sturmian(orbit_or_points, arc_length) -> bool:
     arc = Fraction(arc_length)
     if not (0 < arc <= 1):
         raise ValueError("arc length must be in (0, 1]")
-    points = getattr(orbit_or_points, "points", orbit_or_points)
+    points = (fraction_points(orbit_or_points) if isinstance(orbit_or_points, PeriodicOrbit)
+              else orbit_or_points)
     circle_points = sorted({Fraction(p) - math.floor(Fraction(p)) for p in points})
     m = len(circle_points)
     if m <= 1:

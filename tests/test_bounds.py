@@ -32,11 +32,13 @@ from mvergo.circle import (
     pq_correspondence,
     three_branch_doubling,
 )
-from mvergo.geometry import convex_hull, is_convex_polygon, orientation
+from mvergo.geometry import convex_hull, orientation
 from mvergo.mea import HowardSolver
 from oracles import (
     fraction_outer_grid_system,
+    fraction_points,
     full_scan_beta_lower,
+    is_convex_polygon,
     per_orbit_orbit_table,
     visited_orbits,
 )
@@ -85,6 +87,17 @@ def test_beta_lower_examples():
     lo_d, orb_d = beta_lower(d, f0, 6)
     assert lo_t == 1.0 and lo_d == 1.0
     assert orb_t.period == 1 and orb_d.period == 1
+
+
+def test_beta_lower_refuses_a_table_of_another_system():
+    f = CosWave(0.25)
+    lo, orbit = beta_lower(doubling_map(), f, 8)
+    assert round(lo, 4) == 0.4841
+    # an equal system's table stands in for the one built inside
+    assert beta_lower(doubling_map(), f, 8, orbit_table(doubling_map(), 8)) == (lo, orbit)
+    # three-branch's orbits reach 0.8660, above every orbit of doubling
+    with pytest.raises(ValueError, match="another system"):
+        beta_lower(doubling_map(), f, 8, orbit_table(three_branch_doubling(), 8))
 
 
 @pytest.mark.filterwarnings("error")
@@ -163,7 +176,7 @@ def test_cos_lower_bound_keeps_the_first_of_tied_rows(system):
     # at theta = 0 the fixed points 0 and 1 both average exactly 1.0; the
     # witness is the first in table order, as in the full scan
     table = orbit_table(system, 8)
-    fixed = {table.orbit(i).points: i for i in np.flatnonzero(table.periods == 1).tolist()}
+    fixed = {fraction_points(table.orbit(i)): i for i in np.flatnonzero(table.periods == 1).tolist()}
     assert fixed[(F(0),)] == 0 < fixed[(F(1),)]
     f = CosWave(0)
     ties = table.starts[[fixed[(F(0),)], fixed[(F(1),)]]]
@@ -295,12 +308,12 @@ def test_make_family_validation():
 def test_orbit_table_reconstruction():
     for system in (three_branch_doubling(), pq_correspondence(2, 3)):
         table = orbit_table(system, 5)
-        for idx in range(0, len(table.words), 7):
+        for idx in range(0, len(table.periods), 7):
             orbit = table.orbit(idx)
             assert orbit.period == table.periods[idx]
             assert math.gcd(orbit.denominator, *orbit.numerators) == 1
             start = table.starts[idx]
-            for offset, p in enumerate(orbit.points):
+            for offset, p in enumerate(fraction_points(orbit)):
                 assert float(p) == table.points[start + offset]
 
 
@@ -340,7 +353,7 @@ def test_block_orbit_table_matches_per_orbit_oracle(system, period):
         orbit = table.orbit(idx)
         start, k = int(table.starts[idx]), int(table.periods[idx])
         assert orbit.itinerary == tuple(table.letters[start:start + k])
-        assert tuple(float(x) for x in orbit.points) == tuple(table.points[start:start + k])
+        assert tuple(float(x) for x in fraction_points(orbit)) == tuple(table.points[start:start + k])
 
 
 def test_block_orbit_table_divides_large_denominators_as_python_ints():
@@ -493,8 +506,8 @@ def test_outer_grid_covers_true_transitions():
         for orbit in enumerate_periodic_orbits(system, 5):
             k = orbit.period
             for i in range(k):
-                a = min(int(math.floor(orbit.points[i] * g)), g - 1)
-                b = min(int(math.floor(orbit.points[(i + 1) % k] * g)), g - 1)
+                a = min(int(math.floor(fraction_points(orbit)[i] * g)), g - 1)
+                b = min(int(math.floor(fraction_points(orbit)[(i + 1) % k] * g)), g - 1)
                 assert model.system.has_edge(a, b)
 
 

@@ -40,6 +40,7 @@ from oracles import (
     fraction_barycentre,
     fraction_is_sturmian,
     fraction_periodic_orbits,
+    fraction_points,
     fraction_sorted_orbits,
     orbit_is_valid,
     orbit_over_lcm,
@@ -107,7 +108,7 @@ def test_three_branch_middle_branch_is_onto():
 def test_three_branch_fixed_points():
     tb = three_branch_doubling()
     fixed = enumerate_periodic_orbits(tb, 1)
-    assert [(o.itinerary, o.points) for o in fixed] == [
+    assert [(o.itinerary, fraction_points(o)) for o in fixed] == [
         ((0,), (F(0),)), ((1,), (F(1, 2),)), ((2,), (F(1),))
     ]
 
@@ -115,7 +116,7 @@ def test_three_branch_fixed_points():
 def test_doubling_orbits_up_to_two():
     d = doubling_map()
     orbits = enumerate_periodic_orbits(d, 2)
-    assert [o.points for o in orbits] == [
+    assert [fraction_points(o) for o in orbits] == [
         (F(0),), (F(1),), (F(1, 3), F(2, 3))
     ]
 
@@ -133,8 +134,8 @@ def test_doubling_orbit_counts_necklace_formula():
 
 
 def test_every_doubling_orbit_is_a_three_branch_orbit():
-    d_points = {o.points for o in enumerate_periodic_orbits(doubling_map(), 7)}
-    t_points = {o.points for o in enumerate_periodic_orbits(three_branch_doubling(), 7)}
+    d_points = {fraction_points(o) for o in enumerate_periodic_orbits(doubling_map(), 7)}
+    t_points = {fraction_points(o) for o in enumerate_periodic_orbits(three_branch_doubling(), 7)}
     assert d_points <= t_points
 
 
@@ -142,8 +143,8 @@ def test_pq12_matches_doubling_minus_endpoint():
     # the circle presentation identifies 1 with 0; everything else agrees,
     # which cross-checks words solved with integer lifts (wrapping branches)
     # against the same words solved without them
-    d_orbits = {o.points for o in enumerate_periodic_orbits(doubling_map(), 8)}
-    c_orbits = {o.points for o in enumerate_periodic_orbits(pq_correspondence(1, 2), 8)}
+    d_orbits = {fraction_points(o) for o in enumerate_periodic_orbits(doubling_map(), 8)}
+    c_orbits = {fraction_points(o) for o in enumerate_periodic_orbits(pq_correspondence(1, 2), 8)}
     assert d_orbits - c_orbits == {(F(1),)}
 
 
@@ -498,12 +499,12 @@ def test_enumerated_orbits_revalidate():
 def test_orbit_canonical_rotation_and_guard():
     d = doubling_map()
     for o in enumerate_periodic_orbits(d, 6):
-        k = o.period
+        k, pts = o.period, fraction_points(o)
         rotations = [
-            (o.points[r:] + o.points[:r], o.itinerary[r:] + o.itinerary[:r])
+            (pts[r:] + pts[:r], o.itinerary[r:] + o.itinerary[:r])
             for r in range(k)
         ]
-        assert min(rotations) == (o.points, o.itinerary)
+        assert min(rotations) == (pts, o.itinerary)
     with pytest.raises(ValueError):
         enumerate_periodic_orbits(d, 25)
 
@@ -559,7 +560,7 @@ def test_orbit_limit_stops_one_word_with_too_many_points(monkeypatch):
 def test_wrapping_points_live_in_unit_interval():
     pq = pq_correspondence(2, 3)
     for o in enumerate_periodic_orbits(pq, 6):
-        assert all(0 <= p < 1 for p in o.points)
+        assert all(0 <= p < 1 for p in fraction_points(o))
 
 
 def test_expansion_certificates_frozen_values():
@@ -615,8 +616,8 @@ def _definition_holds(system, lam, eta, samples=400, seed=5):
             continue
         if dist(x, y) > eta:
             continue
-        images_x = [b.apply(x) for b in branches if b.contains(x)]
-        images_y = [b.apply(y) for b in branches if b.contains(y)]
+        images_x = [b.apply(x) for b in branches if b.lo <= x <= b.hi]
+        images_y = [b.apply(y) for b in branches if b.lo <= y <= b.hi]
         if not images_x or not images_y:
             continue
         closest = min(dist(ix, iy) for ix in images_x for iy in images_y)
@@ -634,7 +635,7 @@ def test_certificates_satisfy_definition_numerically():
 def test_periodic_orbit_integer_form():
     third = PeriodicOrbit((0, 1), (1, 2), 3)
     assert third.period == 2
-    assert third.points == (F(1, 3), F(2, 3))
+    assert fraction_points(third) == (F(1, 3), F(2, 3))
     assert third.itinerary_string() == "01"
     assert orbit_over_lcm([F(1, 3), F(2, 3)], (0, 1)) == third
     # the lcm of reduced denominators leaves the numerators in lowest terms

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from mvergo.geometry import convex_hull, is_convex_polygon, orientation
-from oracles import fraction_convex_hull, fraction_orientation
+from mvergo.geometry import convex_hull, orientation
+from oracles import fraction_convex_hull, fraction_orientation, is_convex_polygon
 
 F = Fraction
 
@@ -101,17 +101,6 @@ def test_collinear_and_tiny_inputs_match_oracle():
     assert _check_hull([]) == []
     assert _check_hull([(0.25, 0.75)]) == [(F(1, 4), F(3, 4))]
     assert _check_hull([(1, 0), (0, 1)]) == [(0, 1), (1, 0)]
-
-
-def test_is_convex_polygon_matches_fraction_orientation():
-    rng = random.Random(17)
-    for _ in range(200):
-        poly = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rng.randint(3, 6))]
-        fr = [(F(x), F(y)) for x, y in poly]
-        k = len(fr)
-        expected = all(fraction_orientation(fr[i], fr[(i + 1) % k], fr[(i + 2) % k]) > 0
-                       for i in range(k))
-        assert is_convex_polygon(poly) == expected
 
 
 @pytest.mark.parametrize("bad, error", [

@@ -13,7 +13,6 @@ import mvergo.cli as cli
 import mvergo.subaction as subaction
 from mvergo._numbers import FloatRangeError, InputTooLargeError, ValidationError, parse_number
 from mvergo.circle import (
-    PeriodicOrbit,
     TooManyOrbitsError,
     enumerate_periodic_orbits,
     pq_correspondence,
@@ -397,20 +396,6 @@ def test_cmd_sweep_charts_the_largest_float_without_inf(tmp_path):
     assert _read_csv(out / "sweep.csv")[1:] == [
         [theta, name, "-1.7976931348623157e+308", "-1.7976931348623157e+308", "1"]
         for name in ("doubling", "threebranch")]
-
-
-def test_commands_read_no_fraction_orbit_points(tmp_path, monkeypatch):
-    # hull and sweep work on the integer orbit format end to end
-    def fail(orbit):
-        pytest.fail("a command read Fraction orbit points")
-
-    monkeypatch.setattr(PeriodicOrbit, "points", property(fail))
-    runs = [["hull", "--builtin", "pq:2,3", "--max-period", "6"],
-            ["hull", "--builtin", "threebranch", "--max-period", "6"],
-            ["sweep", "--f", "cos", "--theta-grid", "4", "--max-period", "6", "--grid", "64"],
-            ["sweep", "--f", "negdist", "--theta-grid", "4", "--max-period", "6", "--grid", "64"]]
-    for i, argv in enumerate(runs):
-        assert main([*argv, "--out", str(tmp_path / str(i))]) == 0
 
 
 def test_cmd_sweep_grid_too_small_exit_code(tmp_path, capsys):

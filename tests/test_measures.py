@@ -21,13 +21,13 @@ from mvergo.measures import (
     extreme_invariant_measures,
     invariant_by_subsets,
     is_invariant,
-    marginals,
 )
 from mvergo.system import FiniteMVSystem, simple_cycles
 from oracles import (
     fraction_convex_combination,
     fraction_is_invariant,
     identity_system,
+    marginals,
     polytope_extreme_measures,
     subset_loop_invariance,
     unfiltered_extreme_measures,

@@ -1,4 +1,4 @@
-"""mv-core: systems, images, eventual domain, graph lift."""
+"""mv-core: systems, eventual domain, graph lift."""
 
 import random
 
@@ -11,14 +11,10 @@ from mvergo.system import (
     TooManyCyclesError,
     eventual_domain,
     graph_system,
-    induced_subsystem,
-    inverse,
-    iterate_image,
     lift_function,
-    orbit_space_nonempty,
     simple_cycles,
 )
-from oracles import dfs_simple_cycles, identity_system, z4_system
+from oracles import dfs_simple_cycles, identity_system, reversed_system, z4_system
 
 
 def random_system(rng, max_states=8):
@@ -36,43 +32,6 @@ def test_edges_canonical_and_validated():
         FiniteMVSystem.make(2, [(0, 2)])
 
 
-def test_inverse_examples():
-    z4 = z4_system()
-    assert inverse(z4) == z4  # symmetric relation
-    ident = identity_system(3)
-    assert inverse(ident) == ident
-    s = FiniteMVSystem.make(2, [(0, 1)])
-    assert inverse(s).edges == ((1, 0),)
-
-
-def test_inverse_is_involution_randomized():
-    rng = random.Random(1)
-    for _ in range(50):
-        s = random_system(rng)
-        assert inverse(inverse(s)) == s
-
-
-def test_iterate_image_examples():
-    ident = identity_system(4)
-    for n in (-3, 0, 1, 5):
-        assert iterate_image(ident, {0, 2}, n) == frozenset({0, 2})
-    z4 = z4_system()
-    assert iterate_image(z4, {0}, 1) == frozenset({1, 3})
-    assert iterate_image(z4, {0}, 2) == frozenset({0, 2})
-
-
-def test_iterate_image_composes_and_is_monotone():
-    rng = random.Random(2)
-    for _ in range(30):
-        s = random_system(rng)
-        a = frozenset(x for x in range(s.n_states) if rng.random() < 0.4)
-        b = a | frozenset(x for x in range(s.n_states) if rng.random() < 0.3)
-        for n in range(4):
-            step = iterate_image(s, iterate_image(s, a, n), 1)
-            assert iterate_image(s, a, n + 1) == step
-            assert iterate_image(s, a, n) <= iterate_image(s, b, n)
-
-
 def test_eventual_domain_examples():
     assert eventual_domain(identity_system(5)) == frozenset(range(5))
     s = FiniteMVSystem.make(2, [(0, 1)])
@@ -86,8 +45,7 @@ def test_eventual_domain_symmetry_and_nonempty():
     for _ in range(40):
         s = random_system(rng)
         dom = eventual_domain(s)
-        assert dom == eventual_domain(inverse(s))
-        assert orbit_space_nonempty(s) == bool(dom)
+        assert dom == eventual_domain(reversed_system(s))
         # nonempty iff a directed cycle exists
         assert bool(dom) == bool(simple_cycles(s))
 
@@ -102,15 +60,8 @@ def test_eventual_domain_long_reversed_paths_and_ring():
     s = FiniteMVSystem.make(2 * n - 3, ring + into + out_of)
     dom = eventual_domain(s)
     assert dom == frozenset({0, 1, 2})
-    assert dom == eventual_domain(inverse(s))
-    assert orbit_space_nonempty(s)
+    assert dom == eventual_domain(reversed_system(s))
     assert bool(dom) == bool(simple_cycles(s))
-
-
-def test_orbit_space_nonempty_examples():
-    assert orbit_space_nonempty(FiniteMVSystem.make(1, [(0, 0)]))
-    assert not orbit_space_nonempty(FiniteMVSystem.make(3, [(0, 1), (1, 2)]))
-    assert orbit_space_nonempty(z4_system())
 
 
 def test_graph_system_examples():
@@ -164,15 +115,6 @@ def test_lift_function_examples():
     for x in range(4):
         out_sum = sum(lf[i] for i in z4.out_edge_ids[x])
         assert out_sum == len(z4.out_edge_ids[x]) * f[x]
-
-
-def test_induced_subsystem_relabels_densely():
-    s = FiniteMVSystem.make(5, [(0, 2), (2, 4), (4, 0), (1, 3)])
-    sub, relabel = induced_subsystem(s, {0, 2, 4})
-    assert relabel == {0: 0, 2: 1, 4: 2}
-    assert sub.edges == ((0, 1), (1, 2), (2, 0))
-    with pytest.raises(ValueError):
-        induced_subsystem(s, set())
 
 
 def test_simple_cycles_against_dfs_oracle():
