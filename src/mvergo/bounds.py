@@ -225,11 +225,10 @@ def _row_means(values: np.ndarray, starts: np.ndarray, periods: np.ndarray) -> n
     return means
 
 
-def beta_lower(system: PiecewiseAffineMVSystem, f, max_period: int,
-               table: OrbitTable | None = None) -> tuple[float, PeriodicOrbit]:
-    """Best average of f over exact periodic orbits: a valid lower bound.
-    ``table``, when given, stands in for ``orbit_table(system,
-    max_period)``; a table built for another system raises ValueError.
+def beta_lower(table: OrbitTable, f) -> tuple[float, PeriodicOrbit]:
+    """Best average of f over the exact periodic orbits of ``table``: a
+    valid lower bound for the system the table was built for, read off the
+    table alone.
 
     Each row's mean is ``np.add.reduceat`` of f at its float points over
     its period.  A row whose float sum overflows is summed again over its
@@ -268,10 +267,6 @@ def beta_lower(system: PiecewiseAffineMVSystem, f, max_period: int,
     mean: |s - m| < 2^-43, an eighth of eps."""
     import numpy as np
 
-    if table is None:
-        table = orbit_table(system, max_period)
-    elif table.system != system:
-        raise ValueError("the orbit table was built for another system")
     if isinstance(f, CosWave):
         turn = 2 * math.pi * float(f.theta)
         score = table.centres @ (math.cos(turn), math.sin(turn))
@@ -290,15 +285,23 @@ def beta_lower(system: PiecewiseAffineMVSystem, f, max_period: int,
 
 @dataclass(frozen=True)
 class GridModel:
-    """Outer approximation of a circle system on equal cells of [0, 1], with
-    the Howard solver prepared for its graph: every theta of a sweep solves
+    """Outer approximation of ``circle`` on equal cells of [0, 1], kept as the
+    Howard solver prepared for its grid graph: every theta of a sweep solves
     the same grid, warm-started from the previous theta's final policy."""
 
-    system: FiniteMVSystem
-    grid_n: int
-    centers: np.ndarray      # cell midpoints
-    tails: np.ndarray        # edge tails, canonical edge order
+    circle: PiecewiseAffineMVSystem
     howard: HowardSolver
+
+    @property
+    def system(self) -> FiniteMVSystem:  # the grid graph, one state per cell
+        return self.howard.system
+
+    def weights(self, f) -> np.ndarray:
+        """f at the midpoint of each edge's tail cell, in edge order."""
+        import numpy as np
+
+        g = self.system.n_states
+        return f.values((np.arange(g) + 0.5) / g)[self.system.edge_array[:, 0]]
 
 
 def outer_grid_system(system: PiecewiseAffineMVSystem, grid_n: int) -> GridModel:
@@ -352,15 +355,14 @@ def outer_grid_system(system: PiecewiseAffineMVSystem, grid_n: int) -> GridModel
     codes.sort()
     # sorted distinct codes are the canonical (tail, head) order
     tails, heads = np.divmod(codes[np.concatenate(([True], codes[1:] != codes[:-1]))], g)
-    fs = FiniteMVSystem.from_arrays(g, tails, heads)
-    centers = (np.arange(g) + 0.5) / g
-    return GridModel(fs, g, centers, tails, HowardSolver(fs))
+    return GridModel(system, HowardSolver(FiniteMVSystem.from_arrays(g, tails, heads)))
 
 
-def beta_upper(system: PiecewiseAffineMVSystem, f, grid_n: int,
-               model: GridModel | None = None) -> float:
-    """Certified upper bound: grid maximum cycle mean of f at cell centers,
-    plus the margin L/grid_n * lambda/(lambda - 1).
+def beta_upper(model: GridModel, f) -> float:
+    """Certified upper bound for the circle system ``model.circle``, read off
+    the model alone: the grid's maximum cycle mean of f at cell centers,
+    plus the margin L/g * lambda/(lambda - 1), with g the grid's cell count
+    and lambda the circle system's least expansion.
 
     The cycle mean is solved by Howard policy iteration
     (``max_mean_cycle_value_float``) on the model's prepared solver, which
@@ -372,12 +374,9 @@ def beta_upper(system: PiecewiseAffineMVSystem, f, grid_n: int,
     lipschitz = getattr(f, "lipschitz", None)
     if lipschitz is None:
         raise ValueError("beta_upper needs a function with a Lipschitz constant")
-    if model is None:
-        model = outer_grid_system(system, grid_n)
-    weights = f.values(model.centers)[model.tails]
-    alpha = max_mean_cycle_value_float(model.system, weights, model.howard)
-    lam = float(system.min_expansion())
-    margin = float(lipschitz) / model.grid_n * lam / (lam - 1.0)
+    alpha = max_mean_cycle_value_float(model.system, model.weights(f), model.howard)
+    lam = float(model.circle.min_expansion())
+    margin = float(lipschitz) / model.system.n_states * lam / (lam - 1.0)
     return alpha + margin
 
 
@@ -423,8 +422,8 @@ def theta_sweep(systems: Sequence[PiecewiseAffineMVSystem], family: str,
         rows = []
         for theta in thetas:
             f = make_family(family, theta, system.metric)
-            low, orbit = beta_lower(system, f, max_period, table)
-            high = beta_upper(system, f, grid_n, model)
+            low, orbit = beta_lower(table, f)
+            high = beta_upper(model, f)
             rows.append(SweepRow(Fraction(theta), low, high, orbit.period))
         out.append(rows)
     return out
@@ -442,23 +441,25 @@ class BarycentrePoint:
     sturmian: bool
 
 
-def barycentre_hull(system: PiecewiseAffineMVSystem, max_period: int) -> list[BarycentrePoint]:
+def barycentre_hull(system: PiecewiseAffineMVSystem, max_period: int
+                    ) -> tuple[list[BarycentrePoint], list[tuple[float, float]]]:
     """Barycentres of all periodic orbits up to max_period, with exact-hull
     extremality flags and the Sturmian arc classification over the system's
-    ``sturmian_arc`` (1/2 when it has none).
+    ``sturmian_arc`` (1/2 when it has none); and the hull's vertices, anticlockwise.
 
     The barycentres are float approximations, evaluated in floating point
     from the orbits' integer points, each point rounded once.  The hull is
     exact over those float values (each read as its exact binary rational by
     the integer orientation kernel), not over the true barycentres: among
     nearly collinear barycentres, the flags can differ from the exact set's.
-    A float pair equals and hashes like its Fraction vertex, so the flags
-    are read off the hull's vertex set directly."""
+    Each Fraction vertex is a float pair exactly, so the flags are read off
+    the polygon's vertex set directly."""
     arc_length = system.sturmian_arc if system.sturmian_arc is not None else Fraction(1, 2)
     orbits = enumerate_periodic_orbits(system, max_period)
     values = [barycentre(o) for o in orbits]
     coords = [(z.real, z.imag) for z in values]
-    hull_vertices = set(convex_hull(coords))
+    polygon = [(float(x), float(y)) for x, y in convex_hull(coords)]
+    hull_vertices = set(polygon)
     out = []
     for orbit, z, coord in zip(orbits, values, coords):
         out.append(
@@ -469,4 +470,4 @@ def barycentre_hull(system: PiecewiseAffineMVSystem, max_period: int) -> list[Ba
                 sturmian=is_sturmian(orbit, arc_length),
             )
         )
-    return out
+    return out, polygon

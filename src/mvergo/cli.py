@@ -33,7 +33,6 @@ from .circle import (
     pq_correspondence,
     three_branch_doubling,
 )
-from .geometry import convex_hull
 from .io import InputFormatError, SystemDocument, load_system, measure_row
 from .mea import BRUTE_FORCE_STATE_LIMIT, mea_report
 from .measures import extreme_invariant_measures
@@ -261,7 +260,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_hull(args) -> int:
-    points = barycentre_hull(args.builtin, args.max_period)
+    points, polygon = barycentre_hull(args.builtin, args.max_period)
     # past 10 branches a letter can take two digits, so letters are separated
     separator = "." if len(args.builtin.branches) > 10 else ""
     rows = []
@@ -279,10 +278,7 @@ def cmd_hull(args) -> int:
     _write_csv(out / "hull.csv",
                ["orbit", "period", "itinerary", "re", "im", "on_hull", "sturmian"], rows)
     scatter = [(bp.value.real, bp.value.imag, bp.on_hull) for bp in points]
-    # the flagged vertices span the same polygon as all the barycentres
-    hull = [(float(x), float(y)) for x, y in
-            convex_hull([(bp.value.real, bp.value.imag) for bp in points if bp.on_hull])]
-    _write(out / "hull.svg", hull_chart(scatter, hull))
+    _write(out / "hull.svg", hull_chart(scatter, polygon))
     n_hull = sum(1 for bp in points if bp.on_hull)
     print(f"{len(points)} orbits, {n_hull} extremal barycentres")
     return EXIT_OK

@@ -807,6 +807,4 @@ def fraction_outer_grid_system(system: PiecewiseAffineMVSystem, grid_n: int) -> 
                 # a closed image touching 1 also meets cell 0 on the circle
                 if br.wraps and s2 == 1:
                     edges.add((a, 0))
-    fs = FiniteMVSystem.make(g, edges)
-    centers = (np.arange(g) + 0.5) / g
-    return GridModel(fs, g, centers, fs.edge_array[:, 0], HowardSolver(fs))
+    return GridModel(system, HowardSolver(FiniteMVSystem.make(g, edges)))

@@ -147,7 +147,7 @@ def test_criterion_5_figure1_sweep():
 
 def test_criterion_6_figure2_hull():
     started = time.monotonic()
-    points = barycentre_hull(pq_correspondence(2, 3), 10)
+    points, _ = barycentre_hull(pq_correspondence(2, 3), 10)
     extremal = [bp for bp in points if bp.on_hull]
     assert extremal
     for bp in extremal:

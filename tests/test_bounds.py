@@ -33,7 +33,7 @@ from mvergo.circle import (
     three_branch_doubling,
 )
 from mvergo.geometry import convex_hull, orientation
-from mvergo.mea import HowardSolver
+from mvergo.mea import HowardSolver, max_mean_cycle_value_float
 from oracles import (
     fraction_outer_grid_system,
     fraction_points,
@@ -83,21 +83,15 @@ def test_beta_lower_examples():
     tb = three_branch_doubling()
     d = doubling_map()
     f0 = CosWave(0)
-    lo_t, orb_t = beta_lower(tb, f0, 6)
-    lo_d, orb_d = beta_lower(d, f0, 6)
+    lo_t, orb_t = beta_lower(orbit_table(tb, 6), f0)
+    lo_d, orb_d = beta_lower(orbit_table(d, 6), f0)
     assert lo_t == 1.0 and lo_d == 1.0
     assert orb_t.period == 1 and orb_d.period == 1
-
-
-def test_beta_lower_refuses_a_table_of_another_system():
+    # at theta = 1/4 three-branch's orbits reach 0.8660, above every orbit
+    # of doubling
     f = CosWave(0.25)
-    lo, orbit = beta_lower(doubling_map(), f, 8)
-    assert round(lo, 4) == 0.4841
-    # an equal system's table stands in for the one built inside
-    assert beta_lower(doubling_map(), f, 8, orbit_table(doubling_map(), 8)) == (lo, orbit)
-    # three-branch's orbits reach 0.8660, above every orbit of doubling
-    with pytest.raises(ValueError, match="another system"):
-        beta_lower(doubling_map(), f, 8, orbit_table(three_branch_doubling(), 8))
+    assert round(beta_lower(orbit_table(d, 8), f)[0], 4) == 0.4841
+    assert round(beta_lower(orbit_table(tb, 8), f)[0], 4) == 0.8660
 
 
 @pytest.mark.filterwarnings("error")
@@ -112,7 +106,7 @@ def test_beta_lower_sums_past_the_float_range(system, theta):
     with np.errstate(over="ignore"):
         assert np.isinf(np.add.reduceat(NegDistance(theta).values(table.points),
                                         table.starts)).any()
-    lo, orbit = beta_lower(system, NegDistance(theta), 8, table)
+    lo, orbit = beta_lower(table, NegDistance(theta))
     assert lo == -abs(theta)
     assert orbit.period == 1
 
@@ -126,7 +120,7 @@ def test_beta_lower_holds_a_row_of_equal_values_to_that_value(system, theta):
     table = orbit_table(system, 10)
     values = NegDistance(theta).values(table.points)
     assert (values == -abs(theta)).all()
-    lo, orbit = beta_lower(system, NegDistance(theta), 10, table)
+    lo, orbit = beta_lower(table, NegDistance(theta))
     assert lo == -abs(theta)
     assert orbit.period == 1
 
@@ -144,7 +138,7 @@ def _assert_cos_matches_full_scan(system, period, thetas):
     table = orbit_table(system, period)
     for theta in thetas:
         f = CosWave(theta)
-        lo, orbit = beta_lower(system, f, period, table)
+        lo, orbit = beta_lower(table, f)
         ref_lo, ref_orbit = full_scan_beta_lower(table, f)
         assert (lo.hex(), orbit) == (ref_lo.hex(), ref_orbit), theta
 
@@ -181,7 +175,7 @@ def test_cos_lower_bound_keeps_the_first_of_tied_rows(system):
     f = CosWave(0)
     ties = table.starts[[fixed[(F(0),)], fixed[(F(1),)]]]
     assert f.values(table.points[ties]).tolist() == [1.0, 1.0]
-    lo, orbit = beta_lower(system, f, 8, table)
+    lo, orbit = beta_lower(table, f)
     assert (lo, orbit) == (1.0, table.orbit(0)) == full_scan_beta_lower(table, f)
 
 
@@ -203,22 +197,38 @@ def test_orbit_table_holds_letters_past_one_byte():
         orbit = table.orbit(idx)
         start, k = int(table.starts[idx]), int(table.periods[idx])
         assert orbit.itinerary == tuple(table.letters[start:start + k].tolist())
-    lo, orbit = beta_lower(system, CosWave(F(1, 4)), 2, table)
+    lo, orbit = beta_lower(table, CosWave(F(1, 4)))
     assert (lo, orbit) == full_scan_beta_lower(table, CosWave(F(1, 4)))
 
 
 def test_beta_lower_theta_third_is_sturmian_semicircle():
     d = doubling_map()
     f = CosWave(F(1, 3))
-    _, orbit = beta_lower(d, f, 12)
+    _, orbit = beta_lower(orbit_table(d, 12), f)
     assert is_sturmian(orbit, F(1, 2))
 
 
 def test_beta_upper_constant():
     d = doubling_map()
     for grid in (64, 256):
-        val = beta_upper(d, ConstFunction(F(5, 4)), grid)
+        val = beta_upper(outer_grid_system(d, grid), ConstFunction(F(5, 4)))
         assert val == 1.25  # Lipschitz 0: no margin, exact cycle mean
+
+
+@pytest.mark.parametrize("system, margin", [(pq_correspondence(2, 3), 3 / 64),
+                                            (doubling_map(), 2 / 64)], ids=["pq:2,3", "doubling"])
+def test_beta_upper_adds_the_margin_of_its_own_model(system, margin):
+    # the margin L/g * lambda/(lambda - 1) reads g and lambda off the model:
+    # at grid 64 and L = 1, 3/64 for lambda = 3/2 and 2/64 for lambda = 2;
+    # the cycle mean is solved cold on the Fraction oracle's grid, weighted
+    # at the cell centres here
+    oracle = fraction_outer_grid_system(system, 64)
+    tails = [t for t, _ in oracle.system.edges]
+    centres = (np.arange(64) + 0.5) / 64
+    for theta in (F(0), F(1, 8), F(1, 4), F(1, 3), F(1, 2)):
+        f = make_family("negdist", theta, system.metric)
+        alpha = max_mean_cycle_value_float(oracle.system, f.values(centres)[tails])
+        assert beta_upper(outer_grid_system(system, 64), f) == alpha + margin, theta
 
 
 def test_beta_upper_needs_lipschitz():
@@ -229,16 +239,16 @@ def test_beta_upper_needs_lipschitz():
             return xs
 
     with pytest.raises(ValueError):
-        beta_upper(d, NoL(), 64)
+        beta_upper(outer_grid_system(d, 64), NoL())
 
 
 def test_sandwich_gap_shrinks_with_grid():
     d = doubling_map()
     f = CosWave(F(1, 8))
-    lo, _ = beta_lower(d, f, 10)
+    lo, _ = beta_lower(orbit_table(d, 10), f)
     gaps = []
     for grid in (64, 256, 1024):
-        hi = beta_upper(d, f, grid)
+        hi = beta_upper(outer_grid_system(d, grid), f)
         assert hi >= lo
         gaps.append(hi - lo)
     assert gaps[0] > gaps[1] > gaps[2]
@@ -249,11 +259,11 @@ def test_sandwich_pinches_at_zero_for_three_branch():
     # and growing grids squeeze the certified upper bound onto it
     tb = three_branch_doubling()
     f0 = CosWave(0)
-    lo, _ = beta_lower(tb, f0, 6)
+    lo, _ = beta_lower(orbit_table(tb, 6), f0)
     assert lo == 1.0
     gaps = []
     for grid in (64, 256, 1024):
-        hi = beta_upper(tb, f0, grid)
+        hi = beta_upper(outer_grid_system(tb, grid), f0)
         assert hi >= 1.0
         gaps.append(hi - 1.0)
     assert gaps[0] > gaps[1] > gaps[2]
@@ -264,8 +274,8 @@ def test_sandwich_gap_quarter_theta_regression():
     # doubling map, f at theta = 1/4, grid 2048 / period 14: gap below 0.01
     d = doubling_map()
     f = CosWave(F(1, 4))
-    lo, _ = beta_lower(d, f, 14)
-    hi = beta_upper(d, f, 2048)
+    lo, _ = beta_lower(orbit_table(d, 14), f)
+    hi = beta_upper(outer_grid_system(d, 2048), f)
     assert 0 <= hi - lo < 0.01
 
 
@@ -384,7 +394,7 @@ def test_howard_first_argmax_keeps_the_first_tied_edge():
     solver = model.howard
     heads = [h for t, h in model.system.edges if t == 3]
     assert heads == [5, 6, 7, 8]
-    weights = make_family("cos", F(1, 8)).values(model.centers)[model.tails]
+    weights = model.weights(make_family("cos", F(1, 8)))
     policy, _ = solver._first_argmax(weights)
     first = [model.system.out_edge_ids[x][0] for x in range(16)]
     assert policy.tolist() == first
@@ -422,10 +432,10 @@ def test_warm_started_howard_matches_cold_starts(grid):
             warm_rows = []
             for theta in thetas:
                 f = make_family(family, theta, system.metric)
-                warm = beta_upper(system, f, grid, model)
+                warm = beta_upper(model, f)
                 warm_total += model.howard.iterations
                 cold_model = dataclasses.replace(model, howard=HowardSolver(model.system))
-                cold = beta_upper(system, f, grid, cold_model)
+                cold = beta_upper(cold_model, f)
                 cold_total += cold_model.howard.iterations
                 assert warm.hex() == cold.hex(), (system.name, family, theta)
                 warm_rows.append(warm)
@@ -435,7 +445,7 @@ def test_warm_started_howard_matches_cold_starts(grid):
 
 
 def test_hull_doubling_extremal_orbits_in_semicircle():
-    points = barycentre_hull(pq_correspondence(1, 2), 8)
+    points, _ = barycentre_hull(pq_correspondence(1, 2), 8)
     extremal = [bp for bp in points if bp.on_hull]
     assert extremal
     for bp in extremal:
@@ -444,7 +454,7 @@ def test_hull_doubling_extremal_orbits_in_semicircle():
 
 
 def test_hull_pq23_extremal_orbits_in_third_circle():
-    points = barycentre_hull(pq_correspondence(2, 3), 8)
+    points, _ = barycentre_hull(pq_correspondence(2, 3), 8)
     extremal = [bp for bp in points if bp.on_hull]
     assert len(extremal) >= 8
     for bp in extremal:
@@ -453,14 +463,15 @@ def test_hull_pq23_extremal_orbits_in_third_circle():
 
 
 def test_hull_polygon_is_strictly_convex():
-    points = barycentre_hull(pq_correspondence(2, 3), 8)
-    vertices = convex_hull([(bp.value.real, bp.value.imag) for bp in points])
-    assert len(vertices) >= 8
-    assert is_convex_polygon(vertices)
+    points, polygon = barycentre_hull(pq_correspondence(2, 3), 8)
+    assert polygon == convex_hull([(bp.value.real, bp.value.imag) for bp in points])
+    assert set(polygon) == {(bp.value.real, bp.value.imag) for bp in points if bp.on_hull}
+    assert len(polygon) >= 8
+    assert is_convex_polygon(polygon)
 
 
 def test_hull_barycentre_modulus():
-    points = barycentre_hull(pq_correspondence(2, 3), 6)
+    points, _ = barycentre_hull(pq_correspondence(2, 3), 6)
     for bp in points:
         assert abs(bp.value) <= 1 + 1e-12
         if bp.orbit.period == 1:
@@ -478,7 +489,7 @@ def test_grid_subaction_consistency():
     for system in (doubling_map(), three_branch_doubling()):
         g = 128
         model = outer_grid_system(system, g)
-        fvals = tuple(F(float(v)) for v in CosWave(0).values(model.centers))
+        fvals = tuple(F(float(v)) for v in CosWave(0).values((np.arange(g) + 0.5) / g))
         res = subaction_for_state_function(model.system, fvals)
         assert min(res.slack) >= 0
         tight_sys = FiniteMVSystem.make(
@@ -531,9 +542,6 @@ def _assert_grid_matches_oracle(system, g):
     model = outer_grid_system(system, g)
     oracle = fraction_outer_grid_system(system, g)
     assert model.system.edges == oracle.system.edges
-    assert model.grid_n == oracle.grid_n == g
-    assert np.array_equal(model.centers, oracle.centers)
-    assert np.array_equal(model.tails, oracle.tails)
 
 
 @pytest.mark.parametrize("g", [8, 9, 64, 100, 1024, 2048])

@@ -254,11 +254,19 @@ def test_cmd_sweep_small(tmp_path):
      "sweep_cos_tg8_p10_g1024.csv"),
     (["--f", "negdist", "--theta-grid", "16", "--max-period", "8", "--grid", "512"],
      "sweep_negdist_tg16_p8_g512.csv"),
-], ids=["cos-benchmark", "negdist-small"])
+    (["--builtin", "pq:2,3", "--f", "cos", "--theta-grid", "8", "--max-period", "8",
+      "--grid", "512"], "sweep_pq23_cos_tg8_p8_g512.csv"),
+    (["--builtin", "pq:2,4", "--f", "negdist", "--theta-grid", "8", "--max-period", "8",
+      "--grid", "512"], "sweep_pq24_negdist_tg8_p8_g512.csv"),
+], ids=["cos-benchmark", "negdist-small", "pq23-cos", "pq24-negdist"])
 def test_cmd_sweep_matches_golden_csv(tmp_path, argv, golden):
-    # the golden files were written before the sweep's Howard solves were
-    # warm-started and its orbit table built a block at a time; every later
-    # change to the sweep must keep them byte for byte
+    # the doubling and three-branch files were written before the sweep's
+    # Howard solves were warm-started and its orbit table built a block at a
+    # time; the pq files before the bounds read only their prepared table or
+    # grid.  The pq files pin what slope-2 systems leave open: the margin
+    # for lambda = 3/2 (pq:2,3), a wrapping outer grid (both), and tables
+    # from the lattice path (pq:2,3) and the per-word path (pq:2,4).  Every
+    # later change to the sweep must keep them byte for byte
     out = tmp_path / "o"
     assert main(["sweep", *argv, "--out", str(out)]) == 0
     assert (out / "sweep.csv").read_bytes() == (DATA / golden).read_bytes()
@@ -305,6 +313,27 @@ def test_finite_commands_match_golden_files(tmp_path, argv, golden, files):
     assert main([*argv, "--out", str(out)]) == 0
     for name in files:
         assert (out / name).read_bytes() == (DATA / golden / name).read_bytes(), name
+
+
+def test_cmd_hull_builds_one_convex_hull(tmp_path, monkeypatch):
+    # the SVG draws the polygon barycentre_hull flagged its vertices from;
+    # every loaded module that holds convex_hull gets the counting wrapper
+    import mvergo.geometry as geometry
+
+    hull, calls = geometry.convex_hull, []
+
+    def counting(points):
+        calls.append(len(points))
+        return hull(points)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mvergo") and getattr(module, "convex_hull", None) is hull:
+            monkeypatch.setattr(module, "convex_hull", counting)
+    out = tmp_path / "o"
+    assert main(["hull", "--builtin", "pq:2,3", "--max-period", "6", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    rows = _read_csv(out / "hull.csv")[1:]
+    assert calls == [len(rows)]
 
 
 def test_cmd_hull_separates_letters_past_ten_branches(tmp_path):

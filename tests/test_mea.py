@@ -481,7 +481,7 @@ def test_float_howard_agrees_with_karp_on_outer_grids(grid):
         for family in ("cos", "negdist"):
             for k in range(9):
                 f = make_family(family, Fraction(k, 16), system.metric)
-                w = f.values(model.centers)[model.tails]
+                w = model.weights(f)
                 howard = max_mean_cycle_value_float(model.system, w)
                 karp = karp_max_mean_cycle_value_float(model.system, w)
                 assert abs(howard - karp) <= 1e-12, (system.name, family, k)
