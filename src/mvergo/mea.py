@@ -5,7 +5,10 @@ algorithm computes it, Howard's policy iteration.  ``max_mean_cycle_value``
 runs it exactly, on Python ints in the format of ``_numbers.scaled`` (a
 float weight counts as its exact binary rational, and only the result is
 rounded).  ``HowardSolver`` runs it in floats for the weights of large
-grids, prepared once per graph and warm-started from its last policy.  Both
+grids, prepared once per graph and warm-started from its last policy; it
+evaluates each policy in numpy depth layers (``_evaluate_policy``), where
+each bias comes from its successor's, computed one layer earlier, by the
+float operations of a sequential walk, so the bits are those of one.  Both
 return a value only once a potential shows that it bounds every cycle mean.
 The finite-horizon path maxima and the one potential (``_reduced_fixpoint``,
 ``subaction``'s phi, whose zero gaps are ``tight_edges``) run one max-plus
@@ -279,15 +282,72 @@ def max_mean_cycle_value(system: FiniteMVSystem, weights: Sequence):
     return float(divide(*_howard_exact(system, w), d))
 
 
-def _evaluate_policy(succ: list[int], cost: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Float eta and v (``_policy_values``) of a policy on all states; a
-    cycle's mean is math.fsum of its costs over its length."""
+def _evaluate_policy(succ: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float eta and v of a policy on all states, as ``_policy_values``
+    defines them, one depth layer at a time; a cycle's mean is math.fsum of
+    its costs over its length.
+
+    The cycle states are the image of succ^(2^K), 2^K >= n, from K
+    pointer-doubling gathers.  Each cycle is walked in Python from its least
+    state.  Every other state's depth, its distance to a cycle, comes from
+    binary lifting on the kept jumps, over the levels that the deepest state
+    needs.  One stable sort by depth then makes each layer a slice whose
+    successors lie in the layer before, so v(x) = (cost(x) - eta(x)) +
+    v(succ(x)) is the same two float operations on the same successor value
+    as in a sequential walk, and the bits are those of one.  No layer scans
+    all states: the work is O(n log n) plus O(1) numpy calls per layer.
+    Overflow gives inf or nan silently, as Python floats do."""
     import numpy as np
 
-    cycles, order = _policy_walk(succ, range(len(succ)))
-    means = [math.fsum([cost[y] for y in cycle]) / len(cycle) for cycle in cycles]
-    eta, v = _policy_values(succ, cost, cycles, means, order, 0.0)
-    return np.array(eta), np.array(v)
+    n = len(succ)
+    jumps = [succ]
+    while 1 << (len(jumps) - 1) < n:
+        jumps.append(jumps[-1][jumps[-1]])
+    on_cycle = np.zeros(n, dtype=bool)
+    on_cycle[jumps[-1]] = True
+    eta, v = np.empty(n), np.empty(n)
+
+    cyc = np.flatnonzero(on_cycle)  # ascending, so each cycle is met at its least state
+    nxt = np.searchsorted(cyc, succ[cyc]).tolist()
+    costs = cost[cyc].tolist()
+    eta_c, v_c, seen = [0.0] * len(cyc), [0.0] * len(cyc), [False] * len(cyc)
+    for i in range(len(cyc)):
+        if seen[i]:
+            continue
+        cycle = [i]
+        j = nxt[i]
+        while j != i:
+            cycle.append(j)
+            j = nxt[j]
+        mean = math.fsum([costs[j] for j in cycle]) / len(cycle)
+        acc = 0.0
+        for j in reversed(cycle[1:]):
+            acc = costs[j] - mean + acc
+            v_c[j] = acc
+        for j in cycle:
+            eta_c[j], seen[j] = mean, True
+    eta[cyc], v[cyc] = eta_c, v_c
+
+    off_cycle = ~on_cycle
+    tree = np.flatnonzero(off_cycle)
+    # depth(x) = 1 + the most steps from x that stay off the cycles; succ^(2^top)
+    # puts every state on a cycle, so the levels below top add up to it
+    top = next(k for k, jump in enumerate(jumps) if not off_cycle[jump].any())
+    last, depth = tree, np.ones(len(tree), dtype=np.int64)
+    for k in reversed(range(top)):
+        ahead = jumps[k][last]
+        up = off_cycle[ahead]
+        last = np.where(up, ahead, last)
+        depth += up * (1 << k)
+    eta[tree] = eta[succ[last]]  # the mean of the cycle that x runs into
+    order = tree[np.argsort(depth, kind="stable")]
+    ends = np.cumsum(np.bincount(depth)).tolist()
+    to = succ[order]
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = cost[order] - eta[order]
+        for a, b in zip(ends[:-1], ends[1:]):
+            v[order[a:b]] = base[a:b] + v[to[a:b]]
+    return eta, v
 
 
 def _cycle_mean_bound(tails, heads, w, eta: np.ndarray, v: np.ndarray) -> float:
@@ -307,7 +367,9 @@ def _cycle_mean_bound(tails, heads, w, eta: np.ndarray, v: np.ndarray) -> float:
 class HowardSolver:
     """Howard's policy iteration (Cochet-Terrasson, Cohen, Gaubert,
     McGettrick and Quadrat, 1998) prepared once for one system, to solve it
-    for many float weight vectors in O(m) per iteration and O(m) memory.
+    for many float weight vectors in O(m + n log n) per iteration and O(m +
+    n log n) memory: the improvement step is O(m), and ``_evaluate_policy``
+    sorts the n live states into depth layers by O(log n) gathers.
 
     Preparation keeps what depends on the graph alone, read off the
     system's ``edge_array``.  States on no bi-infinite orbit
@@ -373,7 +435,7 @@ class HowardSolver:
         if policy is None:
             policy, _ = self._first_argmax(w)
         for count in range(1, HOWARD_ITERATION_LIMIT + 1):
-            eta, v = _evaluate_policy(heads[policy].tolist(), w[policy].tolist())
+            eta, v = _evaluate_policy(heads[policy], w[policy])
             eta_head = eta[heads]
             choice, best = self._first_argmax(eta_head)
             switch = best > eta
@@ -420,7 +482,10 @@ def max_mean_cycle_value_float(system: FiniteMVSystem, weights: np.ndarray,
     larger w - eta + v(head), switching only on a gain above
     ``float_tolerance(weights)``.  Both steps pick each state's first
     best edge.  The best policy cycle's mean (math.fsum of its weights over
-    its length) is a lower bound on the maximum.
+    its length) is a lower bound on the maximum.  The evaluation works one
+    depth layer of the policy at a time (``_evaluate_policy``) and gives
+    the bits of a sequential walk: each bias is the same two float
+    operations on its successor's bias, from the layer before.
 
     A check that does not trust the iteration, nor where it started, then
     bounds every cycle mean from above by max(w - v(tail) + v(head)) over

@@ -6,7 +6,9 @@ in ``Fraction`` arithmetic, extreme measures from active-set vertex
 enumeration of the inequality polytope and from the elimination LP over
 every other candidate (a ``Fraction`` simplex), the potential from explicit
 backward-walk enumeration, exact and float cycle means from Karp's walk
-table, periodic orbits of circle systems from a rational lift search, and
+table, the float Howard solver's policy values from one sequential walk of
+the policy (the solver's evaluator before it worked in depth layers),
+periodic orbits of circle systems from a rational lift search, and
 orbit tables from the per-word orbit path, divided as Python ints.
 Convex hulls, Sturmian arcs, barycentres and the orbit order are decided in
 ``Fraction`` arithmetic, where the package works in integers, and orbits are
@@ -36,7 +38,7 @@ from mvergo.circle import (
     _visit_words,
     visit_periodic_orbits,
 )
-from mvergo.mea import HowardSolver, NoCycleError
+from mvergo.mea import HowardSolver, NoCycleError, _policy_values, _policy_walk
 from mvergo.measures import (
     Cycle,
     EdgeCirculation,
@@ -516,6 +518,15 @@ def karp_max_mean_cycle_value(system: FiniteMVSystem, weights) -> Fraction:
     if best is None:
         raise NoCycleError("the system has no directed cycle")
     return Fraction(best[0], best[1] * d)
+
+
+def walk_evaluate_policy(succ: list[int], cost: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Float eta and v (``_policy_values``) of a policy on all states; a
+    cycle's mean is math.fsum of its costs over its length."""
+    cycles, order = _policy_walk(succ, range(len(succ)))
+    means = [math.fsum([cost[y] for y in cycle]) / len(cycle) for cycle in cycles]
+    eta, v = _policy_values(succ, cost, cycles, means, order, 0.0)
+    return np.array(eta), np.array(v)
 
 
 def karp_max_mean_cycle_value_float(system: FiniteMVSystem, weights) -> float:

@@ -258,15 +258,22 @@ def test_cmd_sweep_small(tmp_path):
       "--grid", "512"], "sweep_pq23_cos_tg8_p8_g512.csv"),
     (["--builtin", "pq:2,4", "--f", "negdist", "--theta-grid", "8", "--max-period", "8",
       "--grid", "512"], "sweep_pq24_negdist_tg8_p8_g512.csv"),
-], ids=["cos-benchmark", "negdist-small", "pq23-cos", "pq24-negdist"])
+    (["--f", "cos", "--theta-grid", "16", "--max-period", "8", "--grid", "2048"],
+     "sweep_cos_tg16_p8_g2048.csv"),
+    (["--f", "negdist", "--theta-grid", "16", "--max-period", "8", "--grid", "2048"],
+     "sweep_negdist_tg16_p8_g2048.csv"),
+], ids=["cos-benchmark", "negdist-small", "pq23-cos", "pq24-negdist", "cos-grid2048",
+        "negdist-grid2048"])
 def test_cmd_sweep_matches_golden_csv(tmp_path, argv, golden):
     # the doubling and three-branch files were written before the sweep's
     # Howard solves were warm-started and its orbit table built a block at a
     # time; the pq files before the bounds read only their prepared table or
     # grid.  The pq files pin what slope-2 systems leave open: the margin
     # for lambda = 3/2 (pq:2,3), a wrapping outer grid (both), and tables
-    # from the lattice path (pq:2,3) and the per-word path (pq:2,4).  Every
-    # later change to the sweep must keep them byte for byte
+    # from the lattice path (pq:2,3) and the per-word path (pq:2,4).  The
+    # grid-2048 files, at the full-size sweep's grid, were written while the
+    # float Howard solver still evaluated each policy by one sequential
+    # walk.  Every later change to the sweep must keep them byte for byte
     out = tmp_path / "o"
     assert main(["sweep", *argv, "--out", str(out)]) == 0
     assert (out / "sweep.csv").read_bytes() == (DATA / golden).read_bytes()

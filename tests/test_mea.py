@@ -3,6 +3,7 @@
 import math
 import random
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +47,7 @@ from oracles import (
     dfs_simple_cycles,
     karp_max_mean_cycle_value,
     karp_max_mean_cycle_value_float,
+    walk_evaluate_policy,
     z4_system,
 )
 
@@ -576,6 +578,97 @@ def test_howard_solver_trims_a_long_path_in_linear_time():
     assert len(solver.out) == 2 and solver.keep.sum() == 2
     weights = np.arange(n, dtype=np.float64)  # the cycle's edges are n-2 and n-1
     assert solver.solve(weights) == n - 1.5
+
+
+def _assert_policy_values_match_the_walk(succ, cost):
+    eta, v = mea_mod._evaluate_policy(np.asarray(succ, dtype=np.int64),
+                                      np.asarray(cost, dtype=np.float64))
+    walk_eta, walk_v = walk_evaluate_policy(list(succ), list(cost))
+    assert eta.tobytes() == walk_eta.tobytes()
+    assert v.tobytes() == walk_v.tobytes()
+
+
+def _random_policy(rng):
+    """A random functional graph on shuffled labels: a few cycles, self-loops
+    among them, and trees that hang off them at random or as one chain as
+    deep as the states allow."""
+    n = rng.randint(1, 80)
+    placed, succ = [], [None] * n
+    x = 0
+    while x < n and (not placed or rng.random() < 0.4):
+        cycle = list(range(x, min(n, x + rng.choice((1, 1, 2, 3, 7)))))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            succ[a] = b
+        placed += cycle
+        x += len(cycle)
+    chain = rng.random() < 0.3
+    for y in range(x, n):
+        succ[y] = y - 1 if chain else rng.choice(placed)
+        placed.append(y)
+    label = list(range(n))
+    rng.shuffle(label)
+    shuffled = [0] * n
+    for y in range(n):
+        shuffled[label[y]] = label[succ[y]]
+    cost = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-3, 3) for _ in range(n)]
+    return shuffled, cost
+
+
+def test_layered_policy_evaluation_matches_the_walk_bit_for_bit():
+    rng = random.Random(24)
+    for _ in range(400):
+        _assert_policy_values_match_the_walk(*_random_policy(rng))
+    # from 0 the walk meets the cycle 3 -> 2 -> 1 -> 3 at 3 and its least
+    # state last
+    _assert_policy_values_match_the_walk([3, 3, 1, 2], [0.1, 0.7, 0.3, 0.9])
+    # one chain of depth n - 1 into a self-loop, labels shuffled
+    n = 300
+    label = list(range(n))
+    rng.shuffle(label)
+    succ = [0] * n
+    for y in range(n):
+        succ[label[y]] = label[min(y + 1, n - 1)]
+    _assert_policy_values_match_the_walk(succ, [rng.uniform(-9, 9) for _ in range(n)])
+
+
+def test_layered_policy_evaluation_matches_the_walk_on_a_sweep(monkeypatch, tmp_path):
+    evaluate, seen = mea_mod._evaluate_policy, []
+
+    def checked(succ, cost):
+        eta, v = evaluate(succ, cost)
+        walk_eta, walk_v = walk_evaluate_policy(succ.tolist(), cost.tolist())
+        assert eta.tobytes() == walk_eta.tobytes() and v.tobytes() == walk_v.tobytes()
+        seen.append(len(succ))
+        return eta, v
+
+    monkeypatch.setattr(mea_mod, "_evaluate_policy", checked)
+    assert main(["sweep", "--f", "cos", "--theta-grid", "8", "--max-period", "10",
+                 "--grid", "1024", "--out", str(tmp_path / "o")]) == 0
+    assert len(seen) > 20
+
+
+def test_layered_policy_evaluation_is_as_quiet_as_python_floats():
+    # 0 -> 1 -> 2 -> 3, a loop at 3: v(1) overflows to inf, which Python
+    # floats give without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_policy_values_match_the_walk([1, 2, 3, 3], [1.7e308] * 3 + [1.0])
+        _assert_policy_values_match_the_walk([1, 2, 2], [math.inf, -math.inf, 1.0])
+    eta, v = mea_mod._evaluate_policy(np.array([1, 2, 3, 3]), np.array([1.7e308] * 3 + [1.0]))
+    assert v[0] == v[1] == math.inf
+
+
+def test_howard_solver_evaluates_a_deep_policy_in_linear_time():
+    # the ring 0 -> 1 -> ... -> n-1 -> 0 with a heavy loop at n-1: the policy
+    # is one chain of depth n - 1, whose layers must each cost O(1) numpy calls
+    n = 100_000
+    system = FiniteMVSystem.make(n, [(x, (x + 1) % n) for x in range(n)] + [(n - 1, n - 1)])
+    system.edge_array  # built before the clock starts
+    weights = np.zeros(len(system.edges))
+    weights[system.edges.index((n - 1, n - 1))] = 1e6
+    start = time.perf_counter()
+    assert HowardSolver(system).solve(weights) == 1e6
+    assert time.perf_counter() - start < 2.0
 
 
 def test_float_howard_iteration_limit(monkeypatch):
