@@ -12,12 +12,13 @@ word, so every primitive necklace carries at most one orbit and no two
 coincide.  Systems whose branches all wrap over [0, 1] with one slope a/b
 in lowest terms and the offsets j/b, 0 <= j < b (pq:p,q with gcd(p, q) = 1),
 take the lattice path: their period-k points are M/(a^k - b^k), and the
-orbits are the k-cycles of M -> a b^-1 M mod (a^k - b^k).  All three paths
-give the same orbits in the same order, a block of rows of one period at a
-time.  An orbit keeps that format to the end: integer numerators over one
-denominator, in lowest terms, from which barycentres and Sturmian arcs are
-computed directly.  The expansion property is certified by exact case
-analysis on branch pairs.
+orbits are the k-cycles of M -> a b^-1 M mod (a^k - b^k), whose number is
+known before any of them is enumerated.  All three paths hand over the
+same orbits in the same order, in blocks of rows of one period.  An orbit
+keeps that format to the end: integer numerators over one denominator, in
+lowest terms, from which barycentres and Sturmian arcs are computed
+directly.  The expansion property is certified by exact case analysis on
+branch pairs.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from ._numbers import InputTooLargeError
 
 ORBIT_PERIOD_LIMIT = 24
 # periodic orbits that one enumeration streams at most, checked per block,
-# per candidate of one word and per chunk of lattice points: the hull of
-# three-branch at period 14, 533,830 orbits, peaks at 915 MB RSS on a 2-core
-# x86 host (about 1.7 KB per orbit), its sweep at 167 MB
+# per candidate of one word and, on the lattice path, from the exact counts
+# first: the hull of three-branch at period 14, 533,830 orbits, peaks at
+# 915 MB RSS on a 2-core x86 host (about 1.7 KB per orbit), its sweep at 167 MB
 ORBIT_LIMIT = 600_000
 # word codes (lattice points) per numpy block of the batched (lattice) orbit
 # path: blocks of 2^16 codes raised the benchmark sweep's peak RSS by 1.5 MB,
@@ -437,11 +438,21 @@ def _batch_slope(system: PiecewiseAffineMVSystem) -> int | None:
 
 
 def _visit_words(k: int, rows, unit: int, consume) -> None:
-    """Period k of ``visit_periodic_orbits`` on the per-word integer path:
-    one ``consume(word, numerators, denominator)`` call per orbit, which
-    ``_gather_blocks`` turns into blocks."""
+    """Period k of ``visit_periodic_orbits`` on the per-word integer path,
+    its orbits gathered into blocks of up to ``_BATCH_CODES`` rows.  The
+    numerators and denominators go as object arrays of Python ints, exact
+    at any size."""
     seen: set = set()
+    block: list = []  # (word, numerators, denominator) rows not yet handed over
     divisors = [d for d in range(1, k) if k % d == 0]
+
+    def hand_over():
+        import numpy as np
+
+        words, numerators, dens = zip(*block)
+        block.clear()
+        consume(np.array(words, dtype=np.int64), np.array(numerators, dtype=object),
+                np.array(dens, dtype=object))
 
     def handle(buf):
         word = tuple(buf[1:k + 1])
@@ -456,9 +467,13 @@ def _visit_words(k: int, rows, unit: int, consume) -> None:
             key = (den // g, tuple(xs))
             if key not in seen:
                 seen.add(key)
-                consume(w, key[1], key[0])
+                block.append((w, key[1], key[0]))
+                if len(block) == _BATCH_CODES:
+                    hand_over()
 
     for_each_necklace(k, len(rows), handle)
+    if block:
+        hand_over()
 
 
 def _least_rotation(xs: list[int], word) -> tuple[list[int], tuple[int, ...]]:
@@ -560,39 +575,51 @@ def _lattice_slope(system: PiecewiseAffineMVSystem) -> tuple[int, int, tuple[int
     return a, b, tuple(by_offset[j] for j in range(b))
 
 
-def _visit_lattice(k: int, lattice: tuple[int, int, tuple[int, ...]], budget: int,
-                   consume) -> bool:
+def _lattice_counts(a: int, b: int, max_period: int) -> list[int]:
+    """The exact orbit counts c_1..c_max_period of the lattice path of slope
+    a/b: the d_k = a^k - b^k points M/d_k are those whose period divides k,
+    so d_k = sum_{j | k} j c_j, solved here period by period; that is the
+    Moebius inversion c_k = (1/k) sum_{j | k} mu(k/j) d_j."""
+    counts = [0]
+    for k in range(1, max_period + 1):
+        points = a ** k - b ** k - sum(j * counts[j] for j in range(1, k) if k % j == 0)
+        counts.append(points // k)
+    return counts[1:]
+
+
+def _visit_lattice(k: int, lattice, count: int, consume) -> None:
     """Period k of ``visit_periodic_orbits`` for an eligible system (see
-    ``_lattice_slope``) as the cycles of one modular multiplication, in numpy
-    int64 blocks; False, having visited nothing, when a bound of that period
-    does not fit in int64.
+    ``_lattice_slope``): its ``count`` orbits (``_lattice_counts``), the
+    cycles of one modular multiplication, in numpy int64 blocks.
 
     The identity: with d = a^k - b^k, a period-k point x satisfies
     b^k x = a^k x + (an integer), so x = M/d with 0 <= M < d.  Its image
     under the letter j is (a M + j d)/(b d) mod 1, which is on the lattice
     1/d only when b divides a M + j d; gcd(b, d) = 1, so exactly one letter,
     j = -a M d^-1 mod b, keeps it there, and the image is r M mod d with
-    r = a b^-1 mod d.  Multiplication by r permutes Z/d and r^k = 1, so the
-    period-k orbits are exactly its cycles of length k, each following one
-    word.
+    r = a b^-1 mod d.  Multiplication by r permutes Z/d and r^k = 1, so its
+    cycles of length k are exactly the period-k orbits, each on one word.
+
+    The numbers stay below max(d, b)^2 (r M < d^2, letter products < b^2,
+    word codes < b^k <= b d), which the int64 check below holds to.  The
+    visitor calls this only when periods 1..k hold at most ``ORBIT_LIMIT``
+    orbits, so d = sum_{j | k} j c_j <= 24 ORBIT_LIMIT < 2^24, and for
+    k >= 2, b < a <= a^(k-1) <= d; at k = 1, b >= 2^31 takes 2^31 branches.
 
     M runs through [0, d) in chunks of ``_BATCH_CODES``; a row is kept when M
     is less than each later point of its cycle, that is, when M is the
-    cycle's least point and the cycle does not close before step k.  The
-    rows of the period are counted as they are collected, and more than
-    ``budget`` raise TooManyOrbitsError.  Then they are sorted as the
-    per-word path finds them: by the necklace code of the word, then by the
-    least point at which the necklace starts (``_word_orbits`` solves the
-    necklace word and lists its orbits by first point).  Only three integers
-    per row are kept across chunks: the necklace code, that point and the
-    cycle's least point, from which each block of at most ``_BATCH_CODES``
-    sorted rows is rebuilt, put in lowest terms and handed to ``consume``."""
+    cycle's least point and the cycle does not close before step k.  Arrays
+    of exactly ``count`` rows take three integers per row: the necklace code
+    of the word, the least point where the necklace starts and the cycle's
+    least point; any other number of rows raises, so every period checks
+    its count.  The rows are sorted as the per-word path finds them, by
+    necklace, then by that point (``_word_orbits`` lists a necklace's orbits
+    by first point), and each block of at most ``_BATCH_CODES`` rows is
+    rebuilt from the least points, put in lowest terms and handed over."""
     a, b, letters = lattice
     d = a ** k - b ** k
-    # bounds r M < d^2, the letter products below b^2 and the word codes
-    # below b^k: b^k <= max(d, b)^2, as d >= k b^(k-1) when k >= 2
     if max(d, b) ** 2 >= _INT64_SAFE:
-        return False
+        raise InputTooLargeError(f"the lattice points of period {k} do not fit in int64")
     import numpy as np
 
     r = a * pow(b, -1, d) % d
@@ -609,8 +636,8 @@ def _visit_lattice(k: int, lattice: tuple[int, int, tuple[int, ...]], budget: in
             pts[:, j] = pts[:, j - 1] * r % d
         return pts, branch[pts % b * c % b]
 
-    parts = []  # per chunk: necklace codes, sort points and least points of the rows
-    found = 0
+    necklace, first, lead = (np.empty(count, dtype=np.int64) for _ in range(3))
+    filled = 0
     for start in range(0, d, _BATCH_CODES):
         least = np.arange(start, min(start + _BATCH_CODES, d), dtype=np.int64)
         x = least
@@ -618,51 +645,25 @@ def _visit_lattice(k: int, lattice: tuple[int, int, tuple[int, ...]], budget: in
             x = x * r % d
             keep = x > least
             least, x = least[keep], x[keep]
-        if not len(least):
-            continue
-        found += len(least)
-        if found > budget:
-            raise TooManyOrbitsError(ORBIT_LIMIT)
+        rows = slice(filled, filled + len(least))
+        filled += len(least)
+        if filled > count:
+            break
         pts, words = cycles(least)
         codes = np.empty_like(pts)  # column j: the code of the word rotated to start at j
         codes[:, 0] = words @ powers
         for j in range(1, k):
             codes[:, j] = codes[:, j - 1] % top * b + codes[:, j - 1] // top
-        necklace = codes.min(axis=1)
-        first = np.where(codes == necklace[:, None], pts, d).min(axis=1)
-        parts.append((necklace, first, least))
-    necklace, first, least = (np.concatenate(p) for p in zip(*parts))
-    del parts  # the chunks go before the blocks are rebuilt
-    least = least[np.lexsort((first, necklace))]
-    for i in range(0, len(least), _BATCH_CODES):
-        pts, words = cycles(least[i:i + _BATCH_CODES])
+        necklace[rows] = codes.min(axis=1)
+        first[rows] = np.where(codes == necklace[rows, None], pts, d).min(axis=1)
+        lead[rows] = least
+    if filled != count:
+        raise RuntimeError(f"lattice period {k} does not hold its {count} counted orbits")
+    lead = lead[np.lexsort((first, necklace))]
+    for i in range(0, count, _BATCH_CODES):
+        pts, words = cycles(lead[i:i + _BATCH_CODES])
         g = np.gcd(np.gcd.reduce(pts, axis=1), d)
         consume(words, pts // g[:, None], d // g)
-    return True
-
-
-def _gather_blocks(consume):
-    """A per-orbit consumer that gathers the orbits of one period into
-    blocks of up to ``_BATCH_CODES`` rows for ``consume``, and the function
-    that hands over the last, partial block.  The numerators and
-    denominators go as object arrays of Python ints, exact at any size."""
-    buffer: list = []
-
-    def flush():
-        import numpy as np
-
-        if buffer:
-            words, numerators, dens = zip(*buffer)
-            buffer.clear()
-            consume(np.array(words, dtype=np.int64), np.array(numerators, dtype=object),
-                    np.array(dens, dtype=object))
-
-    def gather(word, numerators, denom):
-        buffer.append((word, numerators, denom))
-        if len(buffer) == _BATCH_CODES:
-            flush()
-
-    return gather, flush
 
 
 def visit_periodic_orbits(system: PiecewiseAffineMVSystem, max_period: int, consume) -> None:
@@ -677,36 +678,38 @@ def visit_periodic_orbits(system: PiecewiseAffineMVSystem, max_period: int, cons
     deduplicated); blocks arrive by ascending period, and within a period
     the rows run by word in lexicographic order.  A block holds at most
     ``_BATCH_CODES`` rows.  The batched and lattice paths hand over int64
-    blocks; the per-word path's orbits are gathered into object arrays of
-    Python ints, exact at any size.  More than ``ORBIT_LIMIT`` rows in all,
-    or candidates of one word, raise TooManyOrbitsError.
+    blocks, the per-word path object arrays of Python ints, exact at any
+    size.  More than ``ORBIT_LIMIT`` rows in all, or candidates of one word,
+    raise TooManyOrbitsError; a lattice system raises before its first
+    block, from the exact count of every period (``_lattice_counts``).
 
     Three paths give the same orbits in the same order.  The per-word path
-    takes FKM necklace words in order, each solved by ``_word_orbits`` in
-    integer arithmetic (wrapping branches and rational slopes included), its
-    orbits in ascending order; non-primitive point sequences are dropped,
-    the rest reduced to lowest terms, rotated to the least (points, word)
-    and deduplicated per period.  Systems of one integer slope s >= 2 with
-    no wrapping branch, where no two branches of equal offset have domains
-    that meet, take the batched path (``_visit_batched``) at every period
-    whose bounds fit in int64: there the points determine the word (see
-    ``_batch_slope``), so only primitive necklaces carry primitive orbits,
-    each at most one, and no two orbits coincide; the primitivity test
-    and the per-period dedup have nothing to drop and are skipped.  Systems
-    whose branches all wrap over [0, 1] with one slope a/b > 1 in lowest
-    terms and offsets exactly j/b, 0 <= j < b (``_lattice_slope``), take the
-    lattice path (``_visit_lattice``) at every period whose bounds fit in
-    int64: their period-k points are M/d, d = a^k - b^k, exactly one letter
-    keeps M/d on that lattice, and it maps M to r M mod d, r = a b^-1 mod d;
-    so the orbits are the cycles of length k of that multiplication, found
-    without a word search, each with one word.  The per-word path covers
-    every other system, and every period past int64.
+    (``_visit_words``) solves the FKM necklace words in order by
+    ``_word_orbits``, in integer arithmetic (wrapping branches and rational
+    slopes included); it drops non-primitive point sequences, puts the rest
+    in lowest terms, rotates them to the least (points, word) and dedups
+    them per period.  The batched path (``_visit_batched``, the systems of
+    ``_batch_slope``) takes every period whose bounds fit in int64: there
+    the points determine the word, so only primitive necklaces carry
+    primitive orbits, each at most one, and the primitivity test and the
+    dedup are skipped.  The lattice path (``_visit_lattice``, the systems
+    of ``_lattice_slope``) takes every period: its orbits are the k-cycles
+    of M -> a b^-1 M mod (a^k - b^k), found without a word search.  The
+    per-word path covers every other system, and every batched period past
+    int64.
     """
     if not (1 <= max_period <= ORBIT_PERIOD_LIMIT):
         raise ValueError(f"max_period must be between 1 and {ORBIT_PERIOD_LIMIT}")
+    lattice = _lattice_slope(system)
+    if lattice is not None:
+        counts = _lattice_counts(lattice[0], lattice[1], max_period)
+        if sum(counts) > ORBIT_LIMIT:
+            raise TooManyOrbitsError(ORBIT_LIMIT)
+        for k, count in enumerate(counts, 1):
+            _visit_lattice(k, lattice, count, consume)
+        return
     unit, rows = _integer_branches(system)
     slope = _batch_slope(system)
-    lattice = _lattice_slope(system)
     total = 0
 
     def counted(words, numerators, denominators):
@@ -717,13 +720,8 @@ def visit_periodic_orbits(system: PiecewiseAffineMVSystem, max_period: int, cons
         consume(words, numerators, denominators)
 
     for k in range(1, max_period + 1):
-        if slope is not None and _visit_batched(k, slope, rows, unit, counted):
-            continue
-        if lattice is not None and _visit_lattice(k, lattice, ORBIT_LIMIT - total, counted):
-            continue
-        gather, flush = _gather_blocks(counted)
-        _visit_words(k, rows, unit, gather)
-        flush()
+        if slope is None or not _visit_batched(k, slope, rows, unit, counted):
+            _visit_words(k, rows, unit, counted)
 
 
 def enumerate_periodic_orbits(system: PiecewiseAffineMVSystem, max_period: int) -> list[PeriodicOrbit]:

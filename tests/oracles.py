@@ -443,23 +443,22 @@ def phi_backward_oracle(system: FiniteMVSystem, f_edge, beta, max_len=None):
 def per_orbit_orbit_table(system: PiecewiseAffineMVSystem, max_period: int) -> OrbitTable:
     """Reference for ``bounds.orbit_table``: the orbits of the per-word
     integer path (``_visit_words``, which shares no code with the batched
-    blocks), one call per orbit, each point divided as Python ints, and
-    each barycentre summed with ``cmath.exp``."""
+    blocks), read row by row, each point divided as Python ints, and each
+    barycentre summed with ``cmath.exp``."""
     letters: list[int] = []
     periods: list[int] = []
     points: list[float] = []
     centres: list[complex] = []
-
-    def consume(word, numerators, denom):
+    blocks: list = []
+    unit, rows = _integer_branches(system)
+    for k in range(1, max_period + 1):
+        _visit_words(k, rows, unit, lambda *block: blocks.append(block))
+    for word, numerators, denom in flatten_blocks(blocks):
         letters.extend(word)
         periods.append(len(word))
         xs = [x / denom for x in numerators]
         points.extend(xs)
         centres.append(sum(cmath.exp(2j * cmath.pi * x) for x in xs) / len(xs))
-
-    unit, rows = _integer_branches(system)
-    for k in range(1, max_period + 1):
-        _visit_words(k, rows, unit, consume)
     period_arr = np.array(periods)
     starts = np.concatenate(([0], np.cumsum(period_arr)[:-1]))
     return OrbitTable(system, np.array(letters), np.array(points), starts, period_arr,

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvergo.circle as circle
+from mvergo._numbers import InputTooLargeError
 from mvergo.circle import (
     Branch,
     NotExpandingError,
@@ -29,6 +30,7 @@ from mvergo.circle import (
 from mvergo.circle import (
     _batch_slope,
     _integer_branches,
+    _lattice_counts,
     _lattice_slope,
     _visit_batched,
     _visit_lattice,
@@ -185,13 +187,18 @@ def test_visit_periodic_orbits_matches_fraction_oracle(system, max_period):
     assert got == expected
 
 
-def _per_word_calls(system, max_period):
-    """The consume calls of the per-word integer path at every period."""
+def _per_word_blocks(system, max_period):
+    """The blocks of the per-word integer path at every period."""
     unit, rows = _integer_branches(system)
-    calls = []
+    blocks = []
     for k in range(1, max_period + 1):
-        _visit_words(k, rows, unit, lambda *call: calls.append(call))
-    return calls
+        _visit_words(k, rows, unit, lambda *block: blocks.append(block))
+    return blocks
+
+
+def _per_word_calls(system, max_period):
+    """The rows of the per-word integer path at every period."""
+    return flatten_blocks(_per_word_blocks(system, max_period))
 
 
 # A and B share the offset 0 on [1/3, 1/2]: the same point sequence follows
@@ -354,11 +361,14 @@ def test_batched_path_falls_back_per_period_past_int64(monkeypatch):
     assert visited_orbits(fine, 6) == expected
 
 
-def _lattice_periods(system, max_period):
-    """Whether ``_visit_lattice`` takes each period, visiting nothing."""
+def _lattice_rows(system, max_period):
+    """The rows ``_visit_lattice`` hands over at each period, given the
+    period's count."""
     lattice = _lattice_slope(system)
-    return [_visit_lattice(k, lattice, circle.ORBIT_LIMIT, lambda *block: None)
-            for k in range(1, max_period + 1)]
+    blocks = []
+    for k, count in enumerate(_lattice_counts(*lattice[:2], max_period), 1):
+        _visit_lattice(k, lattice, count, lambda *block: blocks.append(block))
+    return flatten_blocks(blocks)
 
 
 def test_lattice_eligibility():
@@ -387,17 +397,12 @@ def test_lattice_eligibility():
 ])
 def test_lattice_orbits_match_per_word_path(p, q, max_period):
     system = pq_correspondence(p, q)
-    assert all(_lattice_periods(system, max_period))
     blocks = []
     visit_periodic_orbits(system, max_period, lambda *block: blocks.append(block))
     assert all(numerators.dtype == np.int64 for _, numerators, _ in blocks)
-    # the same rows in the same blocks as the per-word path's gathered blocks
-    unit, rows = _integer_branches(system)
-    reference = []
-    for k in range(1, max_period + 1):
-        gather, flush = circle._gather_blocks(lambda *block: reference.append(block))
-        _visit_words(k, rows, unit, gather)
-        flush()
+    assert flatten_blocks(blocks) == _lattice_rows(system, max_period)
+    # the same rows in the same blocks as the per-word path's blocks
+    reference = _per_word_blocks(system, max_period)
     assert [len(words) for words, _, _ in blocks] == [len(words) for words, _, _ in reference]
     assert flatten_blocks(blocks) == flatten_blocks(reference)
     if (p, q) == (2, 3):  # the last period spans several chunks of lattice points and blocks
@@ -422,8 +427,9 @@ def test_lattice_orbits_follow_the_branch_order():
     swapped = PiecewiseAffineMVSystem(pq23[::-1], metric="circle")
     rotated = PiecewiseAffineMVSystem(pq35[1:] + pq35[:1], metric="circle")
     for system, max_period in ((swapped, 10), (rotated, 6)):
-        assert all(_lattice_periods(system, max_period))
-        assert visited_orbits(system, max_period) == _per_word_calls(system, max_period)
+        rows = visited_orbits(system, max_period)
+        assert rows == _lattice_rows(system, max_period)
+        assert rows == _per_word_calls(system, max_period)
     # the same rows as pq:2,3's with the letters swapped, in another order
     relabelled = [(tuple(1 - c for c in w), xs, d)
                   for w, xs, d in visited_orbits(pq_correspondence(2, 3), 10)]
@@ -431,14 +437,70 @@ def test_lattice_orbits_follow_the_branch_order():
     assert sorted(got) == sorted(relabelled) and got != relabelled
 
 
-def test_lattice_path_falls_back_per_period_past_int64(monkeypatch):
-    system = pq_correspondence(2, 3)
-    reference = _per_word_calls(system, 8)
-    # d = 3^k - 2^k: a bound of 2^20 on d^2 fits periods up to 6 (d = 665)
-    # only; later periods take the per-word path and the calls stay the same
+def _coprime_pairs(q_max):
+    return [(p, q) for q in range(2, q_max + 1) for p in range(1, q) if math.gcd(p, q) == 1]
+
+
+def _periods_within(p, q, limit):
+    """(k, count) for each period of pq:p,q whose running total of orbits
+    stays within ``limit``."""
+    total, periods = 0, []
+    for k, count in enumerate(_lattice_counts(q, p, circle.ORBIT_PERIOD_LIMIT), 1):
+        total += count
+        if total > limit:
+            break
+        periods.append((k, count))
+    return periods
+
+
+def test_lattice_counts_match_the_enumeration():
+    # the Moebius formula, the recursion in ``_lattice_counts`` and the rows
+    # that ``_visit_lattice`` enumerates agree on every period within 20,000
+    checked = 0
+    for p, q in _coprime_pairs(12):
+        lattice = _lattice_slope(pq_correspondence(p, q))
+        for k, count in _periods_within(p, q, 20_000):
+            assert count == sum(mobius(k // j) * (q ** j - p ** j) for j in divisors(k)) // k
+            blocks = []
+            _visit_lattice(k, lattice, count, lambda *block: blocks.append(block))
+            assert sum(len(words) for words, _, _ in blocks) == count
+            checked += 1
+    assert checked > 200
+    # a count that is off by one either way raises before any block is handed over
+    lattice = _lattice_slope(pq_correspondence(2, 3))
+    for count in (41, 43):
+        blocks = []
+        with pytest.raises(RuntimeError, match="does not hold its"):
+            _visit_lattice(5, lattice, count, lambda *block: blocks.append(block))
+        assert blocks == []
+
+
+def test_lattice_periods_within_the_orbit_limit_fit_in_int64(monkeypatch):
+    # the arithmetic of ``_visit_lattice``'s int64 check, which the count
+    # before enumeration makes unreachable
+    checked = 0
+    for p, q in _coprime_pairs(300):
+        for k, _count in _periods_within(p, q, circle.ORBIT_LIMIT):
+            assert max(q ** k - p ** k, p) ** 2 < circle._INT64_SAFE
+            checked += 1
+    assert checked > 60_000
+    # with a smaller bound the check raises, handing over nothing: d = 3^7 - 2^7
+    # = 2059 passes 2^20 on d^2, where period 6 (d = 665) does not
     monkeypatch.setattr(circle, "_INT64_SAFE", 1 << 20)
-    assert _lattice_periods(system, 8) == [True] * 6 + [False] * 2
-    assert visited_orbits(system, 8) == reference
+    lattice = _lattice_slope(pq_correspondence(2, 3))
+    counts = _lattice_counts(3, 2, 7)
+    _visit_lattice(6, lattice, counts[5], lambda *block: None)
+    blocks = []
+    with pytest.raises(InputTooLargeError, match="period 7 do not fit in int64"):
+        _visit_lattice(7, lattice, counts[6], lambda *block: blocks.append(block))
+    assert blocks == []
+
+
+def test_lattice_system_past_the_limit_hands_over_nothing():
+    calls = []
+    with pytest.raises(TooManyOrbitsError, match="more than 600000 periodic orbits"):
+        visit_periodic_orbits(pq_correspondence(2, 3), 15, lambda *block: calls.append(block))
+    assert calls == []
 
 
 def test_lattice_blocks_with_a_small_cap(monkeypatch):
@@ -454,10 +516,9 @@ def test_lattice_blocks_with_a_small_cap(monkeypatch):
 
 def test_orbit_limit_admits_exactly_its_count_of_rows_on_the_lattice_path(monkeypatch):
     system = pq_correspondence(3, 4)
-    assert all(_lattice_periods(system, 6))
     rows = visited_orbits(system, 6)
+    assert rows == _lattice_rows(system, 6)
     n = len(rows)
-    before = sum(len(w) < 6 for w, _, _ in rows)
     monkeypatch.setattr(circle, "_BATCH_CODES", 64)  # many chunks in the last period
     monkeypatch.setattr(circle, "ORBIT_LIMIT", n)
     assert visited_orbits(system, 6) == rows
@@ -465,9 +526,8 @@ def test_orbit_limit_admits_exactly_its_count_of_rows_on_the_lattice_path(monkey
     blocks = []
     with pytest.raises(TooManyOrbitsError, match=f"more than {n - 1} periodic orbits"):
         visit_periodic_orbits(system, 6, lambda *block: blocks.append(block))
-    # the rows of a period are counted while they are collected, so the
-    # period that passes the limit hands over nothing
-    assert flatten_blocks(blocks) == rows[:before]
+    # every period is counted before any is enumerated, so nothing is handed over
+    assert blocks == []
 
 
 def test_pq23_orbit_counts():

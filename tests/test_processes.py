@@ -98,14 +98,17 @@ def test_import_check_sees_module_level_numpy():
 
 
 def test_hull_of_a_steep_wrapping_branch_stops_at_the_orbit_limit_in_little_memory(tmp_path):
-    # x -> 10^6 x mod 1 has a candidate fixed point for each of about 10^6
-    # integer lifts of its one wrapping letter; the walk takes the lifts
-    # lazily, so the run stops at the orbit limit holding the candidates,
-    # not a stack entry per lift (225 MB RSS when every lift was pushed)
-    argv = ["hull", "--builtin", "pq:1,1000000", "--max-period", "2", "--out", "hull"]
-    report, stderr = run_fresh(tmp_path, argv)
-    assert [code for code, _numpy in report["runs"]] == [3]
-    assert stderr.strip() == ("error: input too large: more than 600000 periodic orbits; "
-                              "their enumeration stops there")
-    assert not (tmp_path / "hull").exists()
+    # x -> 10^6 x mod 1 is a lattice system, refused from its orbit count
+    # before any orbit is enumerated.  x -> {10^6 x, 10^6 x + 1/2} mod 1 takes
+    # the per-word path: each letter has a candidate fixed point for each of
+    # about 10^6 integer lifts; the walk takes the lifts lazily, so the run
+    # stops at the orbit limit holding the candidates, not a stack entry per
+    # lift (225 MB RSS when every lift was pushed)
+    argvs = [["hull", "--builtin", builtin, "--max-period", "2", "--out", out]
+             for builtin, out in (("pq:1,1000000", "lattice"), ("pq:2,2000000", "per-word"))]
+    report, stderr = run_fresh(tmp_path, *argvs)
+    assert [code for code, _numpy in report["runs"]] == [3, 3]
+    assert stderr.splitlines() == ["error: input too large: more than 600000 periodic orbits; "
+                                   "their enumeration stops there"] * 2
+    assert not (tmp_path / "lattice").exists() and not (tmp_path / "per-word").exists()
     assert report["peak_kb"] < 100 * 1024
