@@ -42,7 +42,7 @@ from .circle import (
     is_sturmian,
     visit_periodic_orbits,
 )
-from .geometry import convex_hull
+from .geometry import convex_hull, hull_candidates
 from .mea import HowardSolver, max_mean_cycle_value_float
 from .system import FiniteMVSystem
 
@@ -452,21 +452,28 @@ def barycentre_hull(system: PiecewiseAffineMVSystem, max_period: int
     exact over those float values (each read as its exact binary rational by
     the integer orientation kernel), not over the true barycentres: among
     nearly collinear barycentres, the flags can differ from the exact set's.
-    Each Fraction vertex is a float pair exactly, so the flags are read off
-    the polygon's vertex set directly."""
+    ``geometry.hull_candidates`` first drops the barycentres that a
+    certified float test places strictly inside the hull, so the one exact
+    ``convex_hull`` sees only the rest and returns the hull of all.  Each
+    Fraction vertex is a float pair exactly, so the flags are read off the
+    polygon's vertex set directly."""
+    import numpy as np
+
     arc_length = system.sturmian_arc if system.sturmian_arc is not None else Fraction(1, 2)
     orbits = enumerate_periodic_orbits(system, max_period)
     values = [barycentre(o) for o in orbits]
-    coords = [(z.real, z.imag) for z in values]
-    polygon = [(float(x), float(y)) for x, y in convex_hull(coords)]
-    hull_vertices = set(polygon)
+    z = np.array(values, dtype=np.complex128)
+    keep = hull_candidates(z.real, z.imag)
+    candidates = list(zip(z.real[keep].tolist(), z.imag[keep].tolist()))
+    polygon = [(float(x), float(y)) for x, y in convex_hull(candidates)]
+    vertices = set(polygon)
     out = []
-    for orbit, z, coord in zip(orbits, values, coords):
+    for orbit, value in zip(orbits, values):
         out.append(
             BarycentrePoint(
                 orbit=orbit,
-                value=z,
-                on_hull=coord in hull_vertices,
+                value=value,
+                on_hull=(value.real, value.imag) in vertices,
                 sturmian=is_sturmian(orbit, arc_length),
             )
         )

@@ -35,7 +35,7 @@ ORBIT_PERIOD_LIMIT = 24
 # periodic orbits that one enumeration streams at most, checked per block,
 # per candidate of one word and, on the lattice path, from the exact counts
 # first: the hull of three-branch at period 14, 533,830 orbits, peaks at
-# 915 MB RSS on a 2-core x86 host (about 1.7 KB per orbit), its sweep at 167 MB
+# 683 MB RSS on a 2-core x86 host (about 1.3 KB per orbit), its sweep at 167 MB
 ORBIT_LIMIT = 600_000
 # word codes (lattice points) per numpy block of the batched (lattice) orbit
 # path: blocks of 2^16 codes raised the benchmark sweep's peak RSS by 1.5 MB,

@@ -23,6 +23,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable
 
 from ._numbers import InputTooLargeError, ValidationError, failure_message, format_number, parse_number
 from .bounds import GRID_MIN, barycentre_hull, theta_sweep
@@ -170,7 +171,7 @@ def _write(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
     with _output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -263,21 +264,13 @@ def cmd_hull(args) -> int:
     points, polygon = barycentre_hull(args.builtin, args.max_period)
     # past 10 branches a letter can take two digits, so letters are separated
     separator = "." if len(args.builtin.branches) > 10 else ""
-    rows = []
-    for i, bp in enumerate(points):
-        rows.append([
-            i,
-            bp.orbit.period,
-            bp.orbit.itinerary_string(separator),
-            repr(bp.value.real),
-            repr(bp.value.imag),
-            int(bp.on_hull),
-            int(bp.sturmian),
-        ])
+    rows = ([i, bp.orbit.period, bp.orbit.itinerary_string(separator), repr(bp.value.real),
+             repr(bp.value.imag), int(bp.on_hull), int(bp.sturmian)]
+            for i, bp in enumerate(points))
     out = Path(args.out)
     _write_csv(out / "hull.csv",
                ["orbit", "period", "itinerary", "re", "im", "on_hull", "sturmian"], rows)
-    scatter = [(bp.value.real, bp.value.imag, bp.on_hull) for bp in points]
+    scatter = ((bp.value.real, bp.value.imag, bp.on_hull) for bp in points)
     _write(out / "hull.svg", hull_chart(scatter, polygon))
     n_hull = sum(1 for bp in points if bp.on_hull)
     print(f"{len(points)} orbits, {n_hull} extremal barycentres")

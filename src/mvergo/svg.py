@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
 WIDTH, HEIGHT = 800, 600
 MARGIN = 60
 
@@ -79,10 +81,10 @@ def line_chart(series: list[tuple[str, str, list[tuple[float, float]]]],
     return "\n".join(parts)
 
 
-def hull_chart(points: list[tuple[float, float, bool]],
+def hull_chart(points: Iterable[tuple[float, float, bool]],
                hull: list[tuple[float, float]]) -> str:
     """Unit-disc scatter with the convex hull polygon; points carry an
-    on-hull flag rendered in a distinct color."""
+    on-hull flag rendered in a distinct color, and are read once."""
     scale = (min(WIDTH, HEIGHT) - 2 * MARGIN) / 2.2
     cx, cy = WIDTH / 2, HEIGHT / 2
 

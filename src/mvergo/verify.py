@@ -196,17 +196,21 @@ def check_measures(inst: Instance):
             return f"subset oracle rejects cycle measure of {states}"
         vms.append(vm)
     # convexity at rational mixtures strictly between the two measures, which
-    # the loop above certified themselves
+    # the loop above certified themselves: a = j/4 of the first cycle's
+    # uniform 1/k0 and 1 - a of the second's 1/k1, integers over 4 k0 k1
     if len(vms) >= 2:
-        for a in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-            mix = VertexMeasure.make(
-                tuple(a * u + (1 - a) * v for u, v in zip(vms[0].weights, vms[1].weights))
-            )
+        on0, on1 = (frozenset(c) for c in cycles[:2])
+        k0, k1 = len(on0), len(on1)
+        den = 4 * k0 * k1
+        for j in (1, 2, 3):
+            mix = VertexMeasure(tuple([
+                Fraction(j * k1 * (x in on0) + (4 - j) * k0 * (x in on1), den)
+                for x in range(system.n_states)]))
             ok, _ = is_invariant(system, mix)
             if not ok:
-                return f"convex mixture at a={a} not invariant"
+                return f"convex mixture at a={Fraction(j, 4)} not invariant"
             if not invariant_by_subsets(system, mix):
-                return f"subset oracle rejects mixture at a={a}"
+                return f"subset oracle rejects mixture at a={Fraction(j, 4)}"
     # extreme points are certified invariant and are cycle projections: a
     # simple cycle's vertex projection is uniform, 1/|S|, on its state set S
     cycle_meas = set()

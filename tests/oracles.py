@@ -8,8 +8,9 @@ every other candidate (a ``Fraction`` simplex), the potential from explicit
 backward-walk enumeration, exact and float cycle means from Karp's walk
 table, the float Howard solver's policy values from one sequential walk of
 the policy (the solver's evaluator before it worked in depth layers),
-periodic orbits of circle systems from a rational lift search, and
-orbit tables from the per-word orbit path, divided as Python ints.
+periodic orbits of circle systems from a rational lift search, the
+Sturmian orbits from the Christoffel words alone, and orbit tables from the
+per-word orbit path, divided as Python ints.
 Convex hulls, Sturmian arcs, barycentres and the orbit order are decided in
 ``Fraction`` arithmetic, where the package works in integers, and orbits are
 re-validated by exact forward iteration of their ``Fraction`` points.
@@ -36,6 +37,7 @@ from mvergo.circle import (
     PiecewiseAffineMVSystem,
     _integer_branches,
     _visit_words,
+    _word_orbits,
     visit_periodic_orbits,
 )
 from mvergo.mea import HowardSolver, NoCycleError, _policy_values, _policy_walk
@@ -757,6 +759,52 @@ def fraction_is_sturmian(orbit_or_points, arc_length) -> bool:
         for i in range(m)
     )
     return largest_gap >= 1 - arc
+
+
+def sturmian_orbits(system: PiecewiseAffineMVSystem, max_period: int) -> list[PeriodicOrbit]:
+    """The Sturmian orbits up to max_period, by construction: the orbits of
+    the constant words and of the two-letter Christoffel words of every
+    length up to max_period, each solved by ``circle._word_orbits``, that
+    pass ``fraction_is_sturmian`` over the system's ``sturmian_arc`` (1/2
+    when it has none).  A constant word of a wrapping branch has an orbit
+    per integer lift, so for a one-branch system (pq:1,q) the arc test does
+    all the selecting.
+
+    The Christoffel word of slope p/k, gcd(p, k) = 1, 0 < p < k, has the
+    letter w_i = floor((i + 1) p / k) - floor(i p / k) at i < k; it is
+    written with every ordered pair of distinct branches for the letters 0
+    and 1.  Each orbit is put in lowest terms and in the rotation of its
+    least point sequence; point sequences that repeat within their word are
+    left out, and one orbit is kept per point sequence, sorted by (period,
+    points)."""
+    unit, rows = _integer_branches(system)
+    arc = system.sturmian_arc if system.sturmian_arc is not None else Fraction(1, 2)
+    letters = range(len(rows))
+    words = set()
+    for k in range(1, max_period + 1):
+        words.update((c,) * k for c in letters)
+        for p in range(1, k):
+            if math.gcd(p, k) == 1:
+                pattern = [(i + 1) * p // k - i * p // k for i in range(k)]
+                words.update(tuple(b if w else a for w in pattern)
+                             for a in letters for b in letters if a != b)
+    seen, found = set(), []
+    for word in words:
+        den, orbits = _word_orbits(word, rows, unit)
+        for xs in orbits:
+            k = len(xs)
+            if any(xs[d:] + xs[:d] == xs for d in range(1, k)):
+                continue
+            g = math.gcd(den, *xs)
+            start = min(range(k), key=lambda i: xs[i:] + xs[:i])
+            key = (den // g, tuple(x // g for x in xs[start:] + xs[:start]))
+            if key in seen:
+                continue
+            seen.add(key)
+            orbit = PeriodicOrbit(word[start:] + word[:start], key[1], key[0])
+            if fraction_is_sturmian(orbit, arc):
+                found.append(orbit)
+    return sorted(found, key=lambda o: (o.period, fraction_points(o)))
 
 
 def flatten_blocks(blocks) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:

@@ -40,6 +40,7 @@ from oracles import (
     full_scan_beta_lower,
     is_convex_polygon,
     per_orbit_orbit_table,
+    sturmian_orbits,
     visited_orbits,
 )
 from test_circle import MIXED
@@ -463,11 +464,34 @@ def test_hull_pq23_extremal_orbits_in_third_circle():
 
 
 def test_hull_polygon_is_strictly_convex():
-    points, polygon = barycentre_hull(pq_correspondence(2, 3), 8)
-    assert polygon == convex_hull([(bp.value.real, bp.value.imag) for bp in points])
-    assert set(polygon) == {(bp.value.real, bp.value.imag) for bp in points if bp.on_hull}
-    assert len(polygon) >= 8
-    assert is_convex_polygon(polygon)
+    # the polygon and flags come from the filtered candidates; they must be
+    # those of the exact hull over every barycentre
+    for system, max_period in ((pq_correspondence(2, 3), 8), (three_branch_doubling(), 10),
+                               (doubling_map(), 12)):
+        points, polygon = barycentre_hull(system, max_period)
+        assert polygon == convex_hull([(bp.value.real, bp.value.imag) for bp in points])
+        vertices = set(polygon)
+        assert [bp.on_hull for bp in points] == [(bp.value.real, bp.value.imag) in vertices
+                                                 for bp in points]
+        assert vertices == {(bp.value.real, bp.value.imag) for bp in points if bp.on_hull}
+        assert len(polygon) >= 8
+        assert is_convex_polygon(polygon)
+
+
+@pytest.mark.parametrize("system, max_period", [
+    (doubling_map(), 14), (pq_correspondence(1, 3), 8), (pq_correspondence(3, 4), 8),
+    (pq_correspondence(2, 4), 8), (three_branch_doubling(), 12),
+], ids=["doubling", "pq13", "pq34", "pq24", "threebranch"])
+def test_hull_vertices_are_the_sturmian_orbits_built_from_christoffel_words(system, max_period):
+    # an observation on these systems, not a theorem for correspondences:
+    # the hull's vertex orbits, the orbits flagged Sturmian and the Sturmian
+    # orbits of the constant and two-letter Christoffel words are one set
+    points, _ = barycentre_hull(system, max_period)
+    on_hull = {(bp.orbit.denominator, bp.orbit.numerators) for bp in points if bp.on_hull}
+    sturmian = {(bp.orbit.denominator, bp.orbit.numerators) for bp in points if bp.sturmian}
+    built = {(o.denominator, o.numerators) for o in sturmian_orbits(system, max_period)}
+    assert on_hull == sturmian == built
+    assert len(built) >= 22
 
 
 def test_hull_barycentre_modulus():

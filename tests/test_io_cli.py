@@ -283,13 +283,17 @@ def test_cmd_sweep_matches_golden_csv(tmp_path, argv, golden):
     ("pq:2,3", "hull_pq23_p8"),
     ("threebranch", "hull_threebranch_p8"),
     ("pq:2,4", "hull_pq24_p6"),
-], ids=["pq23", "threebranch", "pq24"])
+    ("doubling", "hull_doubling_p10"),
+], ids=["pq23", "threebranch", "pq24", "doubling"])
 def test_cmd_hull_matches_golden_files(tmp_path, builtin, golden):
     # the pq:2,3 and three-branch files were written before
     # enumerate_periodic_orbits read the visitor's blocks, the pq:2,4 files
-    # before the lattice orbit path existed; pq:2,3 takes the lattice path's
-    # int64 blocks, three-branch the batched int64 blocks, and pq:2,4 (slope
-    # 2/1, offsets 0 and 1/2) the per-word path's gathered object blocks
+    # before the lattice orbit path existed, the doubling files before the
+    # exact hull saw only the float filter's candidates; pq:2,3 takes the
+    # lattice path's int64 blocks, three-branch the batched int64 blocks,
+    # and pq:2,4 (slope 2/1, offsets 0 and 1/2) the per-word path's gathered
+    # object blocks.  Doubling's fixed points 0 and 1 give the builtins'
+    # nearest-to-degenerate vertex pair, (1, 0) and (1, -2.4e-16)
     period = golden.rsplit("_p", 1)[1]
     out = tmp_path / "o"
     assert main(["hull", "--builtin", builtin, "--max-period", period, "--out", str(out)]) == 0
@@ -324,14 +328,17 @@ def test_finite_commands_match_golden_files(tmp_path, argv, golden, files):
 
 def test_cmd_hull_builds_one_convex_hull(tmp_path, monkeypatch):
     # the SVG draws the polygon barycentre_hull flagged its vertices from;
-    # every loaded module that holds convex_hull gets the counting wrapper
+    # every loaded module that holds convex_hull gets the counting wrapper.
+    # The one call sees only the float filter's candidates, and its polygon
+    # is the exact hull of every row's barycentre
     import mvergo.geometry as geometry
 
-    hull, calls = geometry.convex_hull, []
+    hull, calls, polygons = geometry.convex_hull, [], []
 
     def counting(points):
         calls.append(len(points))
-        return hull(points)
+        polygons.append(hull(points))
+        return polygons[-1]
 
     for name, module in list(sys.modules.items()):
         if name.startswith("mvergo") and getattr(module, "convex_hull", None) is hull:
@@ -340,7 +347,8 @@ def test_cmd_hull_builds_one_convex_hull(tmp_path, monkeypatch):
     assert main(["hull", "--builtin", "pq:2,3", "--max-period", "6", "--out", str(out)]) == 0
     assert len(calls) == 1
     rows = _read_csv(out / "hull.csv")[1:]
-    assert calls == [len(rows)]
+    assert calls[0] < len(rows)
+    assert polygons[0] == hull([(float(r[3]), float(r[4])) for r in rows])
 
 
 def test_cmd_hull_separates_letters_past_ten_branches(tmp_path):

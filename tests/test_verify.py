@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,8 @@ import mvergo.subaction as subaction
 import mvergo.verify as verify
 from mvergo.cli import main
 from mvergo.mea import alpha_state
+from mvergo.measures import Cycle, cycle_measure
+from mvergo.system import simple_cycles
 
 
 def test_verify_solves_each_instance_once(monkeypatch):
@@ -30,6 +33,33 @@ def test_verify_solves_each_instance_once(monkeypatch):
     assert calls["max_mean_cycle_value"] == 2 * count
     assert calls["tight_edges"] == 2 * count
     assert calls["subaction solve"] == 0
+
+
+def test_measures_check_mixes_the_first_two_cycle_measures(monkeypatch):
+    # the mixtures at a = 1/4, 1/2, 3/4, built from integers over 4 k0 k1,
+    # are a u + (1 - a) v over the first two cycle measures, as Fractions
+    seen = []
+
+    def recording(system, mu):
+        seen.append(mu.weights)
+        return is_invariant(system, mu)
+
+    is_invariant = verify.is_invariant
+    monkeypatch.setattr(verify, "is_invariant", recording)
+    mixed = 0
+    for inst in verify.make_instances(0, 60):
+        seen.clear()
+        assert verify.check_measures(inst) is None
+        cycles = simple_cycles(inst.system)
+        if inst.system.n_states > 6 or len(cycles) < 2:
+            continue
+        u, v = (cycle_measure(Cycle(c), inst.system)[0].weights for c in cycles[:2])
+        expected = [tuple(a * x + (1 - a) * y for x, y in zip(u, v))
+                    for a in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))]
+        assert seen[min(len(cycles), 6):] == expected
+        assert all(type(w) is Fraction for mix in seen for w in mix)
+        mixed += 1
+    assert mixed >= 10
 
 
 @pytest.mark.parametrize("shift, mane_message", [
