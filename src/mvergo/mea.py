@@ -612,10 +612,15 @@ def _segment_maxima(system: FiniteMVSystem, f: Sequence, horizon: int) -> tuple[
     weights = [g[h] for _t, h in system.edges]
     cur = g
     maxima = [max(g)]
+    # once every state ends a segment of n >= 1 steps, each has a
+    # predecessor, so every state ends one of every later length too
+    reached = False
     for _ in range(horizon):
         cur, prev = [None] * system.n_states, cur
         _relax(system.edges, weights, prev, cur)
-        maxima.append(max((x for x in cur if x is not None), default=None))
+        reached = reached or None not in cur
+        maxima.append(max(cur) if reached
+                      else max((x for x in cur if x is not None), default=None))
     return maxima, d
 
 
@@ -637,18 +642,26 @@ def delta_sequence(system: FiniteMVSystem, f: Sequence, horizon: int) -> list[tu
 
 def epsilon_witness(cycle: Cycle, f: Sequence) -> int:
     """Starting offset on the cycle from which every finite prefix average of
-    f is at least the cycle mean: rotate to just after the prefix-sum minimum."""
-    values = [f[x] for x in cycle.states]
+    f is at least the cycle mean: rotate to just after the minimum of the
+    prefix sums less their share of the mean.
+
+    The values are put in the format of ``_numbers.scaled``; in integers
+    each is then taken k times, for a cycle of k states, so that the mean
+    is the integer sum of the values and every prefix is an integer.  Float
+    values keep the float mean sum / k."""
+    (values,), d = scaled([f[x] for x in cycle.states])
     k = len(values)
-    total = sum(values)
-    mean = divide(total, k)
-    prefix = [0 * total]
-    for v in values:
-        prefix.append(prefix[-1] + v - mean)
-    best_i, best_val = 0, prefix[0]
+    if d is None:
+        mean = divide(sum(values), k)
+    else:
+        mean = sum(values)
+        values = [k * v for v in values]
+    best_i, best_val = 0, 0 * mean
+    prefix = best_val
     for i in range(1, k):
-        if prefix[i] < best_val:
-            best_i, best_val = i, prefix[i]
+        prefix = prefix + values[i - 1] - mean
+        if prefix < best_val:
+            best_i, best_val = i, prefix
     return best_i
 
 
@@ -656,16 +669,21 @@ def brute_force_alpha(system: FiniteMVSystem, f: Sequence):
     """Oracle: maximum cycle mean by full simple-cycle enumeration.
 
     Returns the NEG_INF sentinel on acyclic systems.  Guarded to small state
-    counts; exact arithmetic.
+    counts.  On f in the integer format of ``_numbers.scaled`` a cycle of
+    sum s and length k beats the best so far, (S, K), when s K > S k, in
+    integers, and only the result is divided; float means are compared as
+    the floats s / k.
     """
     if system.n_states > BRUTE_FORCE_STATE_LIMIT:
         raise ValueError(f"brute force is limited to {BRUTE_FORCE_STATE_LIMIT} states")
-    best = NEG_INF
+    (g,), d = scaled(f)
+    best = None  # (sum, length) of the best cycle so far
     for states in simple_cycles(system):
-        mean = divide(sum(f[x] for x in states), len(states))
-        if best is NEG_INF or mean > best:
-            best = mean
-    return best
+        total, k = sum([g[x] for x in states]), len(states)
+        if best is None or (divide(total, k) > divide(*best) if d is None
+                            else total * best[1] > best[0] * k):
+            best = total, k
+    return NEG_INF if best is None else divide(*best, d)
 
 
 def maximizing_measures(system: FiniteMVSystem, f: Sequence) -> list[VertexMeasure]:

@@ -8,12 +8,17 @@ measure is pinned down by one potential, ``mea``'s reduced-weight fixpoint
 in the format of ``_numbers.scaled``, whose zero gaps under max(0, phi) are
 ``mea.tight_edges``.  Every equality decision allows ``tie_tolerance(f)``:
 none for rational f, the float policy's slack for float f.
+
+Each step puts its inputs in the format of ``_numbers.scaled`` once: when
+they are all rational, the fill of v and every slack are Python ints over
+one denominator, and a Fraction is built only for a value handed back.  A
+float among the inputs (float f, or rational f with a float beta) leaves
+them as they are, so the same code runs the float expressions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from ._numbers import NEG_INF, ValidationError, check_float_range, divide, scaled, tie_tolerance
@@ -73,18 +78,27 @@ def compute_phi(system: FiniteMVSystem, f: Sequence, beta) -> tuple:
 
 def compute_v(phi: Sequence, f: Sequence, beta) -> tuple:
     """The bounded correction: v = phi on its finite part and the constant
-    -M - max(f) + beta where phi is the -infinity sentinel."""
+    -M - max(f) + beta where phi is the -infinity sentinel, with M the
+    largest |phi| on the finite part (0 if none) and max(f) taken as 0 on a
+    system without edges, where no edge constrains v.  M and the fill are
+    taken in the format of ``_numbers.scaled``, over one denominator for
+    phi, f and beta."""
     finite = [p for p in phi if p is not NEG_INF]
     if any(isinstance(p, float) and p == float("inf") for p in finite):
         raise ValueError("phi must not contain +infinity")
-    bound = max((abs(p) for p in finite), default=Fraction(0))
-    fill = -bound - max(f) + beta
-    return tuple(p if p is not NEG_INF else fill for p in phi)
+    (finite, g, (b,)), d = scaled(finite, f, (beta,))
+    fill = divide(-max(map(abs, finite), default=0) - max(g, default=0) + b, 1, d)
+    return tuple([p if p is not NEG_INF else fill for p in phi])
 
 
 def verify_mane(system: FiniteMVSystem, f: Sequence, v: Sequence, beta, phi=None) -> SubactionResult:
     """Check f + v(tail) - v(head) <= beta edge by edge, and certify beta as
     the maximum ergodic average from the slacks alone.
+
+    For rational inputs every slack beta - (f + v(tail) - v(head)) is a
+    Python int over the one denominator of f, v and beta, each decision
+    below compares ints, and each returned slack is one ``Fraction``; a
+    float among the inputs keeps the float expressions.
 
     With tol = ``tie_tolerance(f)``, raises ViolatedEdgeError on the worst
     edge if any slack drops below -tol.
@@ -100,11 +114,12 @@ def verify_mane(system: FiniteMVSystem, f: Sequence, v: Sequence, beta, phi=None
         raise ValueError("edge function length must equal the edge count")
     if len(v) != system.n_states:
         raise ValueError("v length must equal n_states")
-    tol = tie_tolerance(f)
-    slack = tuple([beta - (f[k] + v[t] - v[h]) for k, (t, h) in enumerate(system.edges)])
-    worst = min(range(len(slack)), key=lambda k: slack[k], default=None)
+    tol = tie_tolerance(f)  # 0 unless f holds a float, and then D is None
+    (g, w, (b,)), d = scaled(f, v, (beta,))
+    slack = [b - (gk + w[t] - w[h]) for gk, (t, h) in zip(g, system.edges)]
+    worst = min(range(len(slack)), key=slack.__getitem__, default=None)
     if worst is not None and slack[worst] < -tol:
-        raise ViolatedEdgeError(system.edges[worst], slack[worst])
+        raise ViolatedEdgeError(system.edges[worst], divide(slack[worst], 1, d))
     tight = tuple([k for k, s in enumerate(slack) if s <= tol])
     tight_sys = FiniteMVSystem(system.n_states, tuple([system.edges[k] for k in tight]))
     if not eventual_domain(tight_sys):
@@ -115,6 +130,7 @@ def verify_mane(system: FiniteMVSystem, f: Sequence, v: Sequence, beta, phi=None
         )
     if phi is None:
         phi = tuple(v)
+    slack = tuple([divide(s, 1, d) for s in slack])
     return SubactionResult(beta, tuple(phi), tuple(v), slack, tight)
 
 

@@ -10,7 +10,9 @@ The suites share one exact solve per instance (``Instance.alpha``).  Two
 checks of that solve do not trust it: brute force over the simple cycles,
 and the Mañé slack certificate, which takes the shared alpha as beta and
 accepts it from the slacks alone.  ``check_graph_lift`` solves the edge
-system itself, since comparing that solve is its check.
+system itself, since comparing that solve is its check.  The checks decide
+on the instance's values in the integer format of ``_numbers.scaled``; only
+a failure message divides a mean back into a Fraction.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from ._numbers import NEG_INF, ValidationError, failure_message
+from ._numbers import NEG_INF, ValidationError, divide, failure_message, scaled
 from .io import dumps_system
 from .mea import (
     alpha_state,
@@ -99,10 +101,10 @@ def check_alpha_oracle(inst: Instance):
     oracle = brute_force_alpha(inst.system, inst.f)
     if alpha != oracle:
         return f"alpha {alpha} != brute force {oracle}"
-    k = len(cycle)
-    mean = Fraction(sum(inst.f[x] for x in cycle.states), 1) / k
-    if mean != alpha:
-        return f"canonical cycle mean {mean} != alpha {alpha}"
+    (g, (a,)), d = scaled(inst.f, (alpha,))
+    total, k = sum([g[x] for x in cycle.states]), len(cycle)
+    if total != a * k:
+        return f"canonical cycle mean {divide(total, k, d)} != alpha {alpha}"
     return None
 
 
@@ -122,10 +124,13 @@ def check_epsilon(inst: Instance):
     rot = epsilon_witness(cycle, inst.f)
     k = len(cycle)
     states = cycle.states[rot:] + cycle.states[:rot]
-    running = Fraction(0)
+    # the prefix average of n + 1 values dips below alpha when their sum
+    # does below (n + 1) alpha, in integers over one denominator
+    (g, (a,)), _d = scaled(inst.f, (alpha,))
+    running = 0
     for n in range(4 * k):
-        running += inst.f[states[n % k]]
-        if Fraction(running, 1) / (n + 1) < alpha:
+        running += g[states[n % k]]
+        if running < a * (n + 1):
             return f"prefix average at n={n} dips below alpha from rotation {rot}"
     return None
 
@@ -153,28 +158,29 @@ def check_mane(inst: Instance):
         return failure_message(exc)
     if min(result.slack) < 0:
         return f"negative slack {min(result.slack)}"
-    tight = set(result.tight_edge_ids)
-    f_edge = lift_function(inst.f, inst.system)
+    # the checks below run in integers over one denominator for f, beta,
+    # v and the finite part of phi; a failed mean is divided for its message
+    system, phi = inst.system, result.phi
+    finite = [x for x in range(system.n_states) if phi[x] is not NEG_INF]
+    (g, (b,), v, p), d = scaled(inst.f, (result.beta,), result.v, [phi[x] for x in finite])
     # every all-tight cycle of the tight subgraph telescopes to mean beta
     tight_sys = FiniteMVSystem.make(
-        inst.system.n_states, (inst.system.edges[k] for k in tight)
+        system.n_states, (system.edges[k] for k in result.tight_edge_ids)
     )
     for states in simple_cycles(tight_sys):
-        k = len(states)
-        mean = Fraction(sum(inst.f[x] for x in states), 1) / k
-        if mean != result.beta:
-            return f"all-tight cycle {states} has mean {mean} != beta {result.beta}"
+        total, k = sum([g[x] for x in states]), len(states)
+        if total != b * k:
+            return f"all-tight cycle {states} has mean {divide(total, k, d)} != beta {result.beta}"
     # the potential itself satisfies the edge inequality on its finite part
-    for eid, (t, h) in enumerate(inst.system.edges):
-        if result.phi[t] is NEG_INF:
-            continue
-        if result.phi[t] > result.phi[h] + result.beta - f_edge[eid]:
+    pot = dict(zip(finite, p))
+    for t, h in system.edges:
+        if t in pot and (h not in pot or pot[t] > pot[h] + b - g[t]):
             return f"potential inequality fails on edge ({t}, {h})"
     # single-valued systems: the per-state classical inequality
-    if all(len(s) == 1 for s in inst.system.successors):
-        for x in range(inst.system.n_states):
-            y = inst.system.successors[x][0]
-            if inst.f[x] + result.v[x] - result.v[y] > result.beta:
+    if all(len(s) == 1 for s in system.successors):
+        for x in range(system.n_states):
+            y = system.successors[x][0]
+            if g[x] + v[x] - v[y] > b:
                 return f"per-state inequality fails at state {x}"
     return None
 

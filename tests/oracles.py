@@ -17,8 +17,11 @@ re-validated by exact forward iteration of their ``Fraction`` points.
 ``flatten_blocks`` turns the orbit visitor's blocks into the rows the orbit
 oracle produces, ``orbit_over_lcm`` puts a list of exact points into the
 package's integer orbit format, and ``fraction_points`` reads them back as
-``Fraction``s.  ``reversed_system``, ``marginals`` and ``is_convex_polygon``
-check properties that no command needs computed.
+``Fraction``s.  The subaction certificate (``fraction_compute_v``,
+``fraction_verify_mane``), the rotation witness and the brute-force
+maximum work in ``Fraction`` means and slacks, where the package adds and
+compares ``scaled`` integers.  ``reversed_system``, ``marginals`` and
+``is_convex_polygon`` check properties that no command needs computed.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from itertools import combinations, product
 
 import numpy as np
 
+from mvergo._numbers import NEG_INF, divide, tie_tolerance
 from mvergo.bounds import GridModel, OrbitTable
 from mvergo.circle import (
     PeriodicOrbit,
@@ -40,14 +44,21 @@ from mvergo.circle import (
     _word_orbits,
     visit_periodic_orbits,
 )
-from mvergo.mea import HowardSolver, NoCycleError, _policy_values, _policy_walk
+from mvergo.mea import (
+    BRUTE_FORCE_STATE_LIMIT,
+    HowardSolver,
+    NoCycleError,
+    _policy_values,
+    _policy_walk,
+)
 from mvergo.measures import (
     Cycle,
     EdgeCirculation,
     VertexMeasure,
     cycle_measure,
 )
-from mvergo.system import FiniteMVSystem, simple_cycles
+from mvergo.subaction import BetaNotAttainedError, SubactionResult, ViolatedEdgeError
+from mvergo.system import FiniteMVSystem, eventual_domain, simple_cycles
 
 
 def z4_system() -> FiniteMVSystem:
@@ -866,3 +877,74 @@ def fraction_outer_grid_system(system: PiecewiseAffineMVSystem, grid_n: int) -> 
                 if br.wraps and s2 == 1:
                     edges.add((a, 0))
     return GridModel(system, HowardSolver(FiniteMVSystem.make(g, edges)))
+
+
+# ---------------------------------------------------------------------------
+# The subaction certificate and the cycle-mean oracles in ``Fraction`` means:
+# the package's code before it worked on ``scaled`` integers
+
+
+def fraction_compute_v(phi, f, beta) -> tuple:
+    """Reference for ``subaction.compute_v``: the bound and the fill in
+    ``Fraction`` (or float) arithmetic."""
+    finite = [p for p in phi if p is not NEG_INF]
+    if any(isinstance(p, float) and p == float("inf") for p in finite):
+        raise ValueError("phi must not contain +infinity")
+    bound = max((abs(p) for p in finite), default=Fraction(0))
+    fill = -bound - max(f) + beta
+    return tuple(p if p is not NEG_INF else fill for p in phi)
+
+
+def fraction_verify_mane(system: FiniteMVSystem, f, v, beta, phi=None) -> SubactionResult:
+    """Reference for ``subaction.verify_mane``: three ``Fraction`` (or
+    float) operations per edge slack."""
+    if len(f) != len(system.edges):
+        raise ValueError("edge function length must equal the edge count")
+    if len(v) != system.n_states:
+        raise ValueError("v length must equal n_states")
+    tol = tie_tolerance(f)
+    slack = tuple([beta - (f[k] + v[t] - v[h]) for k, (t, h) in enumerate(system.edges)])
+    worst = min(range(len(slack)), key=lambda k: slack[k], default=None)
+    if worst is not None and slack[worst] < -tol:
+        raise ViolatedEdgeError(system.edges[worst], slack[worst])
+    tight = tuple([k for k, s in enumerate(slack) if s <= tol])
+    tight_sys = FiniteMVSystem(system.n_states, tuple([system.edges[k] for k in tight]))
+    if not eventual_domain(tight_sys):
+        if not eventual_domain(system):
+            raise NoCycleError("the system has no directed cycle")
+        raise BetaNotAttainedError(
+            "no cycle of tight edges; beta does not match the maximum ergodic average"
+        )
+    if phi is None:
+        phi = tuple(v)
+    return SubactionResult(beta, tuple(phi), tuple(v), slack, tight)
+
+
+def fraction_epsilon_witness(cycle: Cycle, f) -> int:
+    """Reference for ``mea.epsilon_witness``: prefix sums less the
+    ``Fraction`` (or float) mean."""
+    values = [f[x] for x in cycle.states]
+    k = len(values)
+    total = sum(values)
+    mean = divide(total, k)
+    prefix = [0 * total]
+    for v in values:
+        prefix.append(prefix[-1] + v - mean)
+    best_i, best_val = 0, prefix[0]
+    for i in range(1, k):
+        if prefix[i] < best_val:
+            best_i, best_val = i, prefix[i]
+    return best_i
+
+
+def fraction_brute_force_alpha(system: FiniteMVSystem, f):
+    """Reference for ``mea.brute_force_alpha``: every simple cycle's
+    ``Fraction`` (or float) mean."""
+    if system.n_states > BRUTE_FORCE_STATE_LIMIT:
+        raise ValueError(f"brute force is limited to {BRUTE_FORCE_STATE_LIMIT} states")
+    best = NEG_INF
+    for states in simple_cycles(system):
+        mean = divide(sum(f[x] for x in states), len(states))
+        if best is NEG_INF or mean > best:
+            best = mean
+    return best

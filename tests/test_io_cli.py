@@ -217,6 +217,19 @@ def test_cmd_subaction_beta_override_above_alpha(tmp_path, capsys):
     assert "no cycle of tight edges" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [[], ["--beta-override", "0"], ["--beta-override", "0.5"]],
+                         ids=["alpha", "rational-beta", "float-beta"])
+def test_cmd_subaction_without_edges_reports_no_cycle(tmp_path, capsys, override):
+    # with beta given, no solver meets the empty edge set: the correction
+    # takes max f over no edges, which used to raise a bare ValueError
+    path = tmp_path / "edgeless.json"
+    path.write_text(json.dumps({"n_states": 2, "edges": [], "f_state": ["1", "-2"]}))
+    out = tmp_path / "o"
+    assert main(["subaction", "--input", str(path), *override, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: no cycle: the system has no directed cycle\n"
+    assert not out.exists()
+
+
 def test_cmd_subaction_beta_override_at_alpha_matches_default(tmp_path):
     base = ["subaction", "--builtin", "z4", "--f", "indicator:0"]
     assert main(base + ["--out", str(tmp_path / "a")]) == 0
@@ -312,13 +325,18 @@ def test_cmd_hull_matches_golden_files(tmp_path, builtin, golden):
      ["mea_report.txt", "mea_delta.csv"]),
     (["subaction", "--input", "ring_n128_m512_float/input.json"], "ring_n128_m512_float",
      ["subaction_states.csv", "subaction_edges.csv"]),
-], ids=["mea", "subaction", "measures", "verify", "mea-float", "subaction-float"])
+    (["subaction", "--builtin", "z4", "--f", "indicator:0", "--beta-override", "0.5"],
+     "subaction_z4_beta0.5", ["subaction_states.csv", "subaction_edges.csv"]),
+], ids=["mea", "subaction", "measures", "verify", "mea-float", "subaction-float",
+        "subaction-mixed"])
 def test_finite_commands_match_golden_files(tmp_path, argv, golden, files):
     # the golden files were written while the finite maximum cycle mean was
     # still solved by Karp's walk table; the inputs are a seeded ring graph
     # of 128 states and 512 edges and a 9-state graph with 28 cycle supports.
     # The float ring is the same graph with f / 7 as decimals; its files were
-    # written while tight_edges still ran a walk potential of its own
+    # written while tight_edges still ran a walk potential of its own.  The
+    # z4 files, rational f with a float beta, were written while verify_mane
+    # still took its slacks in Fraction arithmetic
     argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
     out = tmp_path / "o"
     assert main([*argv, "--out", str(out)]) == 0

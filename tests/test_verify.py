@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,10 +7,11 @@ import pytest
 import mvergo.mea as mea
 import mvergo.subaction as subaction
 import mvergo.verify as verify
+from mvergo._numbers import NEG_INF
 from mvergo.cli import main
 from mvergo.mea import alpha_state
 from mvergo.measures import Cycle, cycle_measure
-from mvergo.system import simple_cycles
+from mvergo.system import FiniteMVSystem, simple_cycles
 
 
 def test_verify_solves_each_instance_once(monkeypatch):
@@ -89,3 +91,43 @@ def test_verify_reports_a_wrong_shared_alpha(tmp_path, monkeypatch, capsys, shif
         dump.append(ln)
     assert '"n_states"' in "\n".join(dump)  # the instance dump is embedded
     assert lines[-1] == "RESULT FAIL"
+
+
+def test_failed_checks_word_their_means_as_fractions(monkeypatch):
+    # the checks decide in integers over one denominator; a failure message
+    # states the offending mean as the Fraction it is, in lowest terms
+    F = Fraction
+    system = FiniteMVSystem.make(3, {(0, 1), (1, 0), (1, 2), (2, 2)})
+    inst = verify.Instance(system, (F(1, 3), F(-1, 2), F(1, 5)))  # cycle means -1/12, 1/5
+    assert verify.check_alpha_oracle(inst) is None
+    assert verify.check_mane(inst) is None
+    monkeypatch.setattr(verify.Instance, "alpha", property(lambda _: (F(1, 5), Cycle((0, 1)))))
+    assert verify.check_alpha_oracle(inst) == "canonical cycle mean -1/12 != alpha 1/5"
+    monkeypatch.undo()
+
+    # the cycle (0, 1) attains alpha = -1/12; from state 1 it starts below it
+    low = verify.Instance(system, (F(1, 3), F(-1, 2), F(-1)))
+    assert verify.check_epsilon(low) is None
+    monkeypatch.setattr(verify, "epsilon_witness", lambda cycle, f: 1)
+    assert verify.check_epsilon(low) == "prefix average at n=0 dips below alpha from rotation 1"
+    monkeypatch.undo()
+
+    real = subaction.subaction_for_state_function(system, inst.f, F(1, 5))
+    phi_up = (real.phi[0] + 10,) + real.phi[1:]
+    phi_cut = (real.phi[0], NEG_INF, real.phi[2])
+    for changes, message in [
+        ({"tight_edge_ids": tuple(range(len(system.edges)))},
+         "all-tight cycle (0, 1) has mean -1/12 != beta 1/5"),
+        ({"phi": phi_up}, "potential inequality fails on edge (0, 1)"),
+        ({"phi": phi_cut}, "potential inequality fails on edge (0, 1)"),
+    ]:
+        monkeypatch.setattr(verify, "subaction_for_state_function",
+                            lambda *_args, changes=changes: replace(real, **changes))
+        assert verify.check_mane(inst) == message
+
+    swap = verify.Instance(FiniteMVSystem.make(2, {(0, 1), (1, 0)}), (F(1, 2), F(-1, 3)))
+    real = subaction.subaction_for_state_function(swap.system, swap.f, F(1, 12))
+    v_up = (real.v[0] + 1, real.v[1])
+    monkeypatch.setattr(verify, "subaction_for_state_function",
+                        lambda *_args: replace(real, v=v_up))
+    assert verify.check_mane(swap) == "per-state inequality fails at state 0"
