@@ -177,9 +177,12 @@ def scaled(*groups):
     integers; when any value is a float, the groups unchanged and D = None."""
     if any(isinstance(x, float) for group in groups for x in group):
         return groups, None
-    # lists: CPython parks each dead tuple built from a generator in its free list
-    d = math.lcm(*[x.denominator for group in groups for x in group])
-    return [[x.numerator * (d // x.denominator) for x in group] for group in groups], d
+    # each value's numerator and denominator are read once (on a Fraction
+    # both are properties), and D is the lcm of the distinct denominators
+    dens = [[x.denominator for x in group] for group in groups]
+    d = math.lcm(*{q for qs in dens for q in qs})
+    return [[x.numerator * (d // q) for x, q in zip(group, qs)]
+            for group, qs in zip(groups, dens)], d
 
 
 def divide(num, k: int, d=None):

@@ -227,7 +227,8 @@ def cmd_subaction(args) -> int:
         for k, (t, h) in enumerate(system.edges)
     ]
     _write_csv(out / "subaction_edges.csv", ["tail", "head", "f", "slack", "tight"], edge_rows)
-    print(f"beta = {format_number(result.beta)}, min slack = {format_number(min(result.slack))}")
+    min_slack = result.slack[result.worst_edge_id]
+    print(f"beta = {format_number(result.beta)}, min slack = {format_number(min_slack)}")
     return EXIT_OK
 
 

@@ -10,9 +10,13 @@ evaluates each policy in numpy depth layers (``_evaluate_policy``), where
 each bias comes from its successor's, computed one layer earlier, by the
 float operations of a sequential walk, so the bits are those of one.  Both
 return a value only once a potential shows that it bounds every cycle mean.
-The finite-horizon path maxima and the one potential (``_reduced_fixpoint``,
-``subaction``'s phi, whose zero gaps are ``tight_edges``) run one max-plus
-relaxation step (``_relax``).  They take the number format and the tolerance
+The exact solver starts each state on its best two-step walk
+(``_lookahead_policy``).  The finite-horizon path maxima and the one
+potential (``_reduced_fixpoint``, ``subaction``'s phi, whose zero gaps are
+``tight_edges``) run one max-plus relaxation step (``_relax``); in integers
+the path maxima stop at the first round that repeats an earlier one up to
+a constant, and fill the rest of the horizon from the repeat
+(``_segment_maxima``).  They take the number format and the tolerance
 of the finite layer from ``_numbers``: rational inputs run as Python ints
 over one denominator (``scaled``), and equality decisions allow
 ``tie_tolerance``, which is 0 unless an input is a float.  Alongside come a
@@ -200,6 +204,16 @@ def _certified(live, outs, head, w, eta, v, scale) -> bool:
     return True
 
 
+def _lookahead_policy(outs: list[list[int]], head: list[int], w: list[int]) -> list[int]:
+    """The exact solver's start: each state's first out-edge k maximising
+    w[k] plus the heaviest out-weight of head[k], i.e. the best two-step
+    walk; -1 for a state without out-edges.  On the lift of a state
+    function every out-edge of x weighs f(x), so the heaviest edge alone
+    would be the first out-edge."""
+    top = [max([w[k] for k in ks]) if ks else None for ks in outs]
+    return [max(ks, key=lambda k: w[k] + top[head[k]]) if ks else -1 for ks in outs]
+
+
 def _howard_exact(system: FiniteMVSystem, w: list[int]) -> tuple[int, int]:
     """The maximum cycle mean for integer edge weights, as (num, L) standing
     for num / L, by Howard's policy iteration in integers; see
@@ -215,7 +229,7 @@ def _howard_exact(system: FiniteMVSystem, w: list[int]) -> tuple[int, int]:
     # walk never reaches the -1 held by a state off the domain
     outs = [[k for k in ids if alive[head[k]]] if alive[x] else []
             for x, ids in enumerate(system.out_edge_ids)]
-    policy = [max(ks, key=w.__getitem__) if ks else -1 for ks in outs]
+    policy = _lookahead_policy(outs, head, w)
     for _ in range(HOWARD_ITERATION_LIMIT):
         eta, v, scale = _evaluate_policy_exact([head[k] for k in policy],
                                                [w[k] for k in policy], live)
@@ -263,8 +277,10 @@ def max_mean_cycle_value(system: FiniteMVSystem, weights: Sequence):
     rounded to the nearest float.
 
     The iteration is that of ``HowardSolver`` on the states of
-    ``eventual_domain``, in integers: a cold start takes each state's
-    heaviest edge, the first on ties; eta and the bias v are Python ints
+    ``eventual_domain``, in integers, but for its start: each state starts
+    on its first out-edge k of largest w[k] plus the heaviest out-weight of
+    head[k] (``_lookahead_policy``), since the lift of a state function
+    weighs all out-edges of a state alike; eta and the bias v are Python ints
     over L, the lcm of the policy's cycle lengths, so every comparison is
     exact.  It stops when a check that does not trust it holds, in
     integers: eta never increases along an edge, and no reduced edge weight
@@ -601,7 +617,22 @@ def alpha_state(system: FiniteMVSystem, f: Sequence) -> tuple:
 def _segment_maxima(system: FiniteMVSystem, f: Sequence, horizon: int) -> tuple[list, object]:
     """The best sum of f over orbit segments with n steps, for n = 0..horizon
     (None when there is no such segment), in the format of ``scaled``, and
-    its D.  Float values must pass ``check_float_range`` for the horizon."""
+    its D.  Float values must pass ``check_float_range`` for the horizon.
+
+    Round n holds x_n(y), the best sum over segments of n steps ending at y,
+    and x_{n+1} = T(x_n) for the max-plus step T(x)(y) = max over edges
+    (t, y) of x(t) + f(y) (``_relax``).  T commutes with adding a constant:
+    T(x + K) = T(x) + K.  So once x_n = x_m + K for some m < n, induction
+    gives x_{j+p} = x_j + K for every j >= m, with p = n - m, and the
+    maxima repeat in the same way: maxima[j] = maxima[j - p] + K.  In
+    integer format the pass keys each round by x_n less its maximum (None
+    stays None) and, at the first key seen before, fills the rest of the
+    horizon from that rule.  By the cyclicity theorem of max-plus algebra
+    (Baccelli, Cohen, Olsder and Quadrat, 1992) the rounds of a strongly
+    connected system repeat so after a transient; on others they may not,
+    and every round is relaxed.  The table of keys lives for one call.
+    Float sums are not associative, so in float format every round is
+    relaxed too."""
     if len(f) != system.n_states:
         raise ValueError("state function length must equal n_states")
     if horizon < 0:
@@ -611,16 +642,31 @@ def _segment_maxima(system: FiniteMVSystem, f: Sequence, horizon: int) -> tuple[
         check_float_range(g, system.n_states, horizon)
     weights = [g[h] for _t, h in system.edges]
     cur = g
-    maxima = [max(g)]
+    best = max(g)
+    maxima = [best]
+    rounds = None if d is None else {tuple([x - best for x in g]): 0}
     # once every state ends a segment of n >= 1 steps, each has a
     # predecessor, so every state ends one of every later length too
     reached = False
-    for _ in range(horizon):
+    for n in range(1, horizon + 1):
         cur, prev = [None] * system.n_states, cur
         _relax(system.edges, weights, prev, cur)
         reached = reached or None not in cur
-        maxima.append(max(cur) if reached
-                      else max((x for x in cur if x is not None), default=None))
+        best = (max(cur) if reached
+                else max((x for x in cur if x is not None), default=None))
+        maxima.append(best)
+        if rounds is None:
+            continue
+        if best is None:  # no segment has n steps, so none has more
+            maxima += [None] * (horizon - n)
+            break
+        m = rounds.setdefault(tuple([x - best for x in cur] if reached else
+                                    [None if x is None else x - best for x in cur]), n)
+        if m < n:
+            period, shift = n - m, best - maxima[m]
+            for j in range(n + 1, horizon + 1):
+                maxima.append(maxima[j - period] + shift)
+            break
     return maxima, d
 
 

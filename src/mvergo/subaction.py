@@ -48,13 +48,15 @@ class BetaNotAttainedError(ValidationError, ValueError):
 class SubactionResult:
     """Certified subaction data: beta, the extended-real potential phi (the
     NEG_INF sentinel on predecessor-free states), the real correction v,
-    per-edge slack, and the tight edge ids."""
+    per-edge slack, the tight edge ids, and the id of the first edge of
+    least slack, found with the slacks."""
 
     beta: object
     phi: tuple
     v: tuple
     slack: tuple
     tight_edge_ids: tuple[int, ...]
+    worst_edge_id: int
 
 
 def compute_phi(system: FiniteMVSystem, f: Sequence, beta) -> tuple:
@@ -131,7 +133,7 @@ def verify_mane(system: FiniteMVSystem, f: Sequence, v: Sequence, beta, phi=None
     if phi is None:
         phi = tuple(v)
     slack = tuple([divide(s, 1, d) for s in slack])
-    return SubactionResult(beta, tuple(phi), tuple(v), slack, tight)
+    return SubactionResult(beta, tuple(phi), tuple(v), slack, tight, worst)
 
 
 def subaction_for_state_function(system: FiniteMVSystem, f: Sequence, beta=None) -> SubactionResult:

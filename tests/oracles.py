@@ -7,7 +7,10 @@ enumeration of the inequality polytope and from the elimination LP over
 every other candidate (a ``Fraction`` simplex), the potential from explicit
 backward-walk enumeration, exact and float cycle means from Karp's walk
 table, the float Howard solver's policy values from one sequential walk of
-the policy (the solver's evaluator before it worked in depth layers),
+the policy (the solver's evaluator before it worked in depth layers), the
+exact solver's start from each state's heaviest edge alone, the horizon
+maxima from every round of the max-plus step (the pass before it stopped
+at a repeat),
 periodic orbits of circle systems from a rational lift search, the
 Sturmian orbits from the Christoffel words alone, and orbit tables from the
 per-word orbit path, divided as Python ints.
@@ -34,7 +37,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from mvergo._numbers import NEG_INF, divide, tie_tolerance
+from mvergo._numbers import NEG_INF, check_float_range, divide, scaled, tie_tolerance
 from mvergo.bounds import GridModel, OrbitTable
 from mvergo.circle import (
     PeriodicOrbit,
@@ -50,6 +53,7 @@ from mvergo.mea import (
     NoCycleError,
     _policy_values,
     _policy_walk,
+    _relax,
 )
 from mvergo.measures import (
     Cycle,
@@ -532,6 +536,33 @@ def karp_max_mean_cycle_value(system: FiniteMVSystem, weights) -> Fraction:
     return Fraction(best[0], best[1] * d)
 
 
+def heaviest_edge_policy(outs: list[list[int]], head: list[int], w: list[int]) -> list[int]:
+    """Reference start for ``mea._howard_exact``: each state's first
+    heaviest out-edge, -1 for a state without out-edges (the solver's start
+    before it looked one step ahead)."""
+    return [max(ks, key=w.__getitem__) if ks else -1 for ks in outs]
+
+
+def full_round_segment_maxima(system: FiniteMVSystem, f, horizon: int) -> tuple[list, object]:
+    """Reference for ``mea._segment_maxima``: every round of the max-plus
+    step up to the horizon, in either number format."""
+    if len(f) != system.n_states:
+        raise ValueError("state function length must equal n_states")
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
+    (g,), d = scaled(f)
+    if d is None:
+        check_float_range(g, system.n_states, horizon)
+    weights = [g[h] for _t, h in system.edges]
+    cur = g
+    maxima = [max(g)]
+    for _ in range(horizon):
+        cur, prev = [None] * system.n_states, cur
+        _relax(system.edges, weights, prev, cur)
+        maxima.append(max((x for x in cur if x is not None), default=None))
+    return maxima, d
+
+
 def walk_evaluate_policy(succ: list[int], cost: list[float]) -> tuple[np.ndarray, np.ndarray]:
     """Float eta and v (``_policy_values``) of a policy on all states; a
     cycle's mean is math.fsum of its costs over its length."""
@@ -917,7 +948,7 @@ def fraction_verify_mane(system: FiniteMVSystem, f, v, beta, phi=None) -> Subact
         )
     if phi is None:
         phi = tuple(v)
-    return SubactionResult(beta, tuple(phi), tuple(v), slack, tight)
+    return SubactionResult(beta, tuple(phi), tuple(v), slack, tight, worst)
 
 
 def fraction_epsilon_witness(cycle: Cycle, f) -> int:

@@ -32,7 +32,8 @@ def same(a, b) -> bool:
         return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
     if isinstance(a, SubactionResult) and isinstance(b, SubactionResult):
         return all(same(getattr(a, name), getattr(b, name))
-                   for name in ("beta", "phi", "v", "slack", "tight_edge_ids"))
+                   for name in ("beta", "phi", "v", "slack", "tight_edge_ids",
+                                "worst_edge_id"))
     if type(a) is not type(b):
         return False
     return repr(a) == repr(b) if isinstance(a, float) else a == b

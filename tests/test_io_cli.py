@@ -327,8 +327,10 @@ def test_cmd_hull_matches_golden_files(tmp_path, builtin, golden):
      ["subaction_states.csv", "subaction_edges.csv"]),
     (["subaction", "--builtin", "z4", "--f", "indicator:0", "--beta-override", "0.5"],
      "subaction_z4_beta0.5", ["subaction_states.csv", "subaction_edges.csv"]),
+    (["mea", "--input", "ring_n16_m32/input.json"], "ring_n16_m32",
+     ["mea_report.txt", "mea_delta.csv"]),
 ], ids=["mea", "subaction", "measures", "verify", "mea-float", "subaction-float",
-        "subaction-mixed"])
+        "subaction-mixed", "mea-late-repeat"])
 def test_finite_commands_match_golden_files(tmp_path, argv, golden, files):
     # the golden files were written while the finite maximum cycle mean was
     # still solved by Karp's walk table; the inputs are a seeded ring graph
@@ -336,12 +338,30 @@ def test_finite_commands_match_golden_files(tmp_path, argv, golden, files):
     # The float ring is the same graph with f / 7 as decimals; its files were
     # written while tight_edges still ran a walk potential of its own.  The
     # z4 files, rational f with a float beta, were written while verify_mane
-    # still took its slacks in Fraction arithmetic
+    # still took its slacks in Fraction arithmetic.  The 16-state ring's
+    # files were written while the horizon pass still ran all 64 rounds: its
+    # rounds repeat only at round 59, with period 4 (its maximizing cycle has
+    # four states), so rounds 60 to 64 come from the repeat
     argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
     out = tmp_path / "o"
     assert main([*argv, "--out", str(out)]) == 0
     for name in files:
         assert (out / name).read_bytes() == (DATA / golden / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["--input", str(DATA / "ring_n128_m512" / "input.json")], "ring_n128_m512"),
+    (["--input", str(DATA / "ring_n128_m512_float" / "input.json")], "ring_n128_m512_float"),
+    (["--builtin", "z4", "--f", "indicator:0", "--beta-override", "0.5"],
+     "subaction_z4_beta0.5"),
+], ids=["rational", "float", "mixed"])
+def test_cmd_subaction_prints_the_least_slack(tmp_path, capsys, argv, golden):
+    # the summary line reads the slack of the result's worst edge: the
+    # first least slack of the golden edge file, as min() over them finds it
+    assert main(["subaction", *argv, "--out", str(tmp_path / "o")]) == 0
+    rows = _read_csv(DATA / golden / "subaction_edges.csv")[1:]
+    least = min([r[3] for r in rows], key=parse_number)
+    assert capsys.readouterr().out.endswith(f", min slack = {least}\n")
 
 
 def test_cmd_hull_builds_one_convex_hull(tmp_path, monkeypatch):

@@ -5,13 +5,14 @@ import random
 import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mvergo.mea as mea_mod
 from mvergo._numbers import NEG_INF, float_tolerance
-from mvergo.io import loads_system
+from mvergo.io import load_system, loads_system
 from mvergo.bounds import make_family, outer_grid_system
 from mvergo.circle import doubling_map, pq_correspondence, three_branch_doubling
 from mvergo.mea import (
@@ -45,6 +46,8 @@ from mvergo.system import (
 from mvergo.verify import make_instances
 from oracles import (
     dfs_simple_cycles,
+    full_round_segment_maxima,
+    heaviest_edge_policy,
     karp_max_mean_cycle_value,
     karp_max_mean_cycle_value_float,
     walk_evaluate_policy,
@@ -52,6 +55,7 @@ from oracles import (
 )
 
 F = Fraction
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def indicator(n, i):
@@ -171,6 +175,69 @@ def test_delta_sequence_matches_single_calls():
     assert [n for n, _ in seq] == list(range(13))
     for n, d in seq:
         assert d == delta_finite_horizon(z4, f, n)
+
+
+NUMBER_FORMATS = {
+    "rational": tuple,
+    "float": lambda f: tuple(float(x) for x in f),
+    "mixed": lambda f: tuple(float(x) if i % 2 else x for i, x in enumerate(f)),
+}
+
+
+def horizon_cases():
+    """(system, rational f) for the horizon pass: the verify stream, whose
+    systems are mostly reducible and every fifth single-valued; small
+    systems whose rounds run out, never repeat or repeat at once; and ring
+    graphs."""
+    cases = [(inst.system, inst.f) for inst in make_instances(43, 60)]
+    cases += [
+        # acyclic: no segment has 3 steps
+        (FiniteMVSystem.make(3, [(0, 1), (1, 2)]), (F(1), F(-2), F(3))),
+        # loops of means 1 and 1/2 fed by 2: the rounds drift apart forever
+        (FiniteMVSystem.make(3, [(0, 0), (1, 1), (2, 0), (2, 1)]), (F(1), F(1, 2), F(5))),
+        # a source ahead of a loop: None at 0 from round 1, then a shift
+        (FiniteMVSystem.make(2, [(0, 1), (1, 1)]), (F(7), F(-1, 3))),
+        # sources at the maximum: round 1's key, read with None as 0, would
+        # equal round 0's
+        (FiniteMVSystem.make(3, [(0, 1), (1, 1), (2, 0), (2, 1)]), (F(-1), F(-2), F(-1))),
+        # one loop per state at one value: round 1 repeats round 0
+        (FiniteMVSystem.make(2, [(0, 0), (1, 1)]), (F(2), F(2))),
+    ]
+    rng = random.Random(44)
+    cases += [ring_graph(rng, n, 4 * n) for n in (10, 64, 128)]
+    return cases
+
+
+@pytest.mark.parametrize("name", NUMBER_FORMATS)
+def test_segment_maxima_match_every_round(name):
+    # the pass that stops at a repeat gives the maxima and the D of the pass
+    # that relaxes every round, with every float's bits
+    copy = NUMBER_FORMATS[name]
+    for system, f in horizon_cases():
+        g = copy(f)
+        for horizon in (0, 1, 2, system.n_states, 64, 130):
+            got = mea_mod._segment_maxima(system, g, horizon)
+            assert repr(got) == repr(full_round_segment_maxima(system, g, horizon))
+
+
+@pytest.mark.parametrize("ring, rounds", [
+    ("ring_n128_m512", 34), ("ring_n128_m512_float", 64), ("ring_n16_m32", 59),
+])
+def test_segment_maxima_stop_at_the_first_repeat(monkeypatch, ring, rounds):
+    # the rational ring's round 34 repeats an earlier round up to a shift,
+    # and the 16-state ring's round 59 its round 55; the float ring, the
+    # same graph with f / 7 as decimals, relaxes all 64 rounds
+    doc = load_system(DATA / ring / "input.json")
+    relax, calls = mea_mod._relax, []
+
+    def counting(*args):
+        calls.append(1)
+        relax(*args)
+
+    monkeypatch.setattr(mea_mod, "_relax", counting)
+    got = mea_mod._segment_maxima(doc.system, doc.f_state, 64)
+    assert len(calls) == rounds
+    assert repr(got) == repr(full_round_segment_maxima(doc.system, doc.f_state, 64))
 
 
 def test_epsilon_witness_examples():
@@ -360,7 +427,7 @@ def test_exact_howard_rounds_the_exact_maximum_of_float_weights():
 
 def test_exact_howard_ties_policy_cycles_of_lengths_one_two_and_three(monkeypatch):
     # the loop at 0 and the cycles 1 -> 2 -> 1 and 3 -> 4 -> 5 -> 3 all have
-    # mean 1, and the cold start (each state's heaviest edge) holds all
+    # mean 1, and the start (each state's best two-step walk) holds all
     # three, so eta and v run over L = lcm(1, 2, 3) = 6
     s = FiniteMVSystem.make(6, [(0, 0), (0, 1), (1, 2), (2, 1), (2, 3), (3, 4), (4, 5),
                                 (5, 0), (5, 3)])
@@ -391,20 +458,46 @@ def test_exact_howard_ignores_states_off_the_eventual_domain():
 
 
 def test_exact_howard_iteration_limit(monkeypatch, tmp_path, capsys):
-    # the cold start keeps the loop at 0, the first of its two edges of
-    # weight 1; the loop at 1 is better, so a second iteration is needed
-    s = FiniteMVSystem.make(2, [(0, 0), (0, 1), (1, 1)])
-    f = (F(1), F(5))
-    assert alpha_state(s, f)[0] == 5
+    # the start looks one step ahead: from 0, the edge to 1 (3 + 10) beats
+    # the loop at 0 (3 + 3), so the first policy runs into the loop at 2 of
+    # mean -100; the loop at 0 is better, so a second iteration is needed
+    s = FiniteMVSystem.make(3, [(0, 0), (0, 1), (1, 2), (2, 2)])
+    f = (F(3), F(10), F(-100))
+    assert alpha_state(s, f)[0] == 3
     monkeypatch.setattr(mea_mod, "HOWARD_ITERATION_LIMIT", 1)
     with pytest.raises(PolicyIterationLimitError, match="did not converge in 1 iterations"):
         max_mean_cycle_value(s, lift_function(f, s))
-    path = tmp_path / "two_loops.json"
+    path = tmp_path / "lure.json"
     path.write_text(dumps_system(s, f_state=f))
     assert main(["mea", "--input", str(path), "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err.startswith(
         "error: input too large: Howard policy iteration did not converge in 1 iterations")
     assert not (tmp_path / "o").exists()
+
+
+def test_exact_howard_lookahead_start_saves_evaluations(monkeypatch):
+    # on a lifted state function every out-edge of a state weighs the same,
+    # so the heaviest-edge start takes each state's first edge; the best
+    # two-step walk starts closer.  Same values, fewer policy evaluations
+    cases = [ring_graph(random.Random(seed), 64, 256) for seed in range(12)]
+    evaluate, evaluations = mea_mod._evaluate_policy_exact, []
+
+    def counting(*args):
+        evaluations.append(1)
+        return evaluate(*args)
+
+    def solve_all():
+        del evaluations[:]
+        values = [max_mean_cycle_value(s, lift_function(f, s)) for s, f in cases]
+        return values, len(evaluations)
+
+    monkeypatch.setattr(mea_mod, "_evaluate_policy_exact", counting)
+    values, lookahead = solve_all()
+    monkeypatch.setattr(mea_mod, "_lookahead_policy", heaviest_edge_policy)
+    heaviest_values, heaviest = solve_all()
+    assert values == heaviest_values
+    assert lookahead < heaviest
+    assert (lookahead, heaviest) == (72, 99)
 
 
 def test_exact_certificate_rejects_wrong_values():

@@ -60,6 +60,37 @@ def test_scaled_and_divide():
     assert divide(0.75, 3) == 0.25 and divide(7, 2) == F(7, 2)
 
 
+class CountedFraction(Fraction):
+    """A Fraction that counts the reads of its numerator and denominator."""
+
+    reads = {"numerator": 0, "denominator": 0}
+
+    @property
+    def numerator(self):
+        CountedFraction.reads["numerator"] += 1
+        return super().numerator
+
+    @property
+    def denominator(self):
+        CountedFraction.reads["denominator"] += 1
+        return super().denominator
+
+
+def test_scaled_reads_each_value_once_with_the_same_result():
+    values = [F(3, 4), F(-5, 6), F(7, 4), F(0), F(1, 9)]
+    counted = [CountedFraction(x) for x in values]
+    CountedFraction.reads.update(numerator=0, denominator=0)
+    got = scaled(counted[:3], counted[3:])
+    assert CountedFraction.reads == {"numerator": 5, "denominator": 5}
+    assert got == ([[27, -30, 63], [0, 4]], 36)
+    # against the two reads per denominator of the formula it replaces, on
+    # ints, numpy integers, an empty group and a D beyond 64 bits
+    for groups in [(values, [2, np.int64(-3)], []), ([F(1, 2 ** 70), F(5, 3 ** 40)], [7]), ()]:
+        d = math.lcm(*[x.denominator for group in groups for x in group])
+        want = [[x.numerator * (d // x.denominator) for x in group] for group in groups]
+        assert scaled(*groups) == (want, d)
+
+
 # the reductions as numpy computed them: max |x| over a float64 array
 def numpy_largest(values) -> float:
     return float(np.abs(np.asarray(values, dtype=np.float64)).max(initial=0.0))

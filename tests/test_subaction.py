@@ -104,10 +104,12 @@ def test_verify_mane_examples():
     res = verify_mane(z4, f, (F(0),) * 4, F(2))
     assert res.slack == (F(0),) * 8
     assert res.tight_edge_ids == tuple(range(8))
+    assert res.worst_edge_id == 0  # the first of eight least slacks
 
     s, fe = two_state_ab()
     res = verify_mane(s, fe, (F(0), F(0)), F(1))
     assert res.slack == (F(1), F(0), F(0))
+    assert res.worst_edge_id == 1
 
     s2, f2 = two_state_pq()
     phi2 = compute_phi(s2, f2, F(0))
@@ -115,6 +117,7 @@ def test_verify_mane_examples():
     res2 = verify_mane(s2, f2, v2, F(0), phi=phi2)
     assert res2.slack == (F(2), F(0))
     assert res2.phi == phi2
+    assert res2.worst_edge_id == 1
 
 
 def test_verify_mane_raises_on_violation():
